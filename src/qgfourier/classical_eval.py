@@ -27,7 +27,7 @@ import numpy as np
 
 from .dual_data import DualDescriptor, IrrepData
 from .fourier_core import FourierCoeffs, ell2_norm
-from .random_series import RngSeed, haar_unitary_stack, iter_chunks
+from .random_series import MeanAccumulator, RngSeed, haar_unitary_stack, iter_chunks
 
 GROUP_TOL = 1e-12          # exact-group checks
 SU2_INPUT_TOL = 1e-10      # special-unitarity tolerance on inputs
@@ -533,8 +533,7 @@ def gaussian_series_l1_mean(
             raise ValueError(f"trials must be >= 2, got {trials}")
         return GaussianL1(mean=0.0, stderr=0.0, predicted=predicted)
     weights = haar.weights
-    acc = 0.0
-    acc_sq = 0.0
+    acc = MeanAccumulator()
     for index, take in iter_chunks(trials, MC_CHUNK):
         rng = seed.chunk_generator(index)
         vals = np.zeros((take, len(weights)), dtype=complex)
@@ -548,12 +547,9 @@ def gaussian_series_l1_mean(
                 else haar.irrep(label).matrices
             )
             vals += np.sqrt(n) * np.einsum("tij,jm,gmi->tg", g, m, stack)
-        per_trial = np.abs(vals) @ weights
-        acc += float(np.sum(per_trial))
-        acc_sq += float(np.sum(per_trial * per_trial))
-    mean = acc / trials
-    var = max(0.0, (acc_sq - trials * mean * mean) / (trials - 1))
-    return GaussianL1(mean=mean, stderr=float(np.sqrt(var / trials)), predicted=predicted)
+        acc.add(np.abs(vals) @ weights)
+    mean, stderr = acc.mean_stderr()
+    return GaussianL1(mean=mean, stderr=stderr, predicted=predicted)
 
 
 @dataclass(frozen=True)
@@ -648,16 +644,12 @@ def cotype2_ratio(
     if denom == 0.0:
         raise ValueError("all families are zero; the ratio is undefined")
     j = len(xs)
-    acc = 0.0
-    acc_sq = 0.0
+    acc = MeanAccumulator()
     for index, take in iter_chunks(trials, MC_CHUNK):
         g = seed.chunk_generator(index).standard_normal((MC_CHUNK, j))[:take]
-        per_trial = np.abs(g @ values) @ weights
-        acc += float(np.sum(per_trial))
-        acc_sq += float(np.sum(per_trial * per_trial))
-    mean = acc / trials
-    var = max(0.0, (acc_sq - trials * mean * mean) / (trials - 1))
-    return CotypeRatio(ratio=mean / denom, stderr=float(np.sqrt(var / trials)) / denom)
+        acc.add(np.abs(g @ values) @ weights)
+    mean, stderr = acc.mean_stderr()
+    return CotypeRatio(ratio=mean / denom, stderr=stderr / denom)
 
 
 @dataclass(frozen=True)

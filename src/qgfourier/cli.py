@@ -748,6 +748,13 @@ def _round_floats(value):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def count(text: str) -> int:
+        # trials, families and sizes; a run that does no work would pass vacuously
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        return value
+
     parser = argparse.ArgumentParser(
         prog="qgfourier",
         description="Seeded verification experiments for the dual-side Fourier calculus.",
@@ -757,13 +764,15 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} experiment" if name != "all" else "run every experiment")
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (required for stochastic subcommands)")
-        p.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
-        p.add_argument("--families", type=int, default=None, help="number of random families/cases")
+        p.add_argument("--trials", type=count, default=None, help="Monte Carlo trials")
+        p.add_argument("--families", type=count, default=None,
+                       help="number of random families/cases")
         p.add_argument("--out", type=str, default=None, help="write the full document to this path")
         p.add_argument("--format", choices=("json", "csv"), default="json", help="output format for --out")
         p.add_argument("--q", type=float, default=None, help="deformation parameter in (0,1); default 0.5")
         p.add_argument("--kmax", type=int, default=None, help="dual truncation level")
-        p.add_argument("--nmax", type=int, default=None, help="largest matrix size (gaussian-norms)")
+        p.add_argument("--nmax", type=count, default=None,
+                       help="largest matrix size (gaussian-norms)")
         p.add_argument("--dual", type=str, default=None,
                        help="dual to use: trivial, zN, s3, su2, suq2, oNplus")
     return parser

@@ -62,10 +62,9 @@ class IrrepData:
     def is_kac(self) -> bool:
         return bool(np.max(np.abs(self.q_diag - 1.0)) <= KAC_TOL)
 
-    @property
-    def q_matrix(self) -> np.ndarray:
-        """The deformation matrix Q as a dense diagonal matrix."""
-        return np.diag(self.q_diag)
+    def q_trace(self, x: np.ndarray) -> float:
+        """tr(Q X^* X) = sum_i q_i ||X[:, i]||^2, with Q applied by broadcasting."""
+        return float((x.real**2 + x.imag**2).sum(axis=0) @ self.q_diag)
 
 
 def quantum_dimension(irrep: IrrepData) -> float:

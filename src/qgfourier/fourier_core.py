@@ -23,7 +23,27 @@ from .dual_data import DualDescriptor, IrrepData
 
 
 class DualMismatchError(ValueError):
-    """Raised when two coefficient families live on different duals."""
+    """Raised when two families (coefficients or matrices) live on different duals."""
+
+
+def _checked_blocks(dual: DualDescriptor, blocks: dict, what: str) -> dict:
+    """Read-only complex copies of `blocks`, each n x n for the irrep at its label."""
+    clean = {}
+    for label, mat in blocks.items():
+        irrep = dual.irrep(label)  # KeyError if the label is unknown
+        m = np.array(mat, dtype=complex)
+        if m.shape != (irrep.n, irrep.n):
+            raise ValueError(
+                f"{what} at {label!r} has shape {m.shape}, expected ({irrep.n}, {irrep.n})"
+            )
+        m.flags.writeable = False
+        clean[label] = m
+    return clean
+
+
+def _require_same_dual(a, b):
+    if a.dual is not b.dual and a.dual.name != b.dual.name:
+        raise DualMismatchError(f"duals differ: {a.dual.name!r} vs {b.dual.name!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,18 +54,7 @@ class FourierCoeffs:
     support: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {}
-        for label, mat in self.support.items():
-            irrep = self.dual.irrep(label)  # KeyError if the label is unknown
-            m = np.array(mat, dtype=complex)
-            if m.shape != (irrep.n, irrep.n):
-                raise ValueError(
-                    f"coefficient at {label!r} has shape {m.shape}, "
-                    f"expected ({irrep.n}, {irrep.n})"
-                )
-            m.flags.writeable = False
-            clean[label] = m
-        object.__setattr__(self, "support", clean)
+        object.__setattr__(self, "support", _checked_blocks(self.dual, self.support, "coefficient"))
 
     def __getitem__(self, label) -> np.ndarray:
         return self.support[label]
@@ -94,11 +103,6 @@ def coeffs_from_json(text: str, dual: DualDescriptor) -> FourierCoeffs:
     return FourierCoeffs(dual, support)
 
 
-def _require_same_dual(a: FourierCoeffs, b: FourierCoeffs):
-    if a.dual is not b.dual and a.dual.name != b.dual.name:
-        raise DualMismatchError(f"duals differ: {a.dual.name!r} vs {b.dual.name!r}")
-
-
 def ell_infty_norm(x: FourierCoeffs) -> float:
     """sup over the support of the per-block operator (spectral) norms."""
     if not x.support:
@@ -111,7 +115,7 @@ def ell2_norm(x: FourierCoeffs) -> float:
     total = 0.0
     for label, m in x.support.items():
         irrep = x.dual.irrep(label)
-        total += irrep.d * float(np.trace(irrep.q_matrix @ m.conj().T @ m).real)
+        total += irrep.d * irrep.q_trace(m)
     return float(np.sqrt(total))
 
 
@@ -120,7 +124,7 @@ def ell1_norm(x: FourierCoeffs) -> float:
     total = 0.0
     for label, m in x.support.items():
         irrep = x.dual.irrep(label)
-        total += irrep.d * float(np.sum(np.linalg.svd(m @ irrep.q_matrix, compute_uv=False)))
+        total += irrep.d * float(np.sum(np.linalg.svd(m * irrep.q_diag, compute_uv=False)))
     return total
 
 
@@ -136,7 +140,7 @@ def pairing(mu: FourierCoeffs, f: FourierCoeffs) -> complex:
         if label not in f.support:
             continue
         irrep = mu.dual.irrep(label)
-        acc += irrep.d * np.trace(m @ irrep.q_matrix @ f.support[label].conj().T)
+        acc += irrep.d * np.vdot(f.support[label], m * irrep.q_diag)
     return complex(acc)
 
 
@@ -175,7 +179,7 @@ def plancherel_gram_norm(f: FourierCoeffs) -> float:
         irrep = f.dual.irrep(label)
         n, d = irrep.n, irrep.d
         qinv = np.diag(1.0 / irrep.q_diag)
-        coeff = d * (x @ irrep.q_matrix)  # coeff[i, j] multiplies u_{j,i}
+        coeff = d * (x * irrep.q_diag)  # coeff[i, j] multiplies u_{j,i}
         acc = 0j
         for i in range(n):
             for j in range(n):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual_data import DualDescriptor, IrrepData
-from .fourier_core import DualMismatchError, FourierCoeffs, ell2_norm
+from .fourier_core import FourierCoeffs, _require_same_dual, ell2_norm
 from .random_series import MatrixFamily, RngSeed, haar_unitary_stack, iter_chunks, matrices_per_chunk
 
 
@@ -61,26 +61,17 @@ def multiplier_block_norm(b, irrep: IrrepData) -> float:
     on one block.
 
     Input basis {u_{j,i}} and output basis {(u_{p,j})^*} are orthogonal with
-    diagonal Gram weights, so the norm is the largest singular value of
-    D2^{1/2} M D1^{-1/2}, where M is the coefficient matrix of the map and
-    D1, D2 the Gram diagonals.  It is <= 1 whenever ||B|| <= 1.
+    diagonal Gram weights (Q^{-1})_{j,j}/d and (Q)_{j,j}/d, so the norm is the
+    largest singular value of D2^{1/2} M D1^{-1/2}, where M is the coefficient
+    matrix of the map and D1, D2 the Gram diagonals.  The weights cancel the
+    factor (Q^{-1})_{j,j}, which leaves a matrix that is block diagonal in j
+    with every block equal to B: the norm is ||B||.
     """
     b = np.asarray(b, dtype=complex)
     n = irrep.n
     if b.shape != (n, n):
         raise ValueError(f"multiplier block has shape {b.shape}, expected ({n}, {n})")
-    gram = block_gram(irrep)
-    qinv_diag = 1.0 / irrep.q_diag
-    m = np.zeros((n * n, n * n), dtype=complex)
-    for j in range(n):
-        for i in range(n):
-            for p in range(n):
-                # image of u_{j,i} has coefficient (Q^{-1})_{j,j} B_{p,i} on (u_{p,j})^*
-                m[p * n + j, j * n + i] = qinv_diag[j] * b[p, i]
-    d1 = np.array([gram.gram_u[j, i] for j in range(n) for i in range(n)])
-    d2 = np.array([gram.gram_ustar[p, j] for p in range(n) for j in range(n)])
-    scaled = np.sqrt(d2)[:, None] * m / np.sqrt(d1)[None, :]
-    return float(np.linalg.svd(scaled, compute_uv=False)[0])
+    return float(np.linalg.norm(b, 2))
 
 
 @dataclass(frozen=True)
@@ -98,8 +89,7 @@ def haar_state_pairing_check(f: FourierCoeffs, family: MatrixFamily) -> PairingI
     closed form sum_alpha n_alpha tr(X_alpha Q_alpha B_alpha).  Pure algebra:
     the deviation is floating-point noise only.
     """
-    if f.dual is not family.dual and f.dual.name != family.dual.name:
-        raise DualMismatchError(f"duals differ: {f.dual.name!r} vs {family.dual.name!r}")
+    _require_same_dual(f, family)
     lhs = 0j
     rhs = 0j
     for label, x in f.support.items():
@@ -109,7 +99,7 @@ def haar_state_pairing_check(f: FourierCoeffs, family: MatrixFamily) -> PairingI
         n, d = irrep.n, irrep.d
         q = irrep.q_diag
         bm = family.entries[label]
-        xq = x @ irrep.q_matrix
+        xq = x * q
         for i in range(n):
             for j in range(n):
                 for k in range(n):

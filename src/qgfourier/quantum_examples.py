@@ -22,9 +22,7 @@ def nonkac_quantity(f: FourierCoeffs) -> float:
     total = 0.0
     for label, m in f.support.items():
         irrep = f.dual.irrep(label)
-        total += (irrep.d / irrep.n) * float(
-            np.trace(irrep.q_matrix @ m.conj().T @ m).real
-        )
+        total += (irrep.d / irrep.n) * irrep.q_trace(m)
     return total
 
 
@@ -60,7 +58,7 @@ def suq2_chain_check(q: float, eps: float, f: FourierCoeffs) -> ChainCheck:
     for label, m in f.support.items():
         k = int(label)
         irrep = f.dual.irrep(label)
-        t_k = float(np.trace(irrep.q_matrix @ m.conj().T @ m).real)
+        t_k = irrep.q_trace(m)
         d_k = irrep.d
         log_pow = (1.0 - eps) * math.log(d_k)
         if log_pow > math.log(OVERFLOW_GUARD):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual_data import DualDescriptor
-from .fourier_core import FourierCoeffs
+from .fourier_core import FourierCoeffs, _checked_blocks, _require_same_dual
 
 #: Uniform norm slack used by every contraction / unitarity contract here.
 NORM_SLACK = 1e-9
@@ -73,6 +73,27 @@ def iter_chunks(total: int, chunk: int):
         done += take
 
 
+class MeanAccumulator:
+    """Sum and sum of squares of Monte Carlo values, added chunk by chunk in a
+    fixed order; gives the sample mean and its standard error."""
+
+    def __init__(self):
+        self.count = 0
+        self.total = 0.0
+        self.total_sq = 0.0
+
+    def add(self, values: np.ndarray):
+        self.count += len(values)
+        self.total += float(np.sum(values))
+        self.total_sq += float(np.sum(values * values))
+
+    def mean_stderr(self) -> tuple[float, float]:
+        n = self.count
+        mean = self.total / n
+        var = max(0.0, (self.total_sq - n * mean * mean) / (n - 1))
+        return mean, float(np.sqrt(var / n))
+
+
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
@@ -122,16 +143,12 @@ def expected_operator_norm(n: int, trials: int, seed: RngSeed) -> NormEstimate:
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
     chunk = matrices_per_chunk(n)
-    acc = 0.0
-    acc_sq = 0.0
+    acc = MeanAccumulator()
     for index, take in iter_chunks(trials, chunk):
         g = gaussian_matrix_stack(n, chunk, seed.chunk_generator(index))[:take]
-        norms = np.linalg.svd(g, compute_uv=False)[:, 0]
-        acc += float(np.sum(norms))
-        acc_sq += float(np.sum(norms * norms))
-    mean = acc / trials
-    var = max(0.0, (acc_sq - trials * mean * mean) / (trials - 1))
-    return NormEstimate(mean=mean, stderr=float(np.sqrt(var / trials)), trials=trials)
+        acc.add(np.linalg.svd(g, compute_uv=False)[:, 0])
+    mean, stderr = acc.mean_stderr()
+    return NormEstimate(mean=mean, stderr=stderr, trials=trials)
 
 
 # ---------------------------------------------------------------------------
@@ -146,18 +163,7 @@ class MatrixFamily:
     entries: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {}
-        for label, mat in self.entries.items():
-            irrep = self.dual.irrep(label)
-            m = np.array(mat, dtype=complex)
-            if m.shape != (irrep.n, irrep.n):
-                raise ValueError(
-                    f"family entry at {label!r} has shape {m.shape}, "
-                    f"expected ({irrep.n}, {irrep.n})"
-                )
-            m.flags.writeable = False
-            clean[label] = m
-        object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "entries", _checked_blocks(self.dual, self.entries, "family entry"))
 
     def __getitem__(self, label) -> np.ndarray:
         return self.entries[label]
@@ -217,8 +223,7 @@ def random_coeffs(
 
 def randomize(f: FourierCoeffs, family: MatrixFamily) -> FourierCoeffs:
     """Coefficient at alpha becomes U_alpha @ X_alpha; support unchanged."""
-    if f.dual is not family.dual and f.dual.name != family.dual.name:
-        raise FamilyError(f"duals differ: {f.dual.name!r} vs {family.dual.name!r}")
+    _require_same_dual(f, family)
     missing = [l for l in f.support if l not in family.entries]
     if missing:
         raise FamilyError(f"family has no entry for labels {missing!r}")

@@ -1,44 +1,43 @@
 """End-to-end acceptance suite.
 
-Each test exercises one acceptance criterion at its stated tolerance and
-prints a single PASS/FAIL line; run with ``pytest -s`` to see the lines.
+Each criterion is one row of ACCEPTANCE: a number, a name and the `qgfourier`
+command lines that check it.  The experiments are defined once, as the CLI's
+`run_*` functions; a criterion passes when each of its command lines exits 0
+with verdict "pass" and every record that carries an `ok` flag has it set.
+Each criterion prints one PASS/FAIL line; run with ``pytest -s`` to see them.
 """
 
-import numpy as np
-import pytest
-
-from qgfourier import (
-    FourierCoeffs,
-    MatrixFamily,
-    RngSeed,
-    central_sum_check,
-    character_l1,
-    coefficient_bound_check,
-    convolve,
-    cotype2_ratio,
-    cyclic_group,
-    ell2_norm,
-    expected_operator_norm,
-    four_unitary_decomposition,
-    gaussian_series_l1_mean,
-    growth_report,
-    haar_family,
-    haar_state_pairing_check,
-    l2_invariance_check,
-    make_onplus_dual,
-    make_su2_dual,
-    make_suq2_dual,
-    make_trivial_dual,
-    multiplier_block_norm,
-    nonkac_quantity,
-    plancherel_gram_norm,
-    random_coeffs,
-    randomize_ball,
-    suq2_chain_check,
-    symmetric_group_s3,
-    trace_norm_duality,
-)
 from qgfourier.cli import execute
+
+ACCEPTANCE = [
+    (1, "plancherel_consistency", [
+        f"plancherel --seed 1001 --families 25 --dual {dual}"
+        for dual in ("trivial", "z8", "s3", "su2 --kmax 6", "suq2 --kmax 6",
+                     "suq2 --q 0.9 --kmax 5", "o2plus --kmax 6", "o3plus --kmax 2")
+    ]),
+    (2, "l2_invariance", [
+        f"randomize-l2 --seed 1002 --families 100 --dual {dual}"
+        for dual in ("trivial", "s3", "su2 --kmax 5", "suq2 --kmax 5")
+    ]),
+    (3, "four_unitary_and_ball", [
+        "four-unitary --seed 1003 --trials 1000",
+        "ball-decomposition --seed 1003 --dual suq2 --kmax 4 --families 25",
+    ]),
+    (4, "gaussian_norm_window", [
+        "gaussian-norms --seed 1004 --nmax 1 --trials 100000",
+        "gaussian-norms --seed 1004 --nmax 256 --trials 1000",
+    ]),
+    (5, "gaussian_series_l1_chain", ["helgason-gaussian --seed 1005 --trials 10000"]),
+    (6, "coefficient_row_bounds", ["lemma35 --seed 1006 --kmax 4 --families 100"]),
+    (7, "multiplier_contraction", ["tb-contraction --seed 1007 --families 100"]),
+    (8, "pairing_identity", ["hx-identity --seed 1008 --dual suq2 --kmax 4 --families 100"]),
+    (9, "trace_norm_duality", ["trace-duality --seed 1009 --trials 100000 --families 3"]),
+    (10, "central_sum_identity", ["central-sum --seed 1010 --families 100"]),
+    (11, "deformed_series_chain", ["corollary-suq2 --seed 1011 --kmax 60 --families 50"]),
+    (12, "character_l1_floor", ["characters --kmax 200"]),
+    (13, "cotype_floor", ["cotype2 --seed 1013 --trials 10000"]),
+    (14, "convolution_oracle", ["convolve-check --seed 1014 --families 50"]),
+]
 
 
 def report(num: int, name: str, ok: bool, detail: str):
@@ -46,281 +45,30 @@ def report(num: int, name: str, ok: bool, detail: str):
     assert ok, f"acceptance {num:02d} {name}: {detail}"
 
 
-def test_01_plancherel_consistency():
-    duals = [
-        make_trivial_dual(),
-        cyclic_group(8).dual_descriptor(),
-        symmetric_group_s3().dual_descriptor(),
-        make_su2_dual(6),
-        make_suq2_dual(0.5, 6),
-        make_suq2_dual(0.9, 5),
-        make_onplus_dual(2, 6),
-        make_onplus_dual(3, 2),  # dims (1, 3, 8), all <= 12
-    ]
-    rng = RngSeed(1001).generator()
-    worst = 0.0
-    count = 0
-    for dual in duals:
-        for _ in range(25):
-            f = random_coeffs(dual, rng)
-            e2 = ell2_norm(f)
-            worst = max(worst, abs(plancherel_gram_norm(f) - e2) / e2)
-            count += 1
-    report(1, "plancherel consistency", count == 200 and worst <= 1e-12,
-           f"{count} families, max rel deviation {worst:.3e} (tol 1e-12)")
+def criterion(num: int, name: str, command_lines: list[str]):
+    """The test of one ACCEPTANCE row."""
+
+    def test(capsys):
+        failures = []
+        checked = 0
+        for line in command_lines:
+            code, doc = execute(line.split())
+            gated = [rec for rec in doc["records"] if "ok" in rec] if doc else []
+            bad = [rec for rec in gated if rec["ok"] is not True]
+            if code != 0 or not gated or bad or doc["verdict"] != "pass":
+                failures.append(f"`{line}` exited {code}, failing records {bad}")
+            checked += len(gated)
+        capsys.readouterr()
+        with capsys.disabled():
+            report(num, name.replace("_", " "), not failures, "; ".join(failures)
+                   or f"{checked} records ok across {len(command_lines)} run(s)")
+
+    return test
 
 
-def test_02_l2_invariance():
-    duals = [
-        make_trivial_dual(),
-        symmetric_group_s3().dual_descriptor(),
-        make_su2_dual(5),
-        make_suq2_dual(0.5, 5),
-    ]
-    rng = RngSeed(1002).generator()
-    worst = 0.0
-    for dual in duals:
-        for _ in range(100):
-            f = random_coeffs(dual, rng)
-            dev = l2_invariance_check(f, haar_family(dual, rng))
-            worst = max(worst, dev / ell2_norm(f))
-    report(2, "random-series L2 invariance", worst <= 1e-10,
-           f"100 pairs on {len(duals)} duals, max rel deviation {worst:.3e} (tol 1e-10)")
-
-
-def test_03_four_unitary_and_ball():
-    rng = RngSeed(1003).generator()
-    max_rec = 0.0
-    max_unit = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(1, 17))
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        x = x / max(1e-12, np.linalg.norm(x, 2)) * rng.uniform(0.0, 1.0)
-        vs = four_unitary_decomposition(x)
-        max_rec = max(max_rec, float(np.max(np.abs(sum(vs) / 2.0 - x))))
-        max_unit = max(
-            max_unit,
-            max(float(np.linalg.norm(v.conj().T @ v - np.eye(n), 2)) for v in vs),
-        )
-    dual = make_suq2_dual(0.5, 4)
-    max_ball = 0.0
-    for _ in range(25):
-        f = random_coeffs(dual, rng)
-        entries = {}
-        for l in dual.labels():
-            n = dual.irrep(l).n
-            b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            entries[l] = b / max(1e-12, np.linalg.norm(b, 2)) * rng.uniform(0.0, 1.0)
-        max_ball = max(max_ball, randomize_ball(f, MatrixFamily(dual, entries)).max_deviation)
-    ok = max_rec <= 1e-9 and max_unit <= 1e-9 and max_ball <= 1e-9
-    report(3, "four-unitary decomposition", ok,
-           f"1000 contractions (n<=16): reconstruction {max_rec:.3e}, "
-           f"unitarity {max_unit:.3e}, ball identity {max_ball:.3e} (tol 1e-9)")
-
-
-def test_04_gaussian_norm_window():
-    est1 = expected_operator_norm(1, 100_000, RngSeed(1004, 0))
-    target = np.sqrt(2.0 / np.pi)
-    ok = abs(est1.mean - target) <= 3.0 * est1.stderr
-    detail = [f"n=1 mean {est1.mean:.4f} (target {target:.4f}, 3se {3*est1.stderr:.4f})"]
-    n = 2
-    case = 1
-    while n <= 256:
-        est = expected_operator_norm(n, 1000, RngSeed(1004, case))
-        ok = ok and 1.2 <= est.mean <= 2.6
-        detail.append(f"n={n}:{est.mean:.3f}")
-        n *= 2
-        case += 1
-    report(4, "gaussian operator-norm window", ok, "; ".join(detail) + " (window [1.2, 2.6])")
-
-
-def _real_gaussian_corpus():
-    """20 cases whose Gaussian-randomized series is a real Gaussian pointwise."""
-    rng = RngSeed(1005, 999).generator()
-    s3 = symmetric_group_s3()
-    z8 = cyclic_group(8)
-    s3_labels = [ir.label for ir in s3.irreps]
-    cases = []
-    for _ in range(12):
-        size = int(rng.integers(1, 4))
-        pick = rng.choice(3, size=size, replace=False)
-        labels = [s3_labels[i] for i in pick]
-        cases.append((s3, random_coeffs(s3.dual_descriptor(), rng, labels=labels, real=True)))
-    for _ in range(8):
-        cls = int(rng.integers(0, 4))
-        size = int(rng.integers(1, 3))
-        labels = [cls, cls + 4][:size]
-        cases.append((z8, random_coeffs(z8.dual_descriptor(), rng, labels=labels, real=True)))
-    return cases
-
-
-def test_05_gaussian_series_l1_chain():
-    worst = 0.0
-    ok = True
-    for case, (table, f) in enumerate(_real_gaussian_corpus()):
-        res = gaussian_series_l1_mean(f, 10_000, RngSeed(1005, case), table)
-        pull = abs(res.mean - res.predicted) / res.stderr
-        worst = max(worst, pull)
-        ok = ok and pull <= 3.0
-    report(5, "gaussian-series L1 mean", ok,
-           f"20 cases on z8/s3, 1e4 trials, worst |mean-predicted|/stderr {worst:.2f} (cap 3)")
-
-
-def test_06_coefficient_row_bounds(su2_quad):
-    rng = RngSeed(1006).generator()
-    mins = {}
-    for side in ("upper", "lower"):
-        m = np.inf
-        for _ in range(100):
-            k = int(rng.integers(1, 5))
-            n = k + 1
-            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
-            m = min(m, coefficient_bound_check(a, k, i, j, su2_quad, side).margin)
-        mins[side] = m
-    ok = all(v >= -1e-6 for v in mins.values())
-    report(6, "coefficient row bounds", ok,
-           f"100 per side on k<=4: min margins upper {mins['upper']:.3e}, "
-           f"lower {mins['lower']:.3e} (allowance -1e-6)")
-
-
-def test_07_multiplier_contraction():
-    rng = RngSeed(1007).generator()
-    worst = 0.0
-    for dual in (make_su2_dual(6), make_suq2_dual(0.5, 8)):
-        for irrep in dual.irreps:
-            for _ in range(100):
-                b = rng.standard_normal((irrep.n, irrep.n)) + 1j * rng.standard_normal(
-                    (irrep.n, irrep.n)
-                )
-                b = b / max(1e-12, np.linalg.norm(b, 2)) * rng.uniform(0.0, 1.0)
-                worst = max(worst, multiplier_block_norm(b, irrep))
-    report(7, "multiplier block contraction", worst <= 1.0 + 1e-9,
-           f"100 cases per irrep (su2 k<=6, suq2 k<=8): max norm {worst:.12f} (cap 1+1e-9)")
-
-
-def test_08_pairing_identity():
-    dual = make_suq2_dual(0.5, 4)
-    rng = RngSeed(1008).generator()
-    worst = 0.0
-    for _ in range(100):
-        f = random_coeffs(dual, rng)
-        fam = MatrixFamily(dual, {
-            l: rng.standard_normal((dual.irrep(l).n,) * 2)
-            + 1j * rng.standard_normal((dual.irrep(l).n,) * 2)
-            for l in dual.labels()
-        })
-        res = haar_state_pairing_check(f, fam)
-        worst = max(worst, res.deviation / (1.0 + abs(res.rhs)))
-    report(8, "haar-state pairing identity", worst <= 1e-12,
-           f"100 pairs on suq2 kmax=4, max rel deviation {worst:.3e} (tol 1e-12)")
-
-
-def test_09_trace_norm_duality():
-    rng = RngSeed(1009, 999).generator()
-    ok = True
-    details = []
-    for case in range(3):
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        res = trace_norm_duality(a, 100_000, RngSeed(1009, case))
-        aligned_ok = abs(res.aligned - res.exact) <= 1e-10
-        cap_ok = res.random_sup <= res.exact + 1e-12
-        coverage = res.random_sup / res.exact
-        ok = ok and aligned_ok and cap_ok and coverage >= 0.9
-        details.append(f"coverage {coverage:.4f}")
-    report(9, "trace-norm duality", ok,
-           f"3 matrices, 1e5 trials each: aligned within 1e-10, sup capped, {'; '.join(details)} (floor 0.9)")
-
-
-def test_10_central_sum_identity():
-    rng = RngSeed(1010).generator()
-    worst = 0.0
-    for dual in (make_suq2_dual(0.5, 6), make_su2_dual(6)):
-        for _ in range(100):
-            c = rng.standard_normal(len(dual.irreps)) + 1j * rng.standard_normal(
-                len(dual.irreps)
-            )
-            res = central_sum_check(c, dual)
-            worst = max(worst, res.deviation / res.sum_c_sq)
-    report(10, "central coefficient identity", worst <= 1e-12,
-           f"100 families per dual, max rel deviation {worst:.3e} (tol 1e-12)")
-
-
-def test_11_deformed_series_chain():
-    rng = RngSeed(1011).generator()
-    ok = True
-    worst_excess = -np.inf
-    for q in (0.3, 0.5, 0.9):
-        dual = make_suq2_dual(q, 60)
-        growth_report(dual, q=q)  # raises unless d_k >= q^{-k} holds exactly
-        families = [random_coeffs(dual, rng) for _ in range(50)]
-        for eps in (0.1, 0.5, 1.0):
-            for f in families:
-                res = suq2_chain_check(q, eps, f)
-                worst_excess = max(worst_excess, res.lhs - res.rhs * (1.0 + 1e-12))
-                ok = ok and res.termwise_ok
-    ok = ok and worst_excess <= 0.0
-    report(11, "deformed series bound chain", ok,
-           f"grid 3x3 x 50 families, kmax=60: max lhs-rhs excess {worst_excess:.3e}, termwise ok")
-
-
-def test_12_character_l1_floor(su2_quad):
-    values = [character_l1(k, su2_quad) for k in range(201)]
-    limit = 8.0 / np.pi**2
-    ok = min(values) >= 0.5 and abs(values[200] - limit) <= 0.01
-    report(12, "character L1 floor", ok,
-           f"min over k<=200 is {min(values):.4f} (floor 0.5); "
-           f"value at 200 is {values[200]:.6f} vs limit {limit:.6f} (tol 0.01)")
-
-
-def test_13_cotype_floor():
-    s3 = symmetric_group_s3()
-    z8 = cyclic_group(8)
-    rng = RngSeed(1013, 999).generator()
-    single = [random_coeffs(s3.dual_descriptor(), rng)]
-    res1 = cotype2_ratio(s3, single, 10_000, RngSeed(1013, 0))
-    target = np.sqrt(2.0 / np.pi)
-    singleton_ok = abs(res1.ratio - target) <= 3.0 * res1.stderr
-    chars = [FourierCoeffs(z8.dual_descriptor(), {j: np.array([[1.0]])}) for j in range(8)]
-    res2 = cotype2_ratio(z8, chars, 10_000, RngSeed(1013, 1))
-    mixed = [random_coeffs(s3.dual_descriptor(), rng) for _ in range(5)]
-    res3 = cotype2_ratio(s3, mixed, 10_000, RngSeed(1013, 2))
-    ok = singleton_ok and res2.ratio >= 0.2 and res3.ratio >= 0.2
-    report(13, "cotype-2 empirical floor", ok,
-           f"singleton {res1.ratio:.4f} (target {target:.4f}), "
-           f"z8 characters {res2.ratio:.4f}, mixed {res3.ratio:.4f} (floor 0.2)")
-
-
-def test_14_convolution_oracle():
-    table = symmetric_group_s3()
-    dual = table.dual_descriptor()
-    rng = RngSeed(1014).generator()
-    worst_match = 0.0
-    worst_assoc = 0.0
-    for _ in range(50):
-        f1 = random_coeffs(dual, rng)
-        f2 = random_coeffs(dual, rng)
-        dual_side = convolve(f1, f2)
-        v1, v2 = table.coeff_values(f1), table.coeff_values(f2)
-        brute_vals = np.array([
-            np.sum(v1 * v2[table.mult[table.inverse, g]]) / table.order
-            for g in range(table.order)
-        ])
-        brute = table.fourier_coeffs(brute_vals)
-        worst_match = max(worst_match, max(
-            float(np.max(np.abs(brute.support[l] - dual_side.block(l))))
-            for l in dual.labels()
-        ))
-        f3 = random_coeffs(dual, rng)
-        left = convolve(convolve(f1, f2), f3)
-        right = convolve(f1, convolve(f2, f3))
-        worst_assoc = max(worst_assoc, max(
-            float(np.max(np.abs(left.block(l) - right.block(l)))) for l in dual.labels()
-        ))
-    ok = worst_match <= 1e-12 and worst_assoc <= 1e-12
-    report(14, "convolution against brute force", ok,
-           f"50 pairs on s3: max mismatch {worst_match:.3e}, "
-           f"max associativity defect {worst_assoc:.3e} (tol 1e-12)")
+# One test per row, collected under the row's name (test_01_plancherel_consistency, ...).
+for _num, _name, _lines in ACCEPTANCE:
+    globals()[f"test_{_num:02d}_{_name}"] = criterion(_num, _name, _lines)
 
 
 def test_15_cli_determinism(capsys):

@@ -21,6 +21,18 @@ def test_bad_dual_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["plancherel", "--seed", "1", "--families", "0"],
+    ["four-unitary", "--seed", "1", "--trials", "0"],
+    ["tb-contraction", "--seed", "1", "--families", "0"],
+    ["gaussian-norms", "--seed", "1", "--nmax", "0"],
+    ["all", "--seed", "1", "--trials", "-1"],
+])
+def test_zero_work_is_usage_error(argv, capsys):
+    assert execute(argv) == (2, None)
+    assert "must be >= 1" in capsys.readouterr().err
+
+
 def test_deterministic_subcommands_need_no_seed(capsys):
     assert main(["characters", "--kmax", "8"]) == 0
     capsys.readouterr()

@@ -79,6 +79,25 @@ class TestNorms:
             )
             assert norm(both) <= norm(f) + norm(g) + 1e-12
 
+    def test_broadcast_q_matches_dense_q(self):
+        # the definitions with Q formed as a dense diagonal matrix
+        dual = make_suq2_dual(0.3, 12)
+        rng = np.random.default_rng(7)
+        f, g = random_coeffs(dual, rng), random_coeffs(dual, rng)
+        ell2_sq_f = ell2_sq_g = ell1_f = 0.0
+        pair = 0j
+        for label in dual.labels():
+            irrep = dual.irrep(label)
+            q = np.diag(irrep.q_diag)
+            x, y = f[label], g[label]
+            ell2_sq_f += irrep.d * np.trace(q @ x.conj().T @ x).real
+            ell2_sq_g += irrep.d * np.trace(q @ y.conj().T @ y).real
+            ell1_f += irrep.d * np.sum(np.linalg.svd(x @ q, compute_uv=False))
+            pair += irrep.d * np.trace(x @ q @ y.conj().T)
+        assert abs(ell2_norm(f) - np.sqrt(ell2_sq_f)) <= 1e-12 * np.sqrt(ell2_sq_f)
+        assert abs(ell1_norm(f) - ell1_f) <= 1e-12 * ell1_f
+        assert abs(pairing(f, g) - pair) <= 1e-12 * np.sqrt(ell2_sq_f * ell2_sq_g)
+
 
 class TestPairing:
     def test_trivial_dual(self):

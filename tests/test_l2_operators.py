@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qgfourier import (
+    DualMismatchError,
     FourierCoeffs,
     MatrixFamily,
     RngSeed,
@@ -21,6 +22,24 @@ from qgfourier import (
 TRIVIAL = make_trivial_dual()
 KAC = make_su2_dual(3)
 SUQ2 = make_suq2_dual(0.5, 4)
+
+
+def gram_route_block_norm(b, irrep) -> float:
+    """Oracle for multiplier_block_norm: the largest singular value of the
+    n^2 x n^2 matrix D2^{1/2} M D1^{-1/2} built from the Gram weights."""
+    n = irrep.n
+    gram = block_gram(irrep)
+    qinv_diag = 1.0 / irrep.q_diag
+    m = np.zeros((n * n, n * n), dtype=complex)
+    for j in range(n):
+        for i in range(n):
+            for p in range(n):
+                # image of u_{j,i} has coefficient (Q^{-1})_{j,j} B_{p,i} on (u_{p,j})^*
+                m[p * n + j, j * n + i] = qinv_diag[j] * b[p, i]
+    d1 = np.array([gram.gram_u[j, i] for j in range(n) for i in range(n)])
+    d2 = np.array([gram.gram_ustar[p, j] for p in range(n) for j in range(n)])
+    scaled = np.sqrt(d2)[:, None] * m / np.sqrt(d1)[None, :]
+    return float(np.linalg.svd(scaled, compute_uv=False)[0])
 
 
 class TestSchurInner:
@@ -86,6 +105,17 @@ class TestMultiplierBlockNorm:
         with pytest.raises(ValueError):
             multiplier_block_norm(np.eye(2), SUQ2.irrep(2))
 
+    @pytest.mark.parametrize("dual", [
+        make_su2_dual(6), make_suq2_dual(0.5, 8), make_suq2_dual(0.5, 16), make_suq2_dual(0.3, 12),
+    ], ids=lambda dual: dual.name)
+    def test_equals_gram_route(self, dual):
+        rng = RngSeed(137).generator()
+        for irrep in dual.irreps:
+            b = rng.standard_normal((irrep.n,) * 2) + 1j * rng.standard_normal((irrep.n,) * 2)
+            b = b / np.linalg.norm(b, 2) * rng.uniform(0, 1)
+            oracle = gram_route_block_norm(b, irrep)
+            assert abs(multiplier_block_norm(b, irrep) - oracle) <= 1e-12 * oracle
+
 
 class TestPairingIdentity:
     def test_trivial_dual(self):
@@ -113,6 +143,12 @@ class TestPairingIdentity:
         fam = MatrixFamily(SUQ2, {l: np.zeros((SUQ2.irrep(l).n,) * 2) for l in SUQ2.labels()})
         res = haar_state_pairing_check(f, fam)
         assert res.lhs == 0.0 and res.rhs == 0.0
+
+    def test_dual_mismatch(self):
+        f = random_coeffs(SUQ2, RngSeed(139).generator())
+        fam = MatrixFamily(KAC, {l: np.eye(KAC.irrep(l).n) for l in KAC.labels()})
+        with pytest.raises(DualMismatchError):
+            haar_state_pairing_check(f, fam)
 
 
 class TestTraceDuality:

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from qgfourier import (
     ContractionError,
+    DualMismatchError,
     FamilyError,
     FourierCoeffs,
     MatrixFamily,
@@ -110,6 +111,11 @@ class TestRandomize:
         partial = MatrixFamily(SUQ2, {0: np.eye(1)})
         with pytest.raises(FamilyError):
             randomize(f, partial)
+
+    def test_dual_mismatch(self):
+        f = random_coeffs(SUQ2, RngSeed(42).generator())
+        with pytest.raises(DualMismatchError):
+            randomize(f, identity_family(make_suq2_dual(0.5, 4)))
 
     def test_left_action(self):
         rng = RngSeed(43).generator()
