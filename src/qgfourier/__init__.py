@@ -3,9 +3,11 @@
 __version__ = "0.1.0"
 
 from .dual_data import (
+    BlockGram,
     DualDescriptor,
     DualValidationError,
     IrrepData,
+    block_gram,
     dual_from_json,
     dual_to_json,
     make_onplus_dual,
@@ -14,6 +16,7 @@ from .dual_data import (
     make_trivial_dual,
     onplus_dims,
     quantum_dimension,
+    schur_inner,
 )
 from .fourier_core import (
     DualMismatchError,
@@ -46,13 +49,10 @@ from .random_series import (
     randomize_ball,
 )
 from .l2_operators import (
-    BlockGram,
-    block_gram,
     central_coeffs,
     central_sum_check,
     haar_state_pairing_check,
     multiplier_block_norm,
-    schur_inner,
     trace_norm_duality,
 )
 from .classical_eval import (

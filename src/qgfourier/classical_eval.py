@@ -569,8 +569,12 @@ def coefficient_bound_check(
     i-th row norm of A.  side="lower": the L1 norm of sum_m B_{i,m} u_{m,j}
     is at least the i-th row norm of B divided by the dimension.  Margins are
     signed so that nonnegative means the bound holds; quadrature error is
-    allowed to push them slightly negative.
+    allowed to push them slightly negative.  Levels above `haar.kmax_valid`
+    are refused: the rule is not measured there.
     """
+    if k > haar.kmax_valid:
+        raise ValueError(f"level {k} exceeds the quadrature's measured validity level "
+                         f"{haar.kmax_valid}")
     a = np.asarray(matrix, dtype=complex)
     n = k + 1
     if a.shape != (n, n):

@@ -37,32 +37,23 @@ from .dual_data import (
     make_suq2_dual,
     make_trivial_dual,
 )
-from .fourier_core import (
-    FourierCoeffs,
-    convolve,
-    ell2_norm,
-    ell_infty_norm,
-    pairing,
-    plancherel_gram_norm,
-)
+from .fourier_core import FourierCoeffs, convolve, ell2_norm, pairing, plancherel_gram_norm
 from .l2_operators import (
     central_sum_check,
     haar_state_pairing_check,
     multiplier_block_norm,
     trace_norm_duality,
 )
-from .quantum_examples import growth_report, nonkac_quantity, suq2_chain_check
+from .quantum_examples import growth_report, suq2_chain_check
 from .random_series import (
     MatrixFamily,
     RngSeed,
     expected_operator_norm,
     four_unitary_decomposition,
-    gaussian_family,
     haar_family,
     identity_family,
     l2_invariance_check,
     random_coeffs,
-    randomize,
     randomize_ball,
 )
 
@@ -160,7 +151,7 @@ def _seed_for(cfg: dict, name: str, case: int = 0) -> RngSeed:
 
 
 # ---------------------------------------------------------------------------
-# experiments: each returns (records, ok)
+# experiments: each returns its records; a record with "ok" is gated
 # ---------------------------------------------------------------------------
 
 def run_plancherel(cfg, ctx):
@@ -172,10 +163,8 @@ def run_plancherel(cfg, ctx):
         f = random_coeffs(dual, rng)
         e2 = ell2_norm(f)
         max_rel = max(max_rel, abs(plancherel_gram_norm(f) - e2) / e2)
-    ok = max_rel <= tol
-    rec = {"dual": dual.name, "families": cfg["families"], "max_rel_deviation": max_rel,
-           "tolerance": tol, "ok": ok}
-    return [rec], ok
+    return [{"dual": dual.name, "families": cfg["families"], "max_rel_deviation": max_rel,
+             "tolerance": tol, "ok": max_rel <= tol}]
 
 
 def run_pairing(cfg, ctx):
@@ -197,11 +186,9 @@ def run_pairing(cfg, ctx):
         fa = random_coeffs(dual, rng, labels=labels[:1])
         fb = random_coeffs(dual, rng, labels=labels[1:2])
         disjoint = abs(pairing(fa, fb))
-    ok = max_self <= tol and max_herm <= tol and disjoint == 0.0
-    rec = {"dual": dual.name, "families": cfg["families"], "max_rel_self_deviation": max_self,
-           "max_hermitian_deviation": max_herm, "disjoint_pairing": disjoint,
-           "tolerance": tol, "ok": ok}
-    return [rec], ok
+    return [{"dual": dual.name, "families": cfg["families"], "max_rel_self_deviation": max_self,
+             "max_hermitian_deviation": max_herm, "disjoint_pairing": disjoint,
+             "tolerance": tol, "ok": max_self <= tol and max_herm <= tol and disjoint == 0.0}]
 
 
 def run_convolve_check(cfg, ctx):
@@ -241,11 +228,9 @@ def run_convolve_check(cfg, ctx):
         + float(np.max(np.abs(convolve(delta, f).block(l) - f.block(l))))
         for l in dual.labels()
     )
-    ok = max_match <= tol and max_assoc <= tol and delta_err <= tol
-    rec = {"group": table.name, "pairs": cfg["families"], "max_bruteforce_mismatch": max_match,
-           "max_associativity_defect": max_assoc, "identity_element_defect": delta_err,
-           "tolerance": tol, "ok": ok}
-    return [rec], ok
+    return [{"group": table.name, "pairs": cfg["families"], "max_bruteforce_mismatch": max_match,
+             "max_associativity_defect": max_assoc, "identity_element_defect": delta_err,
+             "tolerance": tol, "ok": max_match <= tol and max_assoc <= tol and delta_err <= tol}]
 
 
 def run_randomize_l2(cfg, ctx):
@@ -264,11 +249,9 @@ def run_randomize_l2(cfg, ctx):
         for l in dual.labels()
     })
     phase_rel = l2_invariance_check(f, phases) / ell2_norm(f)
-    ok = max_rel <= tol and ident_dev == 0.0 and phase_rel <= 1e-12
-    rec = {"dual": dual.name, "pairs": cfg["families"], "max_rel_deviation": max_rel,
-           "identity_deviation": ident_dev, "phase_rel_deviation": phase_rel,
-           "tolerance": tol, "ok": ok}
-    return [rec], ok
+    return [{"dual": dual.name, "pairs": cfg["families"], "max_rel_deviation": max_rel,
+             "identity_deviation": ident_dev, "phase_rel_deviation": phase_rel,
+             "tolerance": tol, "ok": max_rel <= tol and ident_dev == 0.0 and phase_rel <= 1e-12}]
 
 
 def run_four_unitary(cfg, ctx):
@@ -286,10 +269,9 @@ def run_four_unitary(cfg, ctx):
             max_unit,
             max(float(np.linalg.norm(v.conj().T @ v - np.eye(n), 2)) for v in vs),
         )
-    ok = max_rec <= tol and max_unit <= tol
-    rec = {"contractions": cfg["trials"], "max_dim": 16, "max_reconstruction_error": max_rec,
-           "max_unitarity_defect": max_unit, "tolerance": tol, "ok": ok}
-    return [rec], ok
+    return [{"contractions": cfg["trials"], "max_dim": 16, "max_reconstruction_error": max_rec,
+             "max_unitarity_defect": max_unit, "tolerance": tol,
+             "ok": max_rec <= tol and max_unit <= tol}]
 
 
 def run_ball_decomposition(cfg, ctx):
@@ -321,15 +303,13 @@ def run_ball_decomposition(cfg, ctx):
     )
     ok = (max_dev <= tol and unitary_dev <= tol and zero_norm == 0.0
           and zero.max_deviation <= tol and half_err <= 1e-12)
-    rec = {"dual": dual.name, "families": cfg["families"], "max_identity_deviation": max_dev,
-           "unitary_family_deviation": unitary_dev, "zero_family_norm": zero_norm,
-           "half_identity_error": half_err, "tolerance": tol, "ok": ok}
-    return [rec], ok
+    return [{"dual": dual.name, "families": cfg["families"], "max_identity_deviation": max_dev,
+             "unitary_family_deviation": unitary_dev, "zero_family_norm": zero_norm,
+             "half_identity_error": half_err, "tolerance": tol, "ok": ok}]
 
 
 def run_gaussian_norms(cfg, ctx):
     records = []
-    ok = True
     sizes = [1]
     n = 2
     while n <= cfg["nmax"]:
@@ -344,15 +324,13 @@ def run_gaussian_norms(cfg, ctx):
                "elapsed_ms": (time.perf_counter() - start) * 1000.0}
         if n == 1:
             target = float(np.sqrt(2.0 / np.pi))
-            good = abs(est.mean - target) <= 3.0 * est.stderr
             rec["target"] = target
+            rec["ok"] = abs(est.mean - target) <= 3.0 * est.stderr
         else:
-            good = 1.2 <= est.mean <= 2.6
             rec["window"] = [1.2, 2.6]
-        rec["ok"] = good
+            rec["ok"] = 1.2 <= est.mean <= 2.6
         records.append(rec)
-        ok = ok and good
-    return records, ok
+    return records
 
 
 def _helgason_corpus(cfg, ctx):
@@ -380,16 +358,14 @@ def _helgason_corpus(cfg, ctx):
 
 def run_helgason_gaussian(cfg, ctx):
     records = []
-    ok = True
     for case, (group_name, table, f) in enumerate(_helgason_corpus(cfg, ctx)):
         res = gaussian_series_l1_mean(f, cfg["trials"], _seed_for(cfg, "helgason-gaussian", case), table)
         dev = abs(res.mean - res.predicted)
-        good = dev <= 3.0 * res.stderr
         records.append({"group": group_name, "support": [str(l) for l in f.labels()],
                         "trials": cfg["trials"], "mean": res.mean, "stderr": res.stderr,
-                        "predicted": res.predicted, "deviation": dev, "ok": good})
-        ok = ok and good
-    return records, ok
+                        "predicted": res.predicted, "deviation": dev,
+                        "ok": dev <= 3.0 * res.stderr})
+    return records
 
 
 def run_helgason_instance(cfg, ctx):
@@ -404,8 +380,7 @@ def run_helgason_instance(cfg, ctx):
     sign = FourierCoeffs(z2.dual_descriptor(), {1: np.array([[1.0]])})
     rs = randomized_l1_report(z2, sign, cfg["trials"], _seed_for(cfg, "helgason-instance", 1))
     sign_ok = abs(rs.sup_l1_over_u - 1.0) <= 1e-10 and abs(rs.ell2 - 1.0) <= 1e-12
-    ok = stable and sign_ok
-    records = [
+    return [
         {"group": "s3", "unitaries": cfg["trials"], "sup_l1": r1.sup_l1_over_u,
          "ell2": r1.ell2, "ratio": r1.ratio, "ok": True},
         {"group": "s3", "unitaries": 10 * cfg["trials"], "sup_l1": r2.sup_l1_over_u,
@@ -414,15 +389,16 @@ def run_helgason_instance(cfg, ctx):
         {"group": "z2-sign", "unitaries": cfg["trials"], "sup_l1": rs.sup_l1_over_u,
          "ell2": rs.ell2, "ratio": rs.ratio, "ok": sign_ok},
     ]
-    return records, ok
 
 
 def run_lemma35(cfg, ctx):
     quad = ctx.quad()
+    if cfg["kmax"] > quad.kmax_valid:  # refuse before any draw, not at the first k drawn
+        raise ValueError(f"--kmax {cfg['kmax']} exceeds the quadrature's measured "
+                         f"validity level {quad.kmax_valid}")
     rng = _seed_for(cfg, "lemma35").generator()
     allowance = -1e-6
     records = []
-    ok = True
     for side in ("upper", "lower"):
         min_margin = np.inf
         for _ in range(cfg["families"]):
@@ -433,18 +409,16 @@ def run_lemma35(cfg, ctx):
             j = int(rng.integers(0, n))
             res = coefficient_bound_check(a, k, i, j, quad, side)
             min_margin = min(min_margin, res.margin)
-        good = min_margin >= allowance
         records.append({"side": side, "cases": cfg["families"], "kmax": cfg["kmax"],
-                        "min_margin": float(min_margin), "allowance": allowance, "ok": good})
-        ok = ok and good
-    return records, ok
+                        "min_margin": float(min_margin), "allowance": allowance,
+                        "ok": min_margin >= allowance})
+    return records
 
 
 def run_tb_contraction(cfg, ctx):
     rng = _seed_for(cfg, "tb-contraction").generator()
     tol = 1.0 + 1e-9
     records = []
-    ok = True
     for dual in (make_su2_dual(6), make_suq2_dual(0.5, 8)):
         worst = 0.0
         for irrep in dual.irreps:
@@ -452,12 +426,10 @@ def run_tb_contraction(cfg, ctx):
                 b = rng.standard_normal((irrep.n, irrep.n)) + 1j * rng.standard_normal((irrep.n, irrep.n))
                 b = b / max(1e-12, np.linalg.norm(b, 2)) * rng.uniform(0.0, 1.0)
                 worst = max(worst, multiplier_block_norm(b, irrep))
-        good = worst <= tol
         records.append({"dual": dual.name, "irreps": len(dual.irreps),
                         "cases_per_irrep": cfg["families"], "max_block_norm": worst,
-                        "bound": tol, "ok": good})
-        ok = ok and good
-    return records, ok
+                        "bound": tol, "ok": worst <= tol})
+    return records
 
 
 def run_hx_identity(cfg, ctx):
@@ -472,52 +444,42 @@ def run_hx_identity(cfg, ctx):
         })
         res = haar_state_pairing_check(f, fam)
         max_rel = max(max_rel, res.deviation / (1.0 + abs(res.rhs)))
-    ok = max_rel <= 1e-12
-    rec = {"dual": dual.name, "pairs": cfg["families"], "max_rel_deviation": max_rel,
-           "tolerance": 1e-12, "ok": ok}
-    return [rec], ok
+    return [{"dual": dual.name, "pairs": cfg["families"], "max_rel_deviation": max_rel,
+             "tolerance": 1e-12, "ok": max_rel <= 1e-12}]
 
 
 def run_trace_duality(cfg, ctx):
     rng = _seed_for(cfg, "trace-duality", 999).generator()
     records = []
-    ok = True
     for case in range(cfg["families"]):
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         res = trace_norm_duality(a, cfg["trials"], _seed_for(cfg, "trace-duality", case))
         aligned_ok = abs(res.aligned - res.exact) <= 1e-10
         cap_ok = res.random_sup <= res.exact + 1e-12
         coverage = res.random_sup / res.exact
-        cov_ok = coverage >= 0.9
-        good = aligned_ok and cap_ok and cov_ok
         records.append({"case": case, "n": 2, "trials": cfg["trials"], "exact": res.exact,
                         "aligned": res.aligned, "random_sup": res.random_sup,
-                        "coverage": coverage, "ok": good})
-        ok = ok and good
-    return records, ok
+                        "coverage": coverage, "ok": aligned_ok and cap_ok and coverage >= 0.9})
+    return records
 
 
 def run_central_sum(cfg, ctx):
     rng = _seed_for(cfg, "central-sum").generator()
     records = []
-    ok = True
     for dual in (make_suq2_dual(0.5, 6), make_su2_dual(6)):
         max_rel = 0.0
         for _ in range(cfg["families"]):
             c = rng.standard_normal(len(dual.irreps)) + 1j * rng.standard_normal(len(dual.irreps))
             res = central_sum_check(c, dual)
             max_rel = max(max_rel, res.deviation / res.sum_c_sq)
-        good = max_rel <= 1e-12
         records.append({"dual": dual.name, "families": cfg["families"],
-                        "max_rel_deviation": max_rel, "tolerance": 1e-12, "ok": good})
-        ok = ok and good
-    return records, ok
+                        "max_rel_deviation": max_rel, "tolerance": 1e-12, "ok": max_rel <= 1e-12})
+    return records
 
 
 def run_corollary_suq2(cfg, ctx):
     rng = _seed_for(cfg, "corollary-suq2").generator()
     records = []
-    ok = True
     for q in (0.3, 0.5, 0.9):
         dual = make_suq2_dual(q, cfg["kmax"])
         growth_report(dual, q=q)  # raises if the d_k >= q^{-k} bound ever fails
@@ -529,20 +491,17 @@ def run_corollary_suq2(cfg, ctx):
                 res = suq2_chain_check(q, eps, f)
                 worst_excess = max(worst_excess, res.lhs - res.rhs * (1.0 + 1e-12))
                 termwise = termwise and res.termwise_ok
-            good = worst_excess <= 0.0 and termwise
             records.append({"q": q, "eps": eps, "kmax": cfg["kmax"],
                             "families": cfg["families"], "max_excess": float(worst_excess),
-                            "termwise_ok": termwise, "ok": good})
-            ok = ok and good
-    return records, ok
+                            "termwise_ok": termwise, "ok": worst_excess <= 0.0 and termwise})
+    return records
 
 
 def run_growth(cfg, ctx):
     dual = build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
     q = cfg["q"] if cfg["dual"] == "suq2" else None
     rows = growth_report(dual, q=q)
-    records = [{"k": r.k, "n": r.n, "d": r.d, "ratio": r.ratio} for r in rows]
-    return records, True
+    return [{"k": r.k, "n": r.n, "d": r.d, "ratio": r.ratio} for r in rows]
 
 
 def run_characters(cfg, ctx):
@@ -559,7 +518,6 @@ def run_characters(cfg, ctx):
     # because its quadrature error is larger than successive differences
     tail = values[quad.kmax_valid + 1:]
     tail_monotone = all(a >= b for a, b in zip(tail, tail[1:]))
-    ok = min_ok and tail_monotone
     summary = {"kmax": cfg["kmax"], "min_value": min(values), "floor": 0.5,
                "tail_monotone": tail_monotone, "ok": min_ok and tail_monotone}
     if cfg["kmax"] >= 200:
@@ -569,9 +527,8 @@ def run_characters(cfg, ctx):
         summary["limit"] = limit
         summary["limit_ok"] = limit_ok
         summary["ok"] = summary["ok"] and limit_ok
-        ok = ok and limit_ok
     records.append(summary)
-    return records, ok
+    return records
 
 
 def run_cotype2(cfg, ctx):
@@ -579,31 +536,24 @@ def run_cotype2(cfg, ctx):
     z8 = ctx.z8()
     rng = _seed_for(cfg, "cotype2", 999).generator()
     records = []
-    ok = True
     floor = 0.2
     target = float(np.sqrt(2.0 / np.pi))
 
     single = [random_coeffs(s3.dual_descriptor(), rng)]
     res = cotype2_ratio(s3, single, cfg["trials"], _seed_for(cfg, "cotype2", 0))
-    good = abs(res.ratio - target) <= 3.0 * res.stderr
     records.append({"case": "singleton-s3", "ratio": res.ratio, "stderr": res.stderr,
-                    "target": target, "ok": good})
-    ok = ok and good
+                    "target": target, "ok": abs(res.ratio - target) <= 3.0 * res.stderr})
 
     chars = [FourierCoeffs(z8.dual_descriptor(), {j: np.array([[1.0]])}) for j in range(8)]
     res = cotype2_ratio(z8, chars, cfg["trials"], _seed_for(cfg, "cotype2", 1))
-    good = res.ratio >= floor
     records.append({"case": "z8-characters", "ratio": res.ratio, "stderr": res.stderr,
-                    "floor": floor, "ok": good})
-    ok = ok and good
+                    "floor": floor, "ok": res.ratio >= floor})
 
     mixed = [random_coeffs(s3.dual_descriptor(), rng) for _ in range(5)]
     res = cotype2_ratio(s3, mixed, cfg["trials"], _seed_for(cfg, "cotype2", 2))
-    good = res.ratio >= floor
     records.append({"case": "random-s3-5", "ratio": res.ratio, "stderr": res.stderr,
-                    "floor": floor, "ok": good})
-    ok = ok and good
-    return records, ok
+                    "floor": floor, "ok": res.ratio >= floor})
+    return records
 
 
 EXPERIMENTS = {
@@ -665,9 +615,10 @@ def resolve_config(name: str, args: argparse.Namespace) -> dict:
 def run_one(name: str, args: argparse.Namespace, ctx: Context) -> dict:
     cfg = resolve_config(name, args)
     start = time.perf_counter()
-    records, ok = EXPERIMENTS[name](cfg, ctx)
+    records = EXPERIMENTS[name](cfg, ctx)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     records = _native(records)
+    ok = all(rec["ok"] for rec in records if "ok" in rec)
     meta = {"toolkit_version": __version__, "subcommand": name, "config": _native(cfg),
             "seed": cfg.get("seed"), "elapsed_ms": elapsed_ms}
     return {"meta": meta, "records": records, "verdict": "pass" if ok else "fail"}
@@ -748,12 +699,15 @@ def _round_floats(value):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    def count(text: str) -> int:
-        # trials, families and sizes; a run that does no work would pass vacuously
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-        return value
+    def at_least(floor: int):
+        # a run that does no work would pass vacuously; two trials are the
+        # fewest for which every Monte Carlo driver has a standard error
+        def count(text: str) -> int:
+            value = int(text)
+            if value < floor:
+                raise argparse.ArgumentTypeError(f"must be >= {floor}, got {value}")
+            return value
+        return count
 
     parser = argparse.ArgumentParser(
         prog="qgfourier",
@@ -764,14 +718,15 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} experiment" if name != "all" else "run every experiment")
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (required for stochastic subcommands)")
-        p.add_argument("--trials", type=count, default=None, help="Monte Carlo trials")
-        p.add_argument("--families", type=count, default=None,
+        p.add_argument("--trials", type=at_least(2), default=None,
+                       help="Monte Carlo trials (at least 2)")
+        p.add_argument("--families", type=at_least(1), default=None,
                        help="number of random families/cases")
         p.add_argument("--out", type=str, default=None, help="write the full document to this path")
         p.add_argument("--format", choices=("json", "csv"), default="json", help="output format for --out")
         p.add_argument("--q", type=float, default=None, help="deformation parameter in (0,1); default 0.5")
         p.add_argument("--kmax", type=int, default=None, help="dual truncation level")
-        p.add_argument("--nmax", type=count, default=None,
+        p.add_argument("--nmax", type=at_least(1), default=None,
                        help="largest matrix size (gaussian-norms)")
         p.add_argument("--dual", type=str, default=None,
                        help="dual to use: trivial, zN, s3, su2, suq2, oNplus")

@@ -73,6 +73,46 @@ def quantum_dimension(irrep: IrrepData) -> float:
 
 
 @dataclass(frozen=True, eq=False)
+class BlockGram:
+    """Diagonal Gram weights of one block: basis {u_{i,j}} and basis {(u_{i,j})^*}."""
+
+    irrep: IrrepData
+    gram_u: np.ndarray      # weight of u_{i,j} at (i, j): (Q^{-1})_{i,i} / d
+    gram_ustar: np.ndarray  # weight of (u_{i,j})^* at (i, j): (Q)_{j,j} / d
+
+
+def block_gram(irrep: IrrepData) -> BlockGram:
+    """Haar-state Gram weights of one block, from the orthogonality relations
+
+        h((u_{s,t})^* u_{i,j}) = delta_{i,s} delta_{j,t} (Q^{-1})_{i,i} / d
+        h(u_{s,t} (u_{i,j})^*) = delta_{i,s} delta_{j,t} (Q)_{j,j} / d
+
+    (Woronowicz, Comm. Math. Phys. 111, 1987).  The only place in the
+    package that writes these weights.
+    """
+    n, d = irrep.n, irrep.d
+    qinv_diag = 1.0 / irrep.q_diag
+    gram_u = np.repeat(qinv_diag[:, None], n, axis=1) / d
+    gram_ustar = np.repeat(irrep.q_diag[None, :], n, axis=0) / d
+    if not (np.all(gram_u > 0) and np.all(gram_ustar > 0)):
+        raise ValueError("gram weights must be strictly positive")
+    return BlockGram(irrep=irrep, gram_u=gram_u, gram_ustar=gram_ustar)
+
+
+def schur_inner(irrep: IrrepData, ij: tuple[int, int], st: tuple[int, int]) -> complex:
+    """Haar inner product <u_{i,j}, u_{s,t}> = h((u_{s,t})^* u_{i,j})."""
+    i, j = ij
+    s, t = st
+    n = irrep.n
+    for idx in (i, j, s, t):
+        if not (0 <= idx < n):
+            raise IndexError(f"index {idx} out of range for dimension {n}")
+    if i != s or j != t:
+        return 0j
+    return complex(block_gram(irrep).gram_u[i, j])
+
+
+@dataclass(frozen=True, eq=False)
 class DualDescriptor:
     """An ordered, finitely truncated discrete dual.
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual_data import DualDescriptor, IrrepData
+from .dual_data import DualDescriptor, block_gram
 
 
 class DualMismatchError(ValueError):
@@ -166,10 +166,9 @@ def plancherel_gram_norm(f: FourierCoeffs) -> float:
 
     The element f = sum_alpha d_alpha tr(X_alpha Q_alpha u^alpha) is expanded
     into individual matrix coefficients u_{j,i} with scalar weights
-    C[i, j] = d_alpha (X_alpha Q_alpha)_{i,j}, and ||f||^2 is accumulated from
-    the exact pairwise Haar inner products
-
-        <u_{j,i}, u_{t,s}> = delta_{i,s} (Q^{-1})_{j,t} / d_alpha.
+    C[i, j] = d_alpha (X_alpha Q_alpha)_{i,j}.  The u_{j,i} are orthogonal with
+    <u_{j,i}, u_{j,i}> = gram_u[j, i] (`dual_data.block_gram`), so ||f||^2 is
+    the sum of |C[i, j]|^2 gram_u[j, i].
 
     This is an independent evaluation route; it must agree with ell2_norm.
     Cross-irrep contributions vanish by orthogonality and are not summed.
@@ -177,17 +176,6 @@ def plancherel_gram_norm(f: FourierCoeffs) -> float:
     total = 0.0
     for label, x in f.support.items():
         irrep = f.dual.irrep(label)
-        n, d = irrep.n, irrep.d
-        qinv = np.diag(1.0 / irrep.q_diag)
-        coeff = d * (x * irrep.q_diag)  # coeff[i, j] multiplies u_{j,i}
-        acc = 0j
-        for i in range(n):
-            for j in range(n):
-                for s in range(n):
-                    for t in range(n):
-                        delta_is = 1.0 if i == s else 0.0
-                        inner = delta_is * qinv[j, t] / d
-                        if inner != 0.0:
-                            acc += np.conj(coeff[s, t]) * coeff[i, j] * inner
-        total += acc.real
+        coeff = irrep.d * (x * irrep.q_diag)  # coeff[i, j] multiplies u_{j,i}
+        total += np.sum((coeff.real**2 + coeff.imag**2) * block_gram(irrep).gram_u.T)
     return float(np.sqrt(total))

@@ -1,13 +1,8 @@
-"""Exact Gram data of matrix coefficients and the operators built on it.
+"""Operators built on the Gram data of matrix coefficients.
 
-Everything here rests on the two orthogonality relations for the Haar state
-(diagonal Q):
-
-    h((u_{s,t})^* u_{i,j}) = delta_{i,s} delta_{j,t} (Q^{-1})_{i,i} / d
-    h(u_{s,t} (u_{i,j})^*) = delta_{i,s} delta_{j,t} (Q)_{j,j} / d
-
-which make {u_{i,j}} and {(u_{i,j})^*} orthogonal bases of each block of L2
-with explicit diagonal Gram weights.  On top of these: the block norm of the
+The Haar-state orthogonality relations make {u_{i,j}} and {(u_{i,j})^*}
+orthogonal bases of each block of L2, with the diagonal Gram weights of
+`dual_data.block_gram`.  On top of these: the block norm of the
 coefficient-multiplier operator, a two-route evaluation of a Haar-state
 pairing identity, trace-norm duality against unitaries, and central
 (character-type) coefficient families.
@@ -19,41 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_data import DualDescriptor, IrrepData
+from .dual_data import DualDescriptor, IrrepData, block_gram
 from .fourier_core import FourierCoeffs, _require_same_dual, ell2_norm
 from .random_series import MatrixFamily, RngSeed, haar_unitary_stack, iter_chunks, matrices_per_chunk
-
-
-@dataclass(frozen=True, eq=False)
-class BlockGram:
-    """Diagonal Gram weights of one block: basis {u_{i,j}} and basis {(u_{i,j})^*}."""
-
-    irrep: IrrepData
-    gram_u: np.ndarray      # weight of u_{i,j} at (i, j): (Q^{-1})_{i,i} / d
-    gram_ustar: np.ndarray  # weight of (u_{i,j})^* at (i, j): (Q)_{j,j} / d
-
-
-def block_gram(irrep: IrrepData) -> BlockGram:
-    n, d = irrep.n, irrep.d
-    qinv_diag = 1.0 / irrep.q_diag
-    gram_u = np.repeat(qinv_diag[:, None], n, axis=1) / d
-    gram_ustar = np.repeat(irrep.q_diag[None, :], n, axis=0) / d
-    if not (np.all(gram_u > 0) and np.all(gram_ustar > 0)):
-        raise ValueError("gram weights must be strictly positive")
-    return BlockGram(irrep=irrep, gram_u=gram_u, gram_ustar=gram_ustar)
-
-
-def schur_inner(irrep: IrrepData, ij: tuple[int, int], st: tuple[int, int]) -> complex:
-    """Haar inner product <u_{i,j}, u_{s,t}> = h((u_{s,t})^* u_{i,j})."""
-    i, j = ij
-    s, t = st
-    n = irrep.n
-    for idx in (i, j, s, t):
-        if not (0 <= idx < n):
-            raise IndexError(f"index {idx} out of range for dimension {n}")
-    if i != s or j != t:
-        return 0j
-    return complex((1.0 / irrep.q_diag[i]) / irrep.d)
 
 
 def multiplier_block_norm(b, irrep: IrrepData) -> float:
@@ -85,9 +48,10 @@ def haar_state_pairing_check(f: FourierCoeffs, family: MatrixFamily) -> PairingI
     """Two-route evaluation of h(x) for x = sum d (XQ)_{i,j} (Q^{-1})_{k,k} B_{p,i}
     u_{j,k} (u_{p,k})^*.
 
-    Route one applies the Haar inner products term by term; route two is the
-    closed form sum_alpha n_alpha tr(X_alpha Q_alpha B_alpha).  Pure algebra:
-    the deviation is floating-point noise only.
+    Route one contracts the terms against the Haar-state Gram weights of
+    `block_gram`; route two is the closed form
+    sum_alpha n_alpha tr(X_alpha Q_alpha B_alpha).  Pure algebra: the
+    deviation is floating-point noise only.
     """
     _require_same_dual(f, family)
     lhs = 0j
@@ -96,19 +60,13 @@ def haar_state_pairing_check(f: FourierCoeffs, family: MatrixFamily) -> PairingI
         if label not in family.entries:
             continue
         irrep = f.dual.irrep(label)
-        n, d = irrep.n, irrep.d
         q = irrep.q_diag
         bm = family.entries[label]
         xq = x * q
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for p in range(n):
-                        # h(u_{j,k} (u_{p,k})^*) = delta_{j,p} q_k / d
-                        hval = (q[k] / d) if j == p else 0.0
-                        if hval != 0.0:
-                            lhs += d * xq[i, j] * (1.0 / q[k]) * bm[p, i] * hval
-        rhs += n * np.trace(xq @ bm)
+        # h(u_{j,k} (u_{p,k})^*) = delta_{j,p} gram_ustar[p, k]: fold p into j
+        gram_ustar = block_gram(irrep).gram_ustar
+        lhs += irrep.d * np.einsum("ij,ji,jk,k->", xq, bm, gram_ustar, 1.0 / q)
+        rhs += irrep.n * np.trace(xq @ bm)
     deviation = abs(lhs - rhs)
     return PairingIdentity(lhs=complex(lhs), rhs=complex(rhs), deviation=float(deviation))
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual_data import DualDescriptor
-from .fourier_core import FourierCoeffs, ell2_norm
+from .fourier_core import FourierCoeffs
 
 #: Magnitude guard for large powers of the quantum dimension.
 OVERFLOW_GUARD = 1e280

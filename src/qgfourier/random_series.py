@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dual_data import DualDescriptor
-from .fourier_core import FourierCoeffs, _checked_blocks, _require_same_dual
+from .fourier_core import FourierCoeffs, _checked_blocks, _require_same_dual, ell2_norm
 
 #: Uniform norm slack used by every contraction / unitarity contract here.
 NORM_SLACK = 1e-9
@@ -232,8 +232,6 @@ def randomize(f: FourierCoeffs, family: MatrixFamily) -> FourierCoeffs:
 
 def l2_invariance_check(f: FourierCoeffs, family: MatrixFamily) -> float:
     """|ell2(f_U) - ell2(f)| for a unitary family; tiny by unitary invariance."""
-    from .fourier_core import ell2_norm
-
     if not family.is_unitary:
         raise FamilyError("randomizer family is not unitary within tolerance")
     return abs(ell2_norm(randomize(f, family)) - ell2_norm(f))

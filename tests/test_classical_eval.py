@@ -220,6 +220,11 @@ class TestCoefficientBounds:
             res = coefficient_bound_check(a, k, i, j, su2_quad, side)
             assert res.margin >= -1e-6
 
+    def test_rejects_level_beyond_measured_rule(self, su2_quad):
+        k = su2_quad.kmax_valid + 1
+        with pytest.raises(ValueError, match="validity level"):
+            coefficient_bound_check(np.eye(k + 1), k, 0, 0, su2_quad, "upper")
+
     def test_rejects_unknown_side(self, su2_quad):
         with pytest.raises(ValueError):
             coefficient_bound_check(np.eye(2), 1, 0, 0, su2_quad, "sideways")

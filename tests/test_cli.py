@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qgfourier import cli
 from qgfourier.cli import build_dual, content_hash, execute, main
 
 
@@ -21,16 +22,37 @@ def test_bad_dual_is_usage_error(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", [
-    ["plancherel", "--seed", "1", "--families", "0"],
-    ["four-unitary", "--seed", "1", "--trials", "0"],
-    ["tb-contraction", "--seed", "1", "--families", "0"],
-    ["gaussian-norms", "--seed", "1", "--nmax", "0"],
-    ["all", "--seed", "1", "--trials", "-1"],
-])
-def test_zero_work_is_usage_error(argv, capsys):
+ZERO_WORK = [
+    (["plancherel", "--seed", "1", "--families", "0"], 1),
+    (["four-unitary", "--seed", "1", "--trials", "0"], 2),
+    (["tb-contraction", "--seed", "1", "--families", "0"], 1),
+    (["gaussian-norms", "--seed", "1", "--nmax", "0"], 1),
+    (["all", "--seed", "1", "--trials", "-1"], 2),
+    # one trial has no standard error; refused before the n=1 case runs
+    (["gaussian-norms", "--seed", "1", "--trials", "1", "--nmax", "2"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, floor", ZERO_WORK,
+                         ids=[f"argv{i}" for i in range(len(ZERO_WORK))])
+def test_zero_work_is_usage_error(argv, floor, capsys):
     assert execute(argv) == (2, None)
-    assert "must be >= 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: argument --" in err  # refused by the parser, before any experiment
+    assert f"must be >= {floor}" in err
+
+
+def test_failing_record_fails_the_run(monkeypatch, capsys):
+    monkeypatch.setitem(cli.EXPERIMENTS, "growth", lambda cfg, ctx: [{"k": 0}, {"ok": False}])
+    code, doc = execute(["growth"])
+    capsys.readouterr()
+    assert code == 1
+    assert doc["verdict"] == "fail"
+
+
+def test_lemma35_beyond_measured_rule_is_usage_error(capsys):
+    assert execute(["lemma35", "--seed", "1", "--kmax", "7"]) == (2, None)
+    assert "validity level" in capsys.readouterr().err
 
 
 def test_deterministic_subcommands_need_no_seed(capsys):

@@ -4,6 +4,7 @@ import pytest
 from qgfourier import (
     DualMismatchError,
     FourierCoeffs,
+    IrrepData,
     MatrixFamily,
     RngSeed,
     block_gram,
@@ -14,10 +15,12 @@ from qgfourier import (
     make_suq2_dual,
     make_trivial_dual,
     multiplier_block_norm,
+    plancherel_gram_norm,
     random_coeffs,
     schur_inner,
     trace_norm_duality,
 )
+from qgfourier import fourier_core, l2_operators
 
 TRIVIAL = make_trivial_dual()
 KAC = make_su2_dual(3)
@@ -149,6 +152,70 @@ class TestPairingIdentity:
         fam = MatrixFamily(KAC, {l: np.eye(KAC.irrep(l).n) for l in KAC.labels()})
         with pytest.raises(DualMismatchError):
             haar_state_pairing_check(f, fam)
+
+
+def loop_gram_norm_sq(x, irrep) -> float:
+    """Reference for one block of plancherel_gram_norm: the term-by-term sum over
+    the delta-sparse pairs <u_{j,i}, u_{t,s}> = delta_{i,s} (Q^{-1})_{j,t} / d."""
+    n, d, q = irrep.n, irrep.d, irrep.q_diag
+    coeff = d * (x * q)
+    acc = 0j
+    for i, j, s, t in np.ndindex(n, n, n, n):
+        if i == s and j == t:
+            acc += np.conj(coeff[s, t]) * coeff[i, j] / q[j] / d
+    return acc.real
+
+
+def loop_pairing_lhs(x, b, irrep) -> complex:
+    """Reference for one block of the Haar-state route, with
+    h(u_{j,k} (u_{p,k})^*) = delta_{j,p} q_k / d applied term by term."""
+    n, d, q = irrep.n, irrep.d, irrep.q_diag
+    xq = x * q
+    acc = 0j
+    for i, j, k, p in np.ndindex(n, n, n, n):
+        if j == p:
+            acc += d * xq[i, j] * (1.0 / q[k]) * b[p, i] * (q[k] / d)
+    return acc
+
+
+@pytest.mark.parametrize("dual", [make_su2_dual(3), make_suq2_dual(0.5, 4)],
+                         ids=lambda dual: dual.name)
+def test_oracle_contractions_equal_term_by_term_sums(dual):
+    rng = RngSeed(151).generator()
+    f = random_coeffs(dual, rng)
+    fam = MatrixFamily(dual, {
+        l: rng.standard_normal((dual.irrep(l).n,) * 2)
+        + 1j * rng.standard_normal((dual.irrep(l).n,) * 2)
+        for l in dual.labels()
+    })
+    norm = np.sqrt(sum(loop_gram_norm_sq(x, dual.irrep(l)) for l, x in f.support.items()))
+    lhs = sum(loop_pairing_lhs(x, fam.entries[l], dual.irrep(l)) for l, x in f.support.items())
+    assert abs(plancherel_gram_norm(f) - norm) <= 1e-12 * norm
+    assert abs(haar_state_pairing_check(f, fam).lhs - lhs) <= 1e-12 * abs(lhs)
+
+
+def test_oracle_routes_stand_alone(monkeypatch):
+    """Neither oracle route reaches the closed-form calculus it is checked against."""
+    dual = make_suq2_dual(0.5, 6)
+    rng = RngSeed(149).generator()
+    f = random_coeffs(dual, rng)
+    fam = MatrixFamily(dual, {
+        l: rng.standard_normal((dual.irrep(l).n,) * 2)
+        + 1j * rng.standard_normal((dual.irrep(l).n,) * 2)
+        for l in dual.labels()
+    })
+    norm = fourier_core.ell2_norm(f)
+    closed = sum(dual.irrep(l).n * np.trace((x * dual.irrep(l).q_diag) @ fam.entries[l])
+                 for l, x in f.support.items())
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an oracle route called the closed form")
+
+    monkeypatch.setattr(IrrepData, "q_trace", forbidden)
+    monkeypatch.setattr(fourier_core, "ell2_norm", forbidden)
+    monkeypatch.setattr(l2_operators, "ell2_norm", forbidden)
+    assert abs(plancherel_gram_norm(f) - norm) <= 1e-12 * norm
+    assert abs(haar_state_pairing_check(f, fam).lhs - closed) <= 1e-12 * abs(closed)
 
 
 class TestTraceDuality:
