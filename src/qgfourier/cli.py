@@ -485,15 +485,17 @@ def run_corollary_suq2(cfg, ctx):
         growth_report(dual, q=q)  # raises if the d_k >= q^{-k} bound ever fails
         families = [random_coeffs(dual, rng) for _ in range(cfg["families"])]
         for eps in (0.1, 0.5, 1.0):
-            worst_excess = -np.inf
-            termwise = True
-            for f in families:
-                res = suq2_chain_check(q, eps, f)
-                worst_excess = max(worst_excess, res.lhs - res.rhs * (1.0 + 1e-12))
-                termwise = termwise and res.termwise_ok
+            checks = [suq2_chain_check(q, eps, f) for f in families]
+            # columns lhs, rhs, excess; an infinite side gives a -inf or NaN
+            # excess, so every value must be finite, and np.max passes NaN on
+            values = np.array([(c.lhs, c.rhs, c.lhs - c.rhs * (1.0 + 1e-12)) for c in checks])
+            worst_excess = float(np.max(values[:, 2]))
+            finite = bool(np.isfinite(values).all())
+            termwise = all(c.termwise_ok for c in checks)
             records.append({"q": q, "eps": eps, "kmax": cfg["kmax"],
-                            "families": cfg["families"], "max_excess": float(worst_excess),
-                            "termwise_ok": termwise, "ok": worst_excess <= 0.0 and termwise})
+                            "families": cfg["families"], "max_excess": worst_excess,
+                            "termwise_ok": termwise,
+                            "ok": finite and worst_excess <= 0.0 and termwise})
     return records
 
 
@@ -701,7 +703,8 @@ def _round_floats(value):
 def build_parser() -> argparse.ArgumentParser:
     def at_least(floor: int):
         # a run that does no work would pass vacuously; two trials are the
-        # fewest for which every Monte Carlo driver has a standard error
+        # fewest for which every Monte Carlo driver has a standard error;
+        # level 0 is the smallest truncation a dual has
         def count(text: str) -> int:
             value = int(text)
             if value < floor:
@@ -725,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None, help="write the full document to this path")
         p.add_argument("--format", choices=("json", "csv"), default="json", help="output format for --out")
         p.add_argument("--q", type=float, default=None, help="deformation parameter in (0,1); default 0.5")
-        p.add_argument("--kmax", type=int, default=None, help="dual truncation level")
+        p.add_argument("--kmax", type=at_least(0), default=None, help="dual truncation level")
         p.add_argument("--nmax", type=at_least(1), default=None,
                        help="largest matrix size (gaussian-norms)")
         p.add_argument("--dual", type=str, default=None,

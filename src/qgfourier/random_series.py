@@ -62,6 +62,11 @@ def matrices_per_chunk(n: int) -> int:
     return max(1, min(1024, 4_194_304 // max(1, n * n)))
 
 
+# Gram matrices are built a few at a time so that their stack stays small next
+# to the chunk they come from: one 256 x 256 Gram, or more of smaller sizes.
+_GRAM_STACK_SCALARS = 65_536
+
+
 def iter_chunks(total: int, chunk: int):
     """Yield (chunk_index, count) pairs covering `total` in fixed order."""
     index = 0
@@ -102,7 +107,9 @@ def gaussian_matrix_stack(n: int, count: int, rng: np.random.Generator) -> np.nd
     """`count` i.i.d. real n x n matrices with entries N(0,1)/sqrt(n)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return rng.standard_normal((count, n, n)) / np.sqrt(n)
+    g = rng.standard_normal((count, n, n))
+    g /= np.sqrt(n)  # in place: a chunk is never held twice
+    return g
 
 
 def gaussian_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -138,15 +145,34 @@ class NormEstimate:
     trials: int
 
 
+def _spectral_norms(g: np.ndarray) -> np.ndarray:
+    """Largest singular value of each real matrix in the stack `g`."""
+    n = g.shape[-1]
+    per_stack = max(1, _GRAM_STACK_SCALARS // (n * n))
+    norms = np.empty(len(g))
+    for start in range(0, len(g), per_stack):
+        part = g[start:start + per_stack]
+        gram = np.swapaxes(part, -1, -2) @ part
+        norms[start:start + per_stack] = np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
+    return norms
+
+
 def expected_operator_norm(n: int, trials: int, seed: RngSeed) -> NormEstimate:
-    """Monte Carlo mean and standard error of the spectral norm of G_n."""
+    """Monte Carlo mean and standard error of the spectral norm of G_n.
+
+    The norm of each sample G is sqrt(lambda_max(G^T G)): the largest
+    eigenvalue of its Gram matrix from `eigvalsh`, not a full singular
+    spectrum.  The error of lambda_max is a few ulps of ||G||^2, so the norm
+    keeps its relative precision.  Gram matrices are formed a few at a time
+    (`_GRAM_STACK_SCALARS`), never for a whole chunk.  Each chunk draws only
+    the matrices it uses; a short last chunk is a prefix of a full one.
+    """
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
     chunk = matrices_per_chunk(n)
     acc = MeanAccumulator()
     for index, take in iter_chunks(trials, chunk):
-        g = gaussian_matrix_stack(n, chunk, seed.chunk_generator(index))[:take]
-        acc.add(np.linalg.svd(g, compute_uv=False)[:, 0])
+        acc.add(_spectral_norms(gaussian_matrix_stack(n, take, seed.chunk_generator(index))))
     mean, stderr = acc.mean_stderr()
     return NormEstimate(mean=mean, stderr=stderr, trials=trials)
 

@@ -1,9 +1,11 @@
 import json
+import math
 
 import pytest
 
 from qgfourier import cli
 from qgfourier.cli import build_dual, content_hash, execute, main
+from qgfourier.quantum_examples import ChainCheck
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -30,6 +32,8 @@ ZERO_WORK = [
     (["all", "--seed", "1", "--trials", "-1"], 2),
     # one trial has no standard error; refused before the n=1 case runs
     (["gaussian-norms", "--seed", "1", "--trials", "1", "--nmax", "2"], 2),
+    (["characters", "--kmax", "-1"], 0),
+    (["growth", "--kmax", "-1"], 0),
 ]
 
 
@@ -48,6 +52,18 @@ def test_failing_record_fails_the_run(monkeypatch, capsys):
     capsys.readouterr()
     assert code == 1
     assert doc["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("lhs, rhs", [(math.inf, math.inf), (1.0, math.inf), (math.nan, 1.0)],
+                         ids=["both-inf", "rhs-inf", "lhs-nan"])
+def test_corollary_suq2_fails_closed_on_non_finite(lhs, rhs, monkeypatch, capsys):
+    # inf - inf is NaN and finite - inf is -inf; neither may read as a pass
+    monkeypatch.setattr(cli, "suq2_chain_check", lambda q, eps, f: ChainCheck(lhs, rhs, True))
+    code, doc = execute(["corollary-suq2", "--seed", "1", "--kmax", "2", "--families", "2"])
+    capsys.readouterr()
+    assert code == 1
+    assert doc["verdict"] == "fail"
+    assert [rec["ok"] for rec in doc["records"]] == [False] * 9
 
 
 def test_lemma35_beyond_measured_rule_is_usage_error(capsys):

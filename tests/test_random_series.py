@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,15 @@ from qgfourier import (
     randomize,
     randomize_ball,
 )
-from qgfourier.random_series import haar_unitary_stack
+from qgfourier.random_series import (
+    _GRAM_STACK_SCALARS,
+    MeanAccumulator,
+    _spectral_norms,
+    gaussian_matrix_stack,
+    haar_unitary_stack,
+    iter_chunks,
+    matrices_per_chunk,
+)
 
 SUQ2 = make_suq2_dual(0.5, 5)
 
@@ -88,6 +98,62 @@ class TestExpectedOperatorNorm:
         a = expected_operator_norm(3, 500, RngSeed(31))
         b = expected_operator_norm(3, 500, RngSeed(31))
         assert a == b
+
+
+def svd_operator_norm(n, trials, seed):
+    """Reference route: full singular spectrum of every sample, each chunk
+    drawn at full size and sliced."""
+    chunk = matrices_per_chunk(n)
+    acc = MeanAccumulator()
+    for index, take in iter_chunks(trials, chunk):
+        g = gaussian_matrix_stack(n, chunk, seed.chunk_generator(index))[:take]
+        acc.add(np.linalg.svd(g, compute_uv=False)[:, 0])
+    return acc.mean_stderr()
+
+
+class TestGramRoute:
+    @pytest.mark.parametrize("n", [1, 17, 256])
+    def test_short_draw_is_prefix_of_full_chunk(self, n):
+        chunk = matrices_per_chunk(n)
+        seed = RngSeed(83, 2)
+        full = gaussian_matrix_stack(n, chunk, seed.chunk_generator(1))
+        short = gaussian_matrix_stack(n, chunk // 3 + 1, seed.chunk_generator(1))
+        np.testing.assert_array_equal(short, full[:len(short)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 256])
+    def test_matches_svd_per_matrix(self, n):
+        # one past a whole sub-stack, so the last sub-stack is partial (n=256
+        # has sub-stacks of one matrix)
+        take = max(1, _GRAM_STACK_SCALARS // (n * n)) + 1
+        g = gaussian_matrix_stack(n, take, RngSeed(89, n).generator())
+        reference = np.linalg.svd(g, compute_uv=False)[:, 0]
+        np.testing.assert_allclose(_spectral_norms(g), reference, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n, trials", [(1, 2000), (5, 1500), (256, 70)])
+    def test_estimate_matches_svd_route(self, n, trials):
+        # 2000 and 1500 span two chunks of 1024; 70 spans two chunks of 64
+        est = expected_operator_norm(n, trials, RngSeed(97, n))
+        mean, stderr = svd_operator_norm(n, trials, RngSeed(97, n))
+        assert est.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
+        assert est.stderr == pytest.approx(stderr, rel=1e-9, abs=0.0)
+
+    def test_does_not_take_an_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        est = expected_operator_norm(17, 300, RngSeed(101))
+        assert 1.2 <= est.mean <= 2.6
+
+    def test_peak_memory_is_one_chunk(self):
+        n = 256
+        chunk_bytes = matrices_per_chunk(n) * n * n * 8
+        tracemalloc.start()
+        try:
+            expected_operator_norm(n, 70, RngSeed(103))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= chunk_bytes + 4 * 2**20
 
 
 class TestRandomize:
