@@ -33,6 +33,7 @@ GROUP_TOL = 1e-12          # exact-group checks
 SU2_INPUT_TOL = 1e-10      # special-unitarity tolerance on inputs
 SCHUR_QUAD_TOL = 1e-8      # orthogonality reproduction threshold for quadrature
 MC_CHUNK = 1024
+QUAD_NODE_BLOCK = 1024     # quadrature nodes per product in _measure_valid_kmax
 
 
 class ClassicalDomainError(ValueError):
@@ -444,27 +445,29 @@ def make_su2_quadrature(resolution: int = 10, validate_kmax: int = 6) -> SU2Quad
 
 
 def _measure_valid_kmax(quad: SU2Quadrature, cap: int) -> int:
-    """Largest k <= cap whose coefficient Gram (against all levels <= k) is exact to 1e-8."""
-    valid = -1
+    """Largest k <= cap whose coefficient Gram (against all levels <= k) is exact to 1e-8.
+
+    Level k takes one product per block of QUAD_NODE_BLOCK nodes: the weighted,
+    conjugated level-k columns against the columns of levels 0..k side by side,
+    summed over the blocks.  Beyond the cached irrep stacks, the extra memory is
+    one node block of columns and the Gram rows of level k.  The measurement
+    stops at the first failing level and reads only the stacks and the weights.
+    """
+    w = quad.weights
     flat = []
     for k in range(cap + 1):
         stack = quad.irrep_stack(k)
-        yk = stack.reshape(stack.shape[0], -1)
-        ok = True
-        for kp, yp in enumerate(flat + [yk]):
-            gram = np.einsum("gi,g,gj->ij", yk.conj(), quad.weights, yp)
-            if kp == k:
-                expected = np.eye(yk.shape[1]) / (k + 1)
-            else:
-                expected = np.zeros((yk.shape[1], yp.shape[1]))
-            if float(np.max(np.abs(gram - expected))) > SCHUR_QUAD_TOL:
-                ok = False
-                break
-        if not ok:
-            break
-        flat.append(yk)
-        valid = k
-    return valid
+        flat.append(stack.reshape(stack.shape[0], -1))
+        nk = flat[-1].shape[1]
+        gram = np.zeros((nk, sum(y.shape[1] for y in flat)), dtype=complex)
+        for lo in range(0, len(w), QUAD_NODE_BLOCK):
+            blk = slice(lo, lo + QUAD_NODE_BLOCK)
+            weighted = flat[-1][blk].conj() * w[blk, None]
+            gram += weighted.T @ np.concatenate([y[blk] for y in flat], axis=1)
+        gram[:, -nk:] -= np.eye(nk) / (k + 1)  # the expected blocks: I/(k+1), else 0
+        if float(np.max(np.abs(gram))) > SCHUR_QUAD_TOL:
+            return k - 1
+    return max(cap, -1)
 
 
 def evaluate_su2(f: FourierCoeffs, g) -> complex:

@@ -603,6 +603,7 @@ DEFAULTS = {
 
 
 def resolve_config(name: str, args: argparse.Namespace) -> dict:
+    """The subcommand's config; a ValueError for flags the run could not honour."""
     cfg = {"q": args.q if args.q is not None else 0.5, "seed": args.seed}
     defaults = DEFAULTS.get(name, {})
     for key in ("dual", "kmax", "families", "trials", "nmax"):
@@ -611,11 +612,15 @@ def resolve_config(name: str, args: argparse.Namespace) -> dict:
             cfg[key] = supplied
         elif key in defaults:
             cfg[key] = defaults[key]
+    if args.q is not None and "dual" in cfg and cfg["dual"] != "suq2":
+        raise ValueError(f"argument --q: only the suq2 dual is deformed; {name} "
+                         f"runs on --dual {cfg['dual']}")
+    if name == "lemma35" and cfg["kmax"] < 1:  # its levels are drawn from 1..kmax
+        raise ValueError(f"argument --kmax: lemma35 needs >= 1, got {cfg['kmax']}")
     return cfg
 
 
-def run_one(name: str, args: argparse.Namespace, ctx: Context) -> dict:
-    cfg = resolve_config(name, args)
+def run_one(name: str, cfg: dict, ctx: Context) -> dict:
     start = time.perf_counter()
     records = EXPERIMENTS[name](cfg, ctx)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -753,7 +758,8 @@ def execute(argv=None) -> tuple[int, dict | None]:
         args.seed = 0
     ctx = Context()
     try:
-        blocks = [run_one(t, args, ctx) for t in targets]
+        configs = [resolve_config(t, args) for t in targets]  # every refusal before any run
+        blocks = [run_one(t, cfg, ctx) for t, cfg in zip(targets, configs)]
     except ValueError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2, None

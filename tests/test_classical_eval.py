@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
@@ -25,12 +27,39 @@ from qgfourier import (
     table_to_json,
     weyl_character_l1,
 )
-from qgfourier.classical_eval import FiniteGroupTable, GroupIrrep
+from qgfourier import classical_eval
+from qgfourier.classical_eval import (
+    SCHUR_QUAD_TOL,
+    FiniteGroupTable,
+    GroupIrrep,
+    make_su2_quadrature,
+)
 
 
 def random_su2(rng):
     u = haar_unitary(2, rng)
     return u / np.sqrt(np.linalg.det(u))
+
+
+def einsum_valid_kmax(quad, cap) -> int:
+    """Oracle for _measure_valid_kmax: one three-operand einsum over all
+    nodes for each pair of levels, stopping at the first failing level."""
+    valid = -1
+    flat = []
+    for k in range(cap + 1):
+        stack = quad.irrep_stack(k)
+        yk = stack.reshape(stack.shape[0], -1)
+        for kp, yp in enumerate(flat + [yk]):
+            gram = np.einsum("gi,g,gj->ij", yk.conj(), quad.weights, yp)
+            if kp == k:
+                expected = np.eye(yk.shape[1]) / (k + 1)
+            else:
+                expected = np.zeros((yk.shape[1], yp.shape[1]))
+            if float(np.max(np.abs(gram - expected))) > SCHUR_QUAD_TOL:
+                return valid
+        flat.append(yk)
+        valid = k
+    return valid
 
 
 class TestFiniteGroups:
@@ -193,10 +222,45 @@ class TestQuadrature:
             assert evaluate_su2(f, su2_quad.nodes[idx]) == pytest.approx(vals[idx], rel=1e-10)
 
     def test_resolution_precondition(self):
-        from qgfourier import make_su2_quadrature
-
         with pytest.raises(ValueError):
             make_su2_quadrature(3)
+
+
+class TestValidityMeasurement:
+    @pytest.mark.parametrize("resolution, cap, level", [(4, 9, 7), (5, 8, 8), (10, 6, 6)])
+    def test_agrees_with_einsum_route(self, resolution, cap, level):
+        quad = make_su2_quadrature(resolution, 0)
+        assert classical_eval._measure_valid_kmax(quad, cap) == level
+        assert einsum_valid_kmax(quad, cap) == level
+
+    def test_default_rule_is_exact_to_level_13(self):
+        assert make_su2_quadrature(10, 20).kmax_valid == 13
+
+    def test_perturbed_weight_fails_at_level_zero(self, monkeypatch):
+        measure = classical_eval._measure_valid_kmax
+        levels = []
+
+        def perturbed(quad, cap):
+            quad.weights[17] += 1e-6
+            levels.extend([measure(quad, cap), einsum_valid_kmax(quad, cap)])
+            return levels[0]
+
+        monkeypatch.setattr(classical_eval, "_measure_valid_kmax", perturbed)
+        with pytest.raises(ValueError, match="level 0"):
+            make_su2_quadrature()
+        assert levels == [-1, -1]
+
+    def test_peak_memory_not_above_einsum_route(self, su2_quad):
+        su2_quad.irrep_stack(6)  # stacks cached before tracing, as after a build
+        peaks = []
+        for route in (classical_eval._measure_valid_kmax, einsum_valid_kmax):
+            tracemalloc.start()
+            try:
+                assert route(su2_quad, 6) == 6
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
 
 
 class TestCoefficientBounds:

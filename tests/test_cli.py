@@ -46,6 +46,38 @@ def test_zero_work_is_usage_error(argv, floor, capsys):
     assert f"must be >= {floor}" in err
 
 
+CONFIG_REFUSALS = [
+    # levels are drawn from 1..kmax; this raised "low >= high" mid-run
+    (["lemma35", "--seed", "1", "--kmax", "0"], "argument --kmax"),
+    (["all", "--seed", "1", "--kmax", "0"], "argument --kmax"),
+    # --q deforms only suq2; elsewhere it was ignored and the run passed
+    (["plancherel", "--seed", "1", "--dual", "su2", "--q", "0.3"], "argument --q"),
+    (["all", "--seed", "1", "--dual", "s3", "--q", "0.3"], "argument --q"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", CONFIG_REFUSALS,
+                         ids=[f"argv{i}" for i in range(len(CONFIG_REFUSALS))])
+def test_config_is_refused_before_any_run(argv, flag, monkeypatch, capsys):
+    def must_not_run(*args):
+        raise ValueError("ran before the config was checked")
+
+    monkeypatch.setattr(cli, "make_su2_quadrature", must_not_run)
+    for name in cli.EXPERIMENTS:
+        monkeypatch.setitem(cli.EXPERIMENTS, name, must_not_run)
+    assert execute(argv) == (2, None)
+    assert f"error: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, q", [(["--q", "0.3"], 0.3), ([], 0.5)], ids=["q0.3", "default"])
+def test_q_on_suq2_is_used(extra, q, capsys):
+    code, doc = execute(["plancherel", "--seed", "1", "--dual", "suq2", "--families", "2"] + extra)
+    capsys.readouterr()
+    assert code == 0
+    assert doc["meta"]["config"]["q"] == q
+    assert doc["records"][0]["dual"].startswith(f"suq2(q={q},")
+
+
 def test_failing_record_fails_the_run(monkeypatch, capsys):
     monkeypatch.setitem(cli.EXPERIMENTS, "growth", lambda cfg, ctx: [{"k": 0}, {"ok": False}])
     code, doc = execute(["growth"])
