@@ -38,7 +38,6 @@ from .random_series import (
     RngSeed,
     expected_operator_norm,
     four_unitary_decomposition,
-    gaussian_family,
     gaussian_matrix,
     haar_family,
     haar_unitary,

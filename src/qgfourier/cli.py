@@ -393,9 +393,6 @@ def run_helgason_instance(cfg, ctx):
 
 def run_lemma35(cfg, ctx):
     quad = ctx.quad()
-    if cfg["kmax"] > quad.kmax_valid:  # refuse before any draw, not at the first k drawn
-        raise ValueError(f"--kmax {cfg['kmax']} exceeds the quadrature's measured "
-                         f"validity level {quad.kmax_valid}")
     rng = _seed_for(cfg, "lemma35").generator()
     allowance = -1e-6
     records = []
@@ -602,7 +599,7 @@ DEFAULTS = {
 }
 
 
-def resolve_config(name: str, args: argparse.Namespace) -> dict:
+def resolve_config(name: str, args: argparse.Namespace, ctx: Context) -> dict:
     """The subcommand's config; a ValueError for flags the run could not honour."""
     cfg = {"q": args.q if args.q is not None else 0.5, "seed": args.seed}
     defaults = DEFAULTS.get(name, {})
@@ -615,8 +612,13 @@ def resolve_config(name: str, args: argparse.Namespace) -> dict:
     if args.q is not None and "dual" in cfg and cfg["dual"] != "suq2":
         raise ValueError(f"argument --q: only the suq2 dual is deformed; {name} "
                          f"runs on --dual {cfg['dual']}")
-    if name == "lemma35" and cfg["kmax"] < 1:  # its levels are drawn from 1..kmax
-        raise ValueError(f"argument --kmax: lemma35 needs >= 1, got {cfg['kmax']}")
+    if name == "lemma35":
+        if cfg["kmax"] < 1:  # its levels are drawn from 1..kmax
+            raise ValueError(f"argument --kmax: lemma35 needs >= 1, got {cfg['kmax']}")
+        valid = ctx.quad().kmax_valid
+        if cfg["kmax"] > valid:
+            raise ValueError(f"argument --kmax: lemma35 needs <= {valid}, the quadrature's "
+                             f"measured validity level, got {cfg['kmax']}")
     return cfg
 
 
@@ -758,7 +760,7 @@ def execute(argv=None) -> tuple[int, dict | None]:
         args.seed = 0
     ctx = Context()
     try:
-        configs = [resolve_config(t, args) for t in targets]  # every refusal before any run
+        configs = [resolve_config(t, args, ctx) for t in targets]  # every refusal before any run
         blocks = [run_one(t, cfg, ctx) for t, cfg in zip(targets, configs)]
     except ValueError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

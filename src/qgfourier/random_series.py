@@ -62,9 +62,9 @@ def matrices_per_chunk(n: int) -> int:
     return max(1, min(1024, 4_194_304 // max(1, n * n)))
 
 
-# Gram matrices are built a few at a time so that their stack stays small next
-# to the chunk they come from: one 256 x 256 Gram, or more of smaller sizes.
-_GRAM_STACK_SCALARS = 65_536
+def bidiagonals_per_chunk(n: int) -> int:
+    # a bidiagonal model of G_n is 2n - 1 scalars; keep chunks near 2M of them
+    return max(1, min(1024, 1_048_576 // max(1, n)))
 
 
 def iter_chunks(total: int, chunk: int):
@@ -95,7 +95,7 @@ class MeanAccumulator:
     def mean_stderr(self) -> tuple[float, float]:
         n = self.count
         mean = self.total / n
-        var = max(0.0, (self.total_sq - n * mean * mean) / (n - 1))
+        var = float(np.maximum(0.0, (self.total_sq - n * mean * mean) / (n - 1)))  # NaN stays NaN
         return mean, float(np.sqrt(var / n))
 
 
@@ -145,34 +145,117 @@ class NormEstimate:
     trials: int
 
 
-def _spectral_norms(g: np.ndarray) -> np.ndarray:
-    """Largest singular value of each real matrix in the stack `g`."""
-    n = g.shape[-1]
-    per_stack = max(1, _GRAM_STACK_SCALARS // (n * n))
-    norms = np.empty(len(g))
-    for start in range(0, len(g), per_stack):
-        part = g[start:start + per_stack]
-        gram = np.swapaxes(part, -1, -2) @ part
-        norms[start:start + per_stack] = np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
-    return norms
+#: Width, in ulps of its lower end, at which a bisection bracket is closed.
+_TOL_ULPS = 4
+
+#: Passes after which every finite bracket is closed: it starts at most
+#: (sqrt(2) - 1) lo wide, and an ulp of lo is at least eps lo / 2.
+_MAX_PASSES = int(np.ceil(np.log2((np.sqrt(2.0) - 1.0) / (_TOL_ULPS * np.finfo(float).eps / 2))))
+
+
+def gaussian_bidiagonal_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """`count` bidiagonal models of G_n, one per row, each as its Golub-Kahan
+    off-diagonal (a_1, b_1, a_2, ..., b_{n-1}, a_n)/sqrt(n) with independent
+    a_i ~ chi_{n-i+1} and b_i ~ chi_{n-i}.
+
+    2n - 1 scalars per sample, drawn in row order, so a short draw is a prefix
+    of a long one.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    dof = np.repeat(np.arange(n, 0, -1), 2)[1:]  # n, n-1, n-1, ..., 1, 1
+    e = rng.chisquare(dof, size=(count, 2 * n - 1))
+    e /= n
+    return np.sqrt(e, out=e)
+
+
+def _above_spectrum(e2: np.ndarray, x: np.ndarray, pivmin: np.ndarray) -> np.ndarray:
+    """True where x exceeds every eigenvalue of the tridiagonal T with zero
+    diagonal whose squared off-diagonal is `e2` (one row per position, one
+    column per matrix): there every pivot of the LDL^T factorisation of T - xI
+    is negative.
+
+    The recurrence runs on u = -pivot: u_1 = x, u_{k+1} = x - e2_k / u_k.  A
+    pivot smaller than `pivmin` in magnitude counts as -pivmin, as in LAPACK's
+    stebz.  A positive pivot settles its column, whose u is then clamped like a
+    tiny one so that the column runs on without a branch.
+    """
+    low = x.copy()  # the smallest u so far
+    u = np.maximum(x, pivmin)
+    t = np.empty_like(u)
+    for row in e2:
+        np.divide(row, u, out=t)
+        np.subtract(x, t, out=t)
+        np.minimum(low, t, out=low)
+        np.maximum(t, pivmin, out=u)
+    return low > -pivmin
+
+
+def bidiagonal_norms(e: np.ndarray) -> np.ndarray:
+    """Largest singular value of each upper-bidiagonal matrix in a stack, given
+    one per row as its Golub-Kahan off-diagonal (see `expected_operator_norm`).
+
+    Each row is bisected on its own; a row that a NaN or inf entry keeps from
+    closing its bracket within `_MAX_PASSES` passes reads NaN.
+    """
+    e2 = np.square(np.asarray(e, dtype=float).T, order="C")  # a row per position
+    pairs = np.pad(e2, ((1, 1), (0, 0)))  # neighbour pairs: the rows and columns of B
+    lo = np.sqrt((pairs[:-1] + pairs[1:]).max(axis=0))
+    np.sqrt(pairs, out=pairs)
+    hi = np.maximum((pairs[:-1] + pairs[1:]).max(axis=0), lo)
+    target = _TOL_ULPS * np.spacing(lo)
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, e2.max(axis=0))
+    with np.errstate(all="ignore"):  # a NaN or inf entry runs through to a NaN norm
+        for _ in range(_MAX_PASSES):
+            bisect = hi - lo > target
+            if not bisect.any():
+                break
+            x = 0.5 * (lo + hi)
+            above = _above_spectrum(e2, x, pivmin)
+            hi = np.where(bisect & above, x, hi)
+            lo = np.where(bisect & ~above, x, lo)
+        return np.where(hi - lo <= target, 0.5 * (lo + hi), np.nan)
 
 
 def expected_operator_norm(n: int, trials: int, seed: RngSeed) -> NormEstimate:
     """Monte Carlo mean and standard error of the spectral norm of G_n.
 
-    The norm of each sample G is sqrt(lambda_max(G^T G)): the largest
-    eigenvalue of its Gram matrix from `eigvalsh`, not a full singular
-    spectrum.  The error of lambda_max is a few ulps of ||G||^2, so the norm
-    keeps its relative precision.  Gram matrices are formed a few at a time
-    (`_GRAM_STACK_SCALARS`), never for a whole chunk.  Each chunk draws only
-    the matrices it uses; a short last chunk is a prefix of a full one.
+    Model.  Householder bidiagonalisation of an n x n matrix of independent
+    N(0,1) entries leaves an upper-bidiagonal B with diagonal chi_n, ..., chi_1
+    and superdiagonal chi_{n-1}, ..., chi_1, all independent, and the same
+    singular values (Silverstein 1985, Ann. Probab. 13; Dumitriu and Edelman
+    2002, J. Math. Phys. 43).  So ||G_n|| has the law of ||B||/sqrt(n), drawn
+    with 2n - 1 chi variables (`gaussian_bidiagonal_stack`).
+
+    Norm.  The 2n x 2n tridiagonal T with zero diagonal and off-diagonal
+    a_1, b_1, a_2, ..., a_n has the eigenvalues +/- sigma_i(B) (Golub and Kahan
+    1965, SIAM J. Numer. Anal. 2), so ||B|| = lambda_max(T), and a Sturm count
+    of T - xI decides x > ||B|| in O(n) (`bidiagonal_norms`), vectorised over
+    the samples of a chunk.  Zero pivots are handled as in LAPACK's stebz.
+
+    Bracket.  [largest row or column norm of B, Gershgorin bound of T]: the
+    norm of each row and column of B is at most ||B||, and each Gershgorin
+    radius |e_{k-1}| + |e_k| is at most sqrt(2) times the norm of the row or
+    column of B made of the same two entries, so the bracket is at most a
+    factor sqrt(2) wide.
+
+    Stopping rule.  Bisection stops when the bracket is 4 ulps of its lower
+    end wide, at most `_MAX_PASSES` (50) passes; the norm is its midpoint.
+    Bisection on this zero-diagonal form finds every singular value to high
+    relative accuracy (Demmel and Kahan 1990, SIAM J. Sci. Stat. Comput. 11);
+    the tests hold it to 1e-13 of the dense SVD of B.  A bracket that does not
+    close, from a NaN or inf draw, gives a NaN norm and a NaN mean.
+
+    Chunks hold `bidiagonals_per_chunk(n)` samples with one child generator
+    each; a short last chunk draws a prefix of a full one, and each norm
+    depends on its own sample only, so the estimate is prefix-stable in
+    `trials`.  No n x n matrix, Gram product, eigvalsh or SVD is formed.
     """
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
-    chunk = matrices_per_chunk(n)
     acc = MeanAccumulator()
-    for index, take in iter_chunks(trials, chunk):
-        acc.add(_spectral_norms(gaussian_matrix_stack(n, take, seed.chunk_generator(index))))
+    for index, take in iter_chunks(trials, bidiagonals_per_chunk(n)):
+        acc.add(bidiagonal_norms(gaussian_bidiagonal_stack(n, take, seed.chunk_generator(index))))
     mean, stderr = acc.mean_stderr()
     return NormEstimate(mean=mean, stderr=stderr, trials=trials)
 
@@ -215,12 +298,6 @@ def identity_family(dual: DualDescriptor, labels=None) -> MatrixFamily:
 def haar_family(dual: DualDescriptor, rng: np.random.Generator, labels=None) -> MatrixFamily:
     labels = dual.labels() if labels is None else list(labels)
     return MatrixFamily(dual, {l: haar_unitary(dual.irrep(l).n, rng) for l in labels})
-
-
-def gaussian_family(dual: DualDescriptor, rng: np.random.Generator, labels=None) -> MatrixFamily:
-    """One normalized Gaussian matrix G_n per label."""
-    labels = dual.labels() if labels is None else list(labels)
-    return MatrixFamily(dual, {l: gaussian_matrix(dual.irrep(l).n, rng) for l in labels})
 
 
 def random_coeffs(

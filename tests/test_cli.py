@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from qgfourier import cli
+from qgfourier import cli, random_series
 from qgfourier.cli import build_dual, content_hash, execute, main
 from qgfourier.quantum_examples import ChainCheck
 
@@ -48,21 +49,25 @@ def test_zero_work_is_usage_error(argv, floor, capsys):
 
 CONFIG_REFUSALS = [
     # levels are drawn from 1..kmax; this raised "low >= high" mid-run
-    (["lemma35", "--seed", "1", "--kmax", "0"], "argument --kmax"),
-    (["all", "--seed", "1", "--kmax", "0"], "argument --kmax"),
+    (["lemma35", "--seed", "1", "--kmax", "0"], "argument --kmax", False),
+    (["all", "--seed", "1", "--kmax", "0"], "argument --kmax", False),
     # --q deforms only suq2; elsewhere it was ignored and the run passed
-    (["plancherel", "--seed", "1", "--dual", "su2", "--q", "0.3"], "argument --q"),
-    (["all", "--seed", "1", "--dual", "s3", "--q", "0.3"], "argument --q"),
+    (["plancherel", "--seed", "1", "--dual", "su2", "--q", "0.3"], "argument --q", False),
+    (["all", "--seed", "1", "--dual", "s3", "--q", "0.3"], "argument --q", False),
+    # level 7 is past the quadrature's measured validity level; the rule is
+    # built to tell, and this was refused only after nine subcommands ran
+    (["all", "--seed", "1", "--kmax", "7"], "argument --kmax", True),
 ]
 
 
-@pytest.mark.parametrize("argv, flag", CONFIG_REFUSALS,
+@pytest.mark.parametrize("argv, flag, builds_rule", CONFIG_REFUSALS,
                          ids=[f"argv{i}" for i in range(len(CONFIG_REFUSALS))])
-def test_config_is_refused_before_any_run(argv, flag, monkeypatch, capsys):
+def test_config_is_refused_before_any_run(argv, flag, builds_rule, monkeypatch, capsys):
     def must_not_run(*args):
         raise ValueError("ran before the config was checked")
 
-    monkeypatch.setattr(cli, "make_su2_quadrature", must_not_run)
+    if not builds_rule:
+        monkeypatch.setattr(cli, "make_su2_quadrature", must_not_run)
     for name in cli.EXPERIMENTS:
         monkeypatch.setitem(cli.EXPERIMENTS, name, must_not_run)
     assert execute(argv) == (2, None)
@@ -96,6 +101,19 @@ def test_corollary_suq2_fails_closed_on_non_finite(lhs, rhs, monkeypatch, capsys
     assert code == 1
     assert doc["verdict"] == "fail"
     assert [rec["ok"] for rec in doc["records"]] == [False] * 9
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_gaussian_norms_fails_closed_on_non_finite(bad, monkeypatch, capsys):
+    def poisoned(n, count, rng):
+        return np.full((count, 2 * n - 1), bad)
+
+    monkeypatch.setattr(random_series, "gaussian_bidiagonal_stack", poisoned)
+    code, doc = execute(["gaussian-norms", "--seed", "1", "--nmax", "2", "--trials", "10"])
+    capsys.readouterr()
+    assert code == 1
+    assert doc["verdict"] == "fail"
+    assert [rec["ok"] for rec in doc["records"]] == [False, False]
 
 
 def test_lemma35_beyond_measured_rule_is_usage_error(capsys):

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -27,10 +28,14 @@ from qgfourier import (
     randomize,
     randomize_ball,
 )
+from qgfourier import random_series
 from qgfourier.random_series import (
-    _GRAM_STACK_SCALARS,
+    _MAX_PASSES,
     MeanAccumulator,
-    _spectral_norms,
+    _above_spectrum,
+    bidiagonal_norms,
+    bidiagonals_per_chunk,
+    gaussian_bidiagonal_stack,
     gaussian_matrix_stack,
     haar_unitary_stack,
     iter_chunks,
@@ -111,6 +116,33 @@ def svd_operator_norm(n, trials, seed):
     return acc.mean_stderr()
 
 
+# Gram matrices are built a few at a time so that their stack stays small next
+# to the chunk they come from: one 256 x 256 Gram, or more of smaller sizes.
+GRAM_STACK_SCALARS = 65_536
+
+
+def gram_spectral_norms(g):
+    """Largest singular value of each real matrix in the stack `g`, as
+    sqrt(lambda_max(G^T G)) from `eigvalsh`."""
+    n = g.shape[-1]
+    per_stack = max(1, GRAM_STACK_SCALARS // (n * n))
+    norms = np.empty(len(g))
+    for start in range(0, len(g), per_stack):
+        part = g[start:start + per_stack]
+        gram = np.swapaxes(part, -1, -2) @ part
+        norms[start:start + per_stack] = np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
+    return norms
+
+
+def gram_operator_norm(n, trials, seed):
+    """Dense reference route: n x n Gaussian samples, each chunk drawn only as
+    far as it is used, normed by `gram_spectral_norms`."""
+    acc = MeanAccumulator()
+    for index, take in iter_chunks(trials, matrices_per_chunk(n)):
+        acc.add(gram_spectral_norms(gaussian_matrix_stack(n, take, seed.chunk_generator(index))))
+    return acc.mean_stderr()
+
+
 class TestGramRoute:
     @pytest.mark.parametrize("n", [1, 17, 256])
     def test_short_draw_is_prefix_of_full_chunk(self, n):
@@ -124,36 +156,196 @@ class TestGramRoute:
     def test_matches_svd_per_matrix(self, n):
         # one past a whole sub-stack, so the last sub-stack is partial (n=256
         # has sub-stacks of one matrix)
-        take = max(1, _GRAM_STACK_SCALARS // (n * n)) + 1
+        take = max(1, GRAM_STACK_SCALARS // (n * n)) + 1
         g = gaussian_matrix_stack(n, take, RngSeed(89, n).generator())
         reference = np.linalg.svd(g, compute_uv=False)[:, 0]
-        np.testing.assert_allclose(_spectral_norms(g), reference, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(gram_spectral_norms(g), reference, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("n, trials", [(1, 2000), (5, 1500), (256, 70)])
     def test_estimate_matches_svd_route(self, n, trials):
         # 2000 and 1500 span two chunks of 1024; 70 spans two chunks of 64
-        est = expected_operator_norm(n, trials, RngSeed(97, n))
+        mean_gram, stderr_gram = gram_operator_norm(n, trials, RngSeed(97, n))
         mean, stderr = svd_operator_norm(n, trials, RngSeed(97, n))
-        assert est.mean == pytest.approx(mean, rel=1e-12, abs=0.0)
-        assert est.stderr == pytest.approx(stderr, rel=1e-9, abs=0.0)
+        assert mean_gram == pytest.approx(mean, rel=1e-12, abs=0.0)
+        assert stderr_gram == pytest.approx(stderr, rel=1e-9, abs=0.0)
 
     def test_does_not_take_an_svd(self, monkeypatch):
         def no_svd(*args, **kwargs):
             raise AssertionError("np.linalg.svd called")
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        est = expected_operator_norm(17, 300, RngSeed(101))
-        assert 1.2 <= est.mean <= 2.6
+        mean, _ = gram_operator_norm(17, 300, RngSeed(101))
+        assert 1.2 <= mean <= 2.6
 
     def test_peak_memory_is_one_chunk(self):
         n = 256
         chunk_bytes = matrices_per_chunk(n) * n * n * 8
         tracemalloc.start()
         try:
-            expected_operator_norm(n, 70, RngSeed(103))
+            gram_operator_norm(n, 70, RngSeed(103))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= chunk_bytes + 4 * 2**20
+
+
+def golub_kahan(diag, sup):
+    """The Golub-Kahan off-diagonal (a_1, b_1, ..., a_n) of one bidiagonal B."""
+    e = np.zeros(2 * len(diag) - 1)
+    e[0::2] = diag
+    e[1::2] = sup
+    return e
+
+
+def dense_bidiagonal(e):
+    """The n x n upper-bidiagonal matrix whose Golub-Kahan off-diagonal is `e`."""
+    return np.diag(e[0::2]) + np.diag(e[1::2], 1)
+
+
+class CountingGenerator:
+    """A generator that counts the variates it hands out."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.drawn = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.drawn += np.size(out)
+            return out
+        return counted
+
+
+def raiser(what):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{what} called")
+    return fail
+
+
+class TestBidiagonalRoute:
+    @pytest.mark.parametrize("n", [1, 17, 256])
+    def test_short_draw_is_prefix_of_full_chunk(self, n):
+        chunk = bidiagonals_per_chunk(n)
+        seed = RngSeed(83, 3)
+        full = gaussian_bidiagonal_stack(n, chunk, seed.chunk_generator(1))
+        short = gaussian_bidiagonal_stack(n, chunk // 3 + 1, seed.chunk_generator(1))
+        assert full.shape == (chunk, 2 * n - 1)
+        np.testing.assert_array_equal(short, full[:len(short)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 256])
+    def test_matches_dense_svd_and_tridiagonal_per_matrix(self, n):
+        e = gaussian_bidiagonal_stack(n, 25, RngSeed(89, n).generator())
+        norms = bidiagonal_norms(e)
+        svd = np.array([np.linalg.svd(dense_bidiagonal(row), compute_uv=False)[0] for row in e])
+        top = 2 * n - 1
+        tridiagonal = np.array([
+            scipy.linalg.eigvalsh_tridiagonal(np.zeros(2 * n), row, select="i",
+                                              select_range=(top, top))[0]
+            for row in e])
+        np.testing.assert_allclose(norms, svd, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(norms, tridiagonal, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("diag, sup", [
+        ([0.0], []),
+        ([0.0, 0.0, 0.0], [0.0, 0.0]),
+        ([0.0, 0.0], [1.0]),                            # zero diagonal
+        ([3.0, 0.0, 2.0], [0.0, 0.0]),                  # three 1 x 1 blocks
+        ([1.0, 0.0, 1.0], [1.0, 1.0]),                  # zero inside the diagonal
+        ([2.0, 1.0, 0.0, 5.0], [0.0, 3.0, 0.0]),        # split blocks
+        ([1.0, 1.0], [1.0]),                            # bracket sqrt(2) wide
+    ], ids=["n1-zero", "n3-zero", "zero-diag", "diagonal", "zero-inside", "split", "widest"])
+    def test_hand_built_matrices(self, diag, sup):
+        e = golub_kahan(diag, sup)
+        expected = np.linalg.svd(dense_bidiagonal(e), compute_uv=False)[0]
+        (norm,) = bidiagonal_norms(e[None, :])
+        assert norm == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_zero_pivots_count_as_negative(self):
+        # B = I_2 at x = 1: every other pivot of T - xI is exactly zero and the
+        # next squared off-diagonal is zero, so a bare recurrence reads 0/0
+        e2 = np.square(golub_kahan([1.0, 1.0], [0.0]))[:, None]
+        pivmin = np.array([np.finfo(float).tiny])
+        assert _above_spectrum(e2, np.array([1.0]), pivmin).tolist() == [True]
+        # diag(1, 2) at x = 1: the zero pivot is followed by a positive one
+        e2 = np.square(golub_kahan([1.0, 2.0], [0.0]))[:, None]
+        assert _above_spectrum(e2, np.array([1.0]), pivmin).tolist() == [False]
+        # B = 0 at x = 0: every pivot is zero
+        e2 = np.zeros((5, 1))
+        assert _above_spectrum(e2, np.array([0.0]), pivmin).tolist() == [True]
+
+    def test_each_norm_depends_on_its_own_row(self):
+        e = gaussian_bidiagonal_stack(40, 60, RngSeed(113).generator())
+        norms = bidiagonal_norms(e)
+        np.testing.assert_array_equal(bidiagonal_norms(e[:7]), norms[:7])
+        np.testing.assert_array_equal(bidiagonal_norms(e[::-1]), norms[::-1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_row_reads_nan_alone(self, bad):
+        e = gaussian_bidiagonal_stack(16, 10, RngSeed(127).generator())
+        clean = bidiagonal_norms(e)
+        e[3, 5] = bad
+        norms = bidiagonal_norms(e)
+        assert np.isnan(norms[3])
+        np.testing.assert_array_equal(np.delete(norms, 3), np.delete(clean, 3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_draw_fails_closed(self, bad, monkeypatch):
+        def poisoned(n, count, rng):
+            return np.full((count, 2 * n - 1), bad)
+        monkeypatch.setattr(random_series, "gaussian_bidiagonal_stack", poisoned)
+        est = expected_operator_norm(8, 1500, RngSeed(131))
+        assert np.isnan(est.mean) and np.isnan(est.stderr)
+
+    def test_pass_bound(self):
+        # the widest bracket, (sqrt(2) - 1) lo, at the lo with the fewest ulps
+        # per unit, just below a power of two, needs between 49 and 50 passes
+        lo = np.nextafter(2.0, 0.0)
+        passes = np.log2((np.sqrt(2.0) - 1.0) * lo / (4 * np.spacing(lo)))
+        assert _MAX_PASSES == 50 and _MAX_PASSES - 1 < passes <= _MAX_PASSES
+        c = lo / np.sqrt(2.0)
+        (norm,) = bidiagonal_norms(golub_kahan([c, c], [c])[None, :])
+        assert norm == pytest.approx(c * (1.0 + np.sqrt(5.0)) / 2.0, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    def test_two_sample_z_against_dense_route(self, n):
+        trials = 2000
+        est = expected_operator_norm(n, trials, RngSeed(137, n))
+        mean, stderr = gram_operator_norm(n, trials, RngSeed(139, n))
+        z = (est.mean - mean) / np.hypot(est.stderr, stderr)
+        assert abs(z) <= 4.0
+
+    def test_never_takes_the_dense_route(self, monkeypatch):
+        monkeypatch.setattr(random_series, "gaussian_matrix_stack", raiser("gaussian_matrix_stack"))
+        monkeypatch.setattr(np.linalg, "eigvalsh", raiser("np.linalg.eigvalsh"))
+        monkeypatch.setattr(np.linalg, "svd", raiser("np.linalg.svd"))
+        est = expected_operator_norm(64, 300, RngSeed(149))
+        assert 1.2 <= est.mean <= 2.6
+
+    @pytest.mark.parametrize("n, trials", [(1, 2500), (64, 1500)])
+    def test_draws_2n_minus_1_variates_per_sample(self, n, trials, monkeypatch):
+        generators = []
+        chunk_generator = RngSeed.chunk_generator
+
+        def counting(self, index):
+            generators.append(CountingGenerator(chunk_generator(self, index)))
+            return generators[-1]
+        monkeypatch.setattr(RngSeed, "chunk_generator", counting)
+        expected_operator_norm(n, trials, RngSeed(151))
+        assert sum(g.drawn for g in generators) == trials * (2 * n - 1)
+
+    def test_peak_memory_is_a_few_draws(self):
+        # the draw, its squares, the padded bracket pairs and one temporary
+        n, trials = 256, 1000
+        draw_bytes = trials * (2 * n + 1) * 8
+        tracemalloc.start()
+        try:
+            expected_operator_norm(n, trials, RngSeed(157))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * draw_bytes + 2**20
 
 
 class TestRandomize:
