@@ -38,7 +38,6 @@ from .random_series import (
     RngSeed,
     expected_operator_norm,
     four_unitary_decomposition,
-    gaussian_matrix,
     haar_family,
     haar_unitary,
     identity_family,
@@ -80,4 +79,5 @@ from .quantum_examples import (
     growth_report,
     nonkac_quantity,
     suq2_chain_check,
+    suq2_chain_checks,
 )

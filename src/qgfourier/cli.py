@@ -44,7 +44,7 @@ from .l2_operators import (
     multiplier_block_norm,
     trace_norm_duality,
 )
-from .quantum_examples import growth_report, suq2_chain_check
+from .quantum_examples import growth_report, suq2_chain_checks
 from .random_series import (
     MatrixFamily,
     RngSeed,
@@ -257,18 +257,24 @@ def run_randomize_l2(cfg, ctx):
 def run_four_unitary(cfg, ctx):
     rng = _seed_for(cfg, "four-unitary").generator()
     tol = 1e-9
-    max_rec = 0.0
-    max_unit = 0.0
+    draws = {}  # n -> the (matrix, scale) draws of that size, in trial order
     for _ in range(cfg["trials"]):
         n = int(rng.integers(1, 17))
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        x = x / max(1e-12, np.linalg.norm(x, 2)) * rng.uniform(0.0, 1.0)
+        draws.setdefault(n, []).append((x, rng.uniform(0.0, 1.0)))
+    # each size is normalised and split as one stack; a maximum over the
+    # stacks does not depend on the order of the trials
+    max_rec = 0.0
+    max_unit = 0.0
+    for n, group in draws.items():
+        x = np.stack([m for m, _ in group])
+        scale = np.array([u for _, u in group])[:, None, None]
+        x = x / np.maximum(1e-12, np.linalg.norm(x, 2, axis=(-2, -1)))[:, None, None] * scale
         vs = four_unitary_decomposition(x)
         max_rec = max(max_rec, float(np.max(np.abs(sum(vs) / 2.0 - x))))
-        max_unit = max(
-            max_unit,
-            max(float(np.linalg.norm(v.conj().T @ v - np.eye(n), 2)) for v in vs),
-        )
+        defects = [np.linalg.norm(v.swapaxes(-1, -2).conj() @ v - np.eye(n), 2, axis=(-2, -1))
+                   for v in vs]
+        max_unit = max(max_unit, float(np.max(defects)))
     return [{"contractions": cfg["trials"], "max_dim": 16, "max_reconstruction_error": max_rec,
              "max_unitarity_defect": max_unit, "tolerance": tol,
              "ok": max_rec <= tol and max_unit <= tol}]
@@ -476,19 +482,25 @@ def run_central_sum(cfg, ctx):
 
 def run_corollary_suq2(cfg, ctx):
     rng = _seed_for(cfg, "corollary-suq2").generator()
+    epsilons = (0.1, 0.5, 1.0)
     records = []
     for q in (0.3, 0.5, 0.9):
         dual = make_suq2_dual(q, cfg["kmax"])
         growth_report(dual, q=q)  # raises if the d_k >= q^{-k} bound ever fails
-        families = [random_coeffs(dual, rng) for _ in range(cfg["families"])]
-        for eps in (0.1, 0.5, 1.0):
-            checks = [suq2_chain_check(q, eps, f) for f in families]
+        # one family at a time: its checks at every eps draw nothing, so the
+        # draws come in the same order as when all families were held at once
+        rows = {eps: [] for eps in epsilons}
+        for _ in range(cfg["families"]):
+            checks = suq2_chain_checks(q, epsilons, random_coeffs(dual, rng))
+            for eps, c in zip(epsilons, checks):
+                rows[eps].append((c.lhs, c.rhs, c.lhs - c.rhs * (1.0 + 1e-12), c.termwise_ok))
+        for eps in epsilons:
             # columns lhs, rhs, excess; an infinite side gives a -inf or NaN
             # excess, so every value must be finite, and np.max passes NaN on
-            values = np.array([(c.lhs, c.rhs, c.lhs - c.rhs * (1.0 + 1e-12)) for c in checks])
+            values = np.array([row[:3] for row in rows[eps]])
             worst_excess = float(np.max(values[:, 2]))
             finite = bool(np.isfinite(values).all())
-            termwise = all(c.termwise_ok for c in checks)
+            termwise = all(row[3] for row in rows[eps])
             records.append({"q": q, "eps": eps, "kmax": cfg["kmax"],
                             "families": cfg["families"], "max_excess": worst_excess,
                             "termwise_ok": termwise,
@@ -760,6 +772,8 @@ def execute(argv=None) -> tuple[int, dict | None]:
         args.seed = 0
     ctx = Context()
     try:
+        if args.q is not None and not any("dual" in DEFAULTS[t] for t in targets):
+            raise ValueError(f"argument --q: {name} runs on no --dual, so nothing would use it")
         configs = [resolve_config(t, args, ctx) for t in targets]  # every refusal before any run
         blocks = [run_one(t, cfg, ctx) for t, cfg in zip(targets, configs)]
     except ValueError as exc:

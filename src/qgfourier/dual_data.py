@@ -50,9 +50,14 @@ class IrrepData:
             )
         if not np.all(q > 0):
             raise DualValidationError(f"irrep {self.label!r}: q_diag entries must be > 0")
+        if not np.all(np.isfinite(q)):
+            raise DualValidationError(f"irrep {self.label!r}: q_diag entries must be finite")
         d = float(np.sum(q))
+        if not np.isfinite(d):
+            raise DualValidationError(f"irrep {self.label!r}: quantum dimension {d!r} is not finite")
         d_inv = float(np.sum(1.0 / q))
-        if abs(d - d_inv) > TRACE_TOL * d:
+        # written so that a NaN or inf side fails the comparison
+        if not (abs(d - d_inv) <= TRACE_TOL * d):
             raise DualValidationError(
                 f"irrep {self.label!r}: sum(q)={d!r} != sum(1/q)={d_inv!r}"
             )

@@ -34,7 +34,19 @@ class ChainCheck:
 
 
 def suq2_chain_check(q: float, eps: float, f: FourierCoeffs) -> ChainCheck:
-    """Geometric-series bound chain on the q-deformed rank-one dual.
+    """The chain of `suq2_chain_checks` at one eps."""
+    return suq2_chain_checks(q, (eps,), f)[0]
+
+
+def _ordered_sum(terms: np.ndarray) -> float:
+    # left to right, one term at a time, as a loop over the levels adds them;
+    # np.sum would add pairwise and round differently
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+
+
+def suq2_chain_checks(q: float, epsilons, f: FourierCoeffs) -> list[ChainCheck]:
+    """Geometric-series bound chain on the q-deformed rank-one dual, one
+    `ChainCheck` per eps in `epsilons`, in that order.
 
     With t_k = tr(Q_k X_k^* X_k) >= 0 the chain is
 
@@ -45,40 +57,55 @@ def suq2_chain_check(q: float, eps: float, f: FourierCoeffs) -> ChainCheck:
 
     because (k+1) x^k <= sum_m (m+1) x^m = 1/(1-x)^2 at x = q^eps < 1.
     `termwise_ok` confirms both displayed inequalities term by term; powers
-    of d_k go through the log domain with an overflow guard.
+    of d_k go through the log domain, and a level where d_k^{1-eps} would
+    pass `OVERFLOW_GUARD` raises an OverflowError.
+
+    The level data k, n_k, d_k and t_k (from `IrrepData.q_trace`) are read
+    once per family and shared by every eps; the checks are array operations
+    over the levels.  lhs and the tail sum are added left to right in the
+    order of `f.support`, and the scalar powers are taken with `math.log`,
+    `math.exp` and `**` on each level, so each value is bit-identical to a
+    level-by-level loop.  An empty support gives (0.0, 0.0, True).
     """
     if not (0.0 < q < 1.0):
         raise ValueError(f"q must lie in (0, 1), got {q}")
-    if eps <= 0.0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    geom = 1.0 / (1.0 - q**eps) ** 2
-    lhs = 0.0
-    tail = 0.0
-    termwise_ok = True
-    for label, m in f.support.items():
-        k = int(label)
-        irrep = f.dual.irrep(label)
-        t_k = irrep.q_trace(m)
-        d_k = irrep.d
-        log_pow = (1.0 - eps) * math.log(d_k)
-        if log_pow > math.log(OVERFLOW_GUARD):
-            raise OverflowError(
-                f"d_k^(1-eps) at k={k} exceeds the {OVERFLOW_GUARD:g} guard"
-            )
-        d_pow = math.exp(log_pow)
-        lhs += d_pow * t_k
-        ratio_term = (d_k / irrep.n) * t_k
-        tail += ratio_term
+    for eps in epsilons:
+        if eps <= 0.0:
+            raise ValueError(f"eps must be > 0, got {eps}")
+    irreps = [f.dual.irrep(label) for label in f.support]
+    k = np.array([int(label) for label in f.support], dtype=float)
+    n = np.array([irrep.n for irrep in irreps], dtype=float)
+    d = np.array([irrep.d for irrep in irreps])
+    t = np.array([irrep.q_trace(m) for irrep, m in zip(irreps, f.support.values())])
+    log_d = np.array([math.log(d_k) for d_k in d.tolist()])
+    # overflow to inf and inf * 0 to NaN silently, as the Python floats of a loop do
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio_term = d / n * t
+        tail = _ordered_sum(ratio_term)
         # first displayed inequality: d_k >= q^{-k}, hence d_k^{-eps} <= q^{eps k}
-        if d_k < float(np.power(q, float(-k))):
-            termwise_ok = False
-        # second: the k-th coefficient never exceeds the full geometric sum
-        if (k + 1) * q ** (eps * k) > geom * (1.0 + 1e-12):
-            termwise_ok = False
-        # and the combined per-term comparison
-        if d_pow * t_k > (k + 1) * q ** (eps * k) * ratio_term * (1.0 + 1e-12) + 1e-300:
-            termwise_ok = False
-    return ChainCheck(lhs=lhs, rhs=geom * tail, termwise_ok=termwise_ok)
+        growth_ok = not np.any(d < np.power(q, -k))
+        checks = []
+        for eps in epsilons:
+            geom = 1.0 / (1.0 - q**eps) ** 2
+            log_pow = (1.0 - eps) * log_d
+            over = np.flatnonzero(log_pow > math.log(OVERFLOW_GUARD))
+            if over.size:
+                raise OverflowError(
+                    f"d_k^(1-eps) at k={int(k[over[0]])} exceeds the {OVERFLOW_GUARD:g} guard"
+                )
+            d_pow = np.array([math.exp(x) for x in log_pow.tolist()])
+            coeff = (k + 1) * np.array([q**x for x in (eps * k).tolist()])
+            lhs_terms = d_pow * t
+            termwise_ok = (
+                growth_ok
+                # second: the k-th coefficient never exceeds the full geometric sum
+                and not np.any(coeff > geom * (1.0 + 1e-12))
+                # and the combined per-term comparison
+                and not np.any(lhs_terms > coeff * ratio_term * (1.0 + 1e-12) + 1e-300)
+            )
+            checks.append(ChainCheck(lhs=_ordered_sum(lhs_terms), rhs=geom * tail,
+                                     termwise_ok=termwise_ok))
+    return checks
 
 
 @dataclass(frozen=True)

@@ -103,19 +103,6 @@ class MeanAccumulator:
 # samplers
 # ---------------------------------------------------------------------------
 
-def gaussian_matrix_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """`count` i.i.d. real n x n matrices with entries N(0,1)/sqrt(n)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    g = rng.standard_normal((count, n, n))
-    g /= np.sqrt(n)  # in place: a chunk is never held twice
-    return g
-
-
-def gaussian_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
-    return gaussian_matrix_stack(n, 1, rng)[0]
-
-
 def haar_unitary_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """`count` Haar-distributed n x n unitaries.
 
@@ -344,12 +331,17 @@ def l2_invariance_check(f: FourierCoeffs, family: MatrixFamily) -> float:
 # four-unitary decomposition of a contraction
 # ---------------------------------------------------------------------------
 
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    return x.swapaxes(-1, -2).conj()
+
+
 def _hermitian_unitary_pair(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For Hermitian h with ||h|| <= 1, returns h +/- i sqrt(I - h^2), both unitary."""
+    """For Hermitian h with ||h|| <= 1, returns h +/- i sqrt(I - h^2), both
+    unitary; h may be a stack (..., n, n)."""
     w, v = np.linalg.eigh(h)
     # eigenvalues of a numerical contraction can exceed 1 by ~1e-15; clamp
     w = np.clip(w, -1.0, 1.0)
-    root = (v * np.sqrt(1.0 - w * w)) @ v.conj().T
+    root = (v * np.sqrt(1.0 - w * w)[..., None, :]) @ _adjoint(v)
     return h + 1j * root, h - 1j * root
 
 
@@ -359,15 +351,20 @@ def four_unitary_decomposition(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     X = h1 + i h2 with h1 = (X+X^*)/2, h2 = (X-X^*)/(2i); each Hermitian part
     contributes the unitary pair h +/- i sqrt(I - h^2), and the skew part is
     rotated by i:  v1,2 = h1 +/- i sqrt(I-h1^2),  v3,4 = i(h2 +/- i sqrt(I-h2^2)).
+
+    `x` is one (n, n) matrix or a stack (..., n, n), and each v has its
+    shape.  A stack is split matrix by matrix with stacked `eigh` and matmul
+    calls, so each matrix of the stack gets exactly the unitaries it would get
+    alone.  ContractionError if any matrix has norm above 1 + NORM_SLACK.
     """
     x = np.array(x, dtype=complex)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {x.shape}")
-    norm = float(np.linalg.norm(x, 2))
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {x.shape}")
+    norm = float(np.max(np.linalg.norm(x, 2, axis=(-2, -1))))
     if norm > 1.0 + NORM_SLACK:
         raise ContractionError(f"matrix norm {norm!r} exceeds 1 + {NORM_SLACK}")
-    h1 = (x + x.conj().T) / 2.0
-    h2 = (x - x.conj().T) / 2j
+    h1 = (x + _adjoint(x)) / 2.0
+    h2 = (x - _adjoint(x)) / 2j
     v1, v2 = _hermitian_unitary_pair(h1)
     w1, w2 = _hermitian_unitary_pair(h2)
     return v1, v2, 1j * w1, 1j * w2

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,9 @@ CONFIG_REFUSALS = [
     # level 7 is past the quadrature's measured validity level; the rule is
     # built to tell, and this was refused only after nine subcommands ran
     (["all", "--seed", "1", "--kmax", "7"], "argument --kmax", True),
+    # neither runs on a --dual: four-unitary ignored --q, corollary-suq2 ran its own q values
+    (["four-unitary", "--seed", "1", "--q", "0.3", "--trials", "10"], "argument --q", False),
+    (["corollary-suq2", "--seed", "1", "--q", "0.3"], "argument --q", False),
 ]
 
 
@@ -83,6 +87,46 @@ def test_q_on_suq2_is_used(extra, q, capsys):
     assert doc["records"][0]["dual"].startswith(f"suq2(q={q},")
 
 
+def test_q_on_all_is_accepted(monkeypatch, capsys):
+    # the subcommands of `all` that run on a --dual honour --q
+    seen = {}
+
+    def recorder(name):
+        def run(cfg, ctx):
+            seen[name] = cfg
+            return [{"ok": True}]
+        return run
+
+    for name in cli.EXPERIMENTS:
+        monkeypatch.setitem(cli.EXPERIMENTS, name, recorder(name))
+    code, doc = execute(["all", "--seed", "1", "--q", "0.3", "--families", "2", "--trials", "2"])
+    capsys.readouterr()
+    assert code == 0 and doc["verdict"] == "pass"
+    assert set(seen) == set(cli.EXPERIMENTS)
+    assert all(cfg["q"] == 0.3 for cfg in seen.values())
+
+
+def test_infinite_quantum_dimension_is_usage_error(capsys):
+    # q^{-k} overflows past k = 589 at q = 0.3; this printed rows of d = inf
+    with np.errstate(over="ignore"):
+        assert execute(["growth", "--dual", "suq2", "--q", "0.3", "--kmax", "600"]) == (2, None)
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_corollary_suq2_holds_one_family_at_a_time():
+    # 10 families at kmax 60 are 12.4 MB of coefficients; held at once they
+    # peaked at 25.9 MiB
+    cfg = {"seed": 1, "q": 0.5, "kmax": 60, "families": 10}
+    tracemalloc.start()
+    try:
+        records = cli.run_corollary_suq2(cfg, cli.Context())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(rec["ok"] for rec in records)
+    assert peak <= 8 * 2**20
+
+
 def test_failing_record_fails_the_run(monkeypatch, capsys):
     monkeypatch.setitem(cli.EXPERIMENTS, "growth", lambda cfg, ctx: [{"k": 0}, {"ok": False}])
     code, doc = execute(["growth"])
@@ -95,7 +139,8 @@ def test_failing_record_fails_the_run(monkeypatch, capsys):
                          ids=["both-inf", "rhs-inf", "lhs-nan"])
 def test_corollary_suq2_fails_closed_on_non_finite(lhs, rhs, monkeypatch, capsys):
     # inf - inf is NaN and finite - inf is -inf; neither may read as a pass
-    monkeypatch.setattr(cli, "suq2_chain_check", lambda q, eps, f: ChainCheck(lhs, rhs, True))
+    monkeypatch.setattr(cli, "suq2_chain_checks",
+                        lambda q, epsilons, f: [ChainCheck(lhs, rhs, True) for _ in epsilons])
     code, doc = execute(["corollary-suq2", "--seed", "1", "--kmax", "2", "--families", "2"])
     capsys.readouterr()
     assert code == 1

@@ -73,6 +73,20 @@ def test_suq2_domain(q):
             make_suq2_dual(q, 2)
 
 
+def test_suq2_refuses_an_infinite_quantum_dimension():
+    # q^{-k} overflows past k = 589 at q = 0.3; d was inf and the trace test passed
+    with np.errstate(over="ignore"), pytest.raises(DualValidationError, match="finite"):
+        make_suq2_dual(0.3, 600)
+    assert np.isfinite(make_suq2_dual(0.3, 589).irreps[-1].d)
+
+
+@pytest.mark.parametrize("q_diag", [[np.inf, 0.5], [np.nan, 1.0], [1e308, 1e308]],
+                         ids=["inf", "nan", "sum-overflows"])
+def test_irrep_refuses_non_finite_data(q_diag):
+    with np.errstate(over="ignore"), pytest.raises(DualValidationError):
+        IrrepData(label=1, n=2, q_diag=np.array(q_diag))
+
+
 @settings(max_examples=40, deadline=None)
 @given(q=st.floats(0.05, 0.95), k=st.integers(0, 40))
 def test_suq2_trace_symmetry(q, k):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from qgfourier import (
     random_coeffs,
     suq2_chain_check,
 )
+from qgfourier.quantum_examples import OVERFLOW_GUARD, ChainCheck, suq2_chain_checks
 
 SUQ2 = make_suq2_dual(0.5, 4)
 
@@ -44,6 +47,60 @@ class TestNonkacQuantity:
     def test_deformed_identity_block(self):
         f = FourierCoeffs(SUQ2, {1: np.eye(2)})
         assert nonkac_quantity(f) == pytest.approx((2.5 / 2.0) * 2.5, rel=1e-14)
+
+
+def loop_chain_check(q, eps, f):
+    """Reference route: the chain level by level, one eps at a time."""
+    geom = 1.0 / (1.0 - q**eps) ** 2
+    lhs = 0.0
+    tail = 0.0
+    termwise_ok = True
+    for label, m in f.support.items():
+        k = int(label)
+        irrep = f.dual.irrep(label)
+        t_k = irrep.q_trace(m)
+        d_k = irrep.d
+        log_pow = (1.0 - eps) * math.log(d_k)
+        if log_pow > math.log(OVERFLOW_GUARD):
+            raise OverflowError(f"d_k^(1-eps) at k={k} exceeds the {OVERFLOW_GUARD:g} guard")
+        d_pow = math.exp(log_pow)
+        lhs += d_pow * t_k
+        ratio_term = (d_k / irrep.n) * t_k
+        tail += ratio_term
+        if d_k < float(np.power(q, float(-k))):
+            termwise_ok = False
+        if (k + 1) * q ** (eps * k) > geom * (1.0 + 1e-12):
+            termwise_ok = False
+        if d_pow * t_k > (k + 1) * q ** (eps * k) * ratio_term * (1.0 + 1e-12) + 1e-300:
+            termwise_ok = False
+    return ChainCheck(lhs=lhs, rhs=geom * tail, termwise_ok=termwise_ok)
+
+
+EPSILONS = (0.1, 0.5, 1.0)
+
+
+class TestChainChecksAgainstLoop:
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    def test_full_support_is_bit_identical(self, q):
+        dual = make_suq2_dual(q, 60)
+        rng = RngSeed(269).generator()
+        for _ in range(3):
+            f = random_coeffs(dual, rng)
+            checks = suq2_chain_checks(q, EPSILONS, f)
+            assert checks == [loop_chain_check(q, eps, f) for eps in EPSILONS]
+            assert [suq2_chain_check(q, eps, f) for eps in EPSILONS] == checks
+
+    def test_partial_support_is_bit_identical(self):
+        dual = make_suq2_dual(0.5, 60)
+        # out of level order, so the sums must follow the support's order
+        f = random_coeffs(dual, RngSeed(271).generator(), labels=[40, 3, 0, 59, 17])
+        assert suq2_chain_checks(0.5, EPSILONS, f) == [
+            loop_chain_check(0.5, eps, f) for eps in EPSILONS]
+
+    def test_empty_support(self):
+        f = FourierCoeffs(make_suq2_dual(0.5, 60), {})
+        assert suq2_chain_checks(0.5, EPSILONS, f) == [ChainCheck(0.0, 0.0, True)] * 3
+        assert loop_chain_check(0.5, 0.5, f) == ChainCheck(0.0, 0.0, True)
 
 
 class TestChainCheck:
@@ -77,6 +134,9 @@ class TestChainCheck:
         f = FourierCoeffs(dual, {300: np.eye(301)})
         with pytest.raises(OverflowError):
             suq2_chain_check(0.1, 1e-6, f)
+        # through the plural too, where eps = 0.5 alone would pass the guard
+        with pytest.raises(OverflowError, match="k=300"):
+            suq2_chain_checks(0.1, (0.5, 1e-6), f)
 
 
 class TestGrowthReport:

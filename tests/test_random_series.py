@@ -17,7 +17,6 @@ from qgfourier import (
     ell2_norm,
     expected_operator_norm,
     four_unitary_decomposition,
-    gaussian_matrix,
     haar_family,
     haar_unitary,
     identity_family,
@@ -36,7 +35,6 @@ from qgfourier.random_series import (
     bidiagonal_norms,
     bidiagonals_per_chunk,
     gaussian_bidiagonal_stack,
-    gaussian_matrix_stack,
     haar_unitary_stack,
     iter_chunks,
     matrices_per_chunk,
@@ -103,6 +101,20 @@ class TestExpectedOperatorNorm:
         a = expected_operator_norm(3, 500, RngSeed(31))
         b = expected_operator_norm(3, 500, RngSeed(31))
         assert a == b
+
+
+def gaussian_matrix_stack(n, count, rng):
+    """`count` i.i.d. real n x n matrices with entries N(0,1)/sqrt(n): the dense
+    samples of G_n that the reference routes below norm."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    g = rng.standard_normal((count, n, n))
+    g /= np.sqrt(n)  # in place: a chunk is never held twice
+    return g
+
+
+def gaussian_matrix(n, rng):
+    return gaussian_matrix_stack(n, 1, rng)[0]
 
 
 def svd_operator_norm(n, trials, seed):
@@ -317,7 +329,8 @@ class TestBidiagonalRoute:
         assert abs(z) <= 4.0
 
     def test_never_takes_the_dense_route(self, monkeypatch):
-        monkeypatch.setattr(random_series, "gaussian_matrix_stack", raiser("gaussian_matrix_stack"))
+        # the dense sampler lives in this file only, so the package cannot draw it
+        assert not hasattr(random_series, "gaussian_matrix_stack")
         monkeypatch.setattr(np.linalg, "eigvalsh", raiser("np.linalg.eigvalsh"))
         monkeypatch.setattr(np.linalg, "svd", raiser("np.linalg.svd"))
         est = expected_operator_norm(64, 300, RngSeed(149))
@@ -433,6 +446,21 @@ class TestFourUnitary:
     def test_rejects_expansion(self):
         with pytest.raises(ContractionError):
             four_unitary_decomposition(1.5 * np.eye(2))
+
+    @pytest.mark.parametrize("n", [1, 3, 16])
+    def test_stack_equals_single_matrices(self, n):
+        rng = RngSeed(83, n).generator()
+        x = rng.standard_normal((7, n, n)) + 1j * rng.standard_normal((7, n, n))
+        x = x / np.linalg.norm(x, 2, axis=(-2, -1))[:, None, None] * rng.uniform(0, 1, (7, 1, 1))
+        stacked = four_unitary_decomposition(x)
+        for i in range(len(x)):
+            for v_stack, v_single in zip(stacked, four_unitary_decomposition(x[i])):
+                np.testing.assert_array_equal(v_stack[i], v_single)
+
+    def test_stack_with_one_expansion_is_refused(self):
+        x = np.stack([np.eye(3), 0.5 * np.eye(3), 1.5 * np.eye(3)])
+        with pytest.raises(ContractionError):
+            four_unitary_decomposition(x)
 
     @settings(max_examples=50, deadline=None)
     @given(
