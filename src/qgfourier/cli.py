@@ -3,6 +3,8 @@
 Every verification in the package is exposed as a subcommand with seeded,
 machine-readable output.  Exit codes: 0 when every contract in the run holds,
 1 when a contract fails (the failing records are listed), 2 on usage errors.
+A subcommand that raises fails with one record naming the exception, and the
+subcommands after it in the run still run.
 
 Output documents look like ``{"meta": ..., "records": [...], "verdict": ...,
 "content_hash": ...}``.  The content hash is taken over the document with
@@ -17,6 +19,7 @@ import json
 import re
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -145,6 +148,12 @@ class Context:
             self._cache["quad"] = make_su2_quadrature()
         return self._cache["quad"]
 
+    def dual(self, cfg: dict):
+        key = ("dual", cfg["dual"], cfg["q"], cfg["kmax"])
+        if key not in self._cache:
+            self._cache[key] = build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
+        return self._cache[key]
+
 
 def _seed_for(cfg: dict, name: str, case: int = 0) -> RngSeed:
     return RngSeed(cfg["seed"], STREAM_BASE[name] + case)
@@ -155,7 +164,7 @@ def _seed_for(cfg: dict, name: str, case: int = 0) -> RngSeed:
 # ---------------------------------------------------------------------------
 
 def run_plancherel(cfg, ctx):
-    dual = build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
+    dual = ctx.dual(cfg)
     rng = _seed_for(cfg, "plancherel").generator()
     tol = 1e-12
     max_rel = 0.0
@@ -168,7 +177,7 @@ def run_plancherel(cfg, ctx):
 
 
 def run_pairing(cfg, ctx):
-    dual = build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
+    dual = ctx.dual(cfg)
     rng = _seed_for(cfg, "pairing").generator()
     tol = 1e-12
     max_self = 0.0
@@ -234,7 +243,7 @@ def run_convolve_check(cfg, ctx):
 
 
 def run_randomize_l2(cfg, ctx):
-    dual = build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
+    dual = ctx.dual(cfg)
     rng = _seed_for(cfg, "randomize-l2").generator()
     tol = 1e-10
     max_rel = 0.0
@@ -281,7 +290,7 @@ def run_four_unitary(cfg, ctx):
 
 
 def run_ball_decomposition(cfg, ctx):
-    dual = build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
+    dual = ctx.dual(cfg)
     rng = _seed_for(cfg, "ball-decomposition").generator()
     tol = 1e-9
     max_dev = 0.0
@@ -436,7 +445,7 @@ def run_tb_contraction(cfg, ctx):
 
 
 def run_hx_identity(cfg, ctx):
-    dual = build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
+    dual = ctx.dual(cfg)
     rng = _seed_for(cfg, "hx-identity").generator()
     max_rel = 0.0
     for _ in range(cfg["families"]):
@@ -509,7 +518,7 @@ def run_corollary_suq2(cfg, ctx):
 
 
 def run_growth(cfg, ctx):
-    dual = build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
+    dual = ctx.dual(cfg)
     q = cfg["q"] if cfg["dual"] == "suq2" else None
     rows = growth_report(dual, q=q)
     return [{"k": r.k, "n": r.n, "d": r.d, "ratio": r.ratio} for r in rows]
@@ -624,6 +633,8 @@ def resolve_config(name: str, args: argparse.Namespace, ctx: Context) -> dict:
     if args.q is not None and "dual" in cfg and cfg["dual"] != "suq2":
         raise ValueError(f"argument --q: only the suq2 dual is deformed; {name} "
                          f"runs on --dual {cfg['dual']}")
+    if "dual" in cfg:
+        ctx.dual(cfg)  # an unknown or invalid spec is refused here, before any run
     if name == "lemma35":
         if cfg["kmax"] < 1:  # its levels are drawn from 1..kmax
             raise ValueError(f"argument --kmax: lemma35 needs >= 1, got {cfg['kmax']}")
@@ -636,7 +647,11 @@ def resolve_config(name: str, args: argparse.Namespace, ctx: Context) -> dict:
 
 def run_one(name: str, cfg: dict, ctx: Context) -> dict:
     start = time.perf_counter()
-    records = EXPERIMENTS[name](cfg, ctx)
+    try:
+        records = EXPERIMENTS[name](cfg, ctx)
+    except Exception as exc:  # a broken contract fails this block; the run goes on
+        traceback.print_exc(file=sys.stderr)
+        records = [{"error": f"{type(exc).__name__}: {exc}", "ok": False}]
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     records = _native(records)
     ok = all(rec["ok"] for rec in records if "ok" in rec)
@@ -772,8 +787,10 @@ def execute(argv=None) -> tuple[int, dict | None]:
         args.seed = 0
     ctx = Context()
     try:
-        if args.q is not None and not any("dual" in DEFAULTS[t] for t in targets):
-            raise ValueError(f"argument --q: {name} runs on no --dual, so nothing would use it")
+        for flag in ("q", "dual"):
+            if getattr(args, flag) is not None and not any("dual" in DEFAULTS[t] for t in targets):
+                raise ValueError(f"argument --{flag}: {name} runs on no --dual, "
+                                 "so nothing would use it")
         configs = [resolve_config(t, args, ctx) for t in targets]  # every refusal before any run
         blocks = [run_one(t, cfg, ctx) for t, cfg in zip(targets, configs)]
     except ValueError as exc:

@@ -103,22 +103,59 @@ class MeanAccumulator:
 # samplers
 # ---------------------------------------------------------------------------
 
+#: Scale of each part of a standard complex Gaussian.  numpy divides a complex
+#: array by a real scalar as Smith's algorithm does, by multiplying with the
+#: reciprocal, so this scaling rounds exactly as `(re + 1j * im) / np.sqrt(2.0)`.
+_PART_SCALE = 1.0 / np.sqrt(2.0)
+
+
+def _ginibre(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Complex array of `shape` with independent standard complex Gaussian
+    entries (re + i im)/sqrt(2): all real parts, then all imaginary parts, in
+    one draw, the same variates in the same order as two draws of `shape`."""
+    parts = rng.standard_normal((2, *shape))
+    parts *= _PART_SCALE
+    z = np.empty(shape, dtype=complex)
+    z.real = parts[0]
+    z.imag = parts[1]
+    return z
+
+
+def _gram_schmidt(z: np.ndarray) -> np.ndarray:
+    """Q of Z = QR with R's diagonal positive real, for each matrix of a stack
+    (..., n, n) of full-rank Z.
+
+    Classical Gram-Schmidt, column by column over the whole stack: each column
+    is projected off the earlier ones twice and then normalised, so r_jj is the
+    norm of what is left.  Each Q depends on its own Z only.
+    """
+    q = z.swapaxes(-1, -2).copy()  # row j holds column j
+    for j in range(q.shape[-1]):
+        v = q[..., j, :]
+        if j:
+            basis = q[..., :j, :]
+            conj = basis.conj()
+            for _ in range(2):
+                v -= np.einsum("...k,...kr->...r", np.einsum("...kr,...r->...k", conj, v), basis)
+        parts = v.view(float)  # re, im interleaved along the row
+        parts *= (1.0 / np.sqrt(np.einsum("...r,...r->...", parts, parts)))[..., None]
+    return q.swapaxes(-1, -2)
+
+
 def haar_unitary_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """`count` Haar-distributed n x n unitaries.
 
-    Complex Ginibre -> QR -> multiply columns by the conjugate phases of R's
-    diagonal; the phase correction removes the sign ambiguity of QR and makes
-    the law exactly Haar.
+    A complex Ginibre matrix Z (independent standard complex Gaussian entries)
+    factors uniquely as Z = QR with R upper triangular with a positive real
+    diagonal, and that Q is exactly Haar distributed on U(n) (Mezzadri, Notices
+    AMS 54, 2007).  Q is taken by classical Gram-Schmidt projecting each column
+    twice, which leaves the columns orthonormal to working precision (Giraud,
+    Langou and Rozloznik, Comput. Math. Appl. 50, 2005); its r_jj are norms,
+    so positive, and no phase correction is needed.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    z = (
-        rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    ) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    phase = diag.conj() / np.abs(diag)
-    return q * phase[:, None, :]
+    return _gram_schmidt(_ginibre(rng, (count, n, n)))
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -283,27 +320,31 @@ def identity_family(dual: DualDescriptor, labels=None) -> MatrixFamily:
 
 
 def haar_family(dual: DualDescriptor, rng: np.random.Generator, labels=None) -> MatrixFamily:
+    """An independent Haar unitary at each label, drawn in label order.
+
+    The blocks are orthonormalised as one stack, each padded to the largest
+    size with the identity: a padding column is orthogonal to the block, so
+    Gram-Schmidt leaves it as it is and the block gets its own Q.
+    """
     labels = dual.labels() if labels is None else list(labels)
-    return MatrixFamily(dual, {l: haar_unitary(dual.irrep(l).n, rng) for l in labels})
+    sizes = [dual.irrep(l).n for l in labels]
+    z = np.tile(np.eye(max(sizes, default=0), dtype=complex), (len(labels), 1, 1))
+    for block, n in zip(z, sizes):
+        block[:n, :n] = _ginibre(rng, (n, n))
+    q = _gram_schmidt(z)
+    return MatrixFamily(dual, {l: u[:n, :n] for l, n, u in zip(labels, sizes, q)})
 
 
 def random_coeffs(
-    dual: DualDescriptor,
-    rng: np.random.Generator,
-    labels=None,
-    real: bool = False,
-    scale: float = 1.0,
+    dual: DualDescriptor, rng: np.random.Generator, labels=None, real: bool = False
 ) -> FourierCoeffs:
-    """Random coefficient family with independent standard Gaussian entries."""
+    """Random coefficient family with independent standard Gaussian entries,
+    complex unless `real`, drawn block by block in label order."""
     labels = dual.labels() if labels is None else list(labels)
     support = {}
     for label in labels:
         n = dual.irrep(label).n
-        if real:
-            m = rng.standard_normal((n, n)).astype(complex)
-        else:
-            m = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-        support[label] = scale * m
+        support[label] = rng.standard_normal((n, n)) if real else _ginibre(rng, (n, n))
     return FourierCoeffs(dual, support)
 
 

@@ -7,7 +7,11 @@ with verdict "pass" and every record that carries an `ok` flag has it set.
 Each criterion prints one PASS/FAIL line; run with ``pytest -s`` to see them.
 """
 
+from pathlib import Path
+
 from qgfourier.cli import execute
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 ACCEPTANCE = [
     (1, "plancherel_consistency", [
@@ -76,7 +80,9 @@ def test_15_cli_determinism(capsys):
     code2, doc2 = execute(["all", "--seed", "7"])
     capsys.readouterr()
     ok = code1 == 0 and code2 == 0 and doc1["content_hash"] == doc2["content_hash"]
+    line = (f"all --seed 7 twice: exit codes ({code1}, {code2}), "
+            f"hash {doc1['content_hash'][:16]} == {doc2['content_hash'][:16]}")
     with capsys.disabled():
-        report(15, "seeded CLI determinism", ok,
-               f"all --seed 7 twice: exit codes ({code1}, {code2}), "
-               f"hash {doc1['content_hash'][:16]} == {doc2['content_hash'][:16]}")
+        report(15, "seeded CLI determinism", ok, line)
+    # the README quotes this line as its sample output
+    assert f"[PASS] acceptance 15 seeded CLI determinism: {line}" in README.read_text()

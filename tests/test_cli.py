@@ -8,6 +8,7 @@ import pytest
 from qgfourier import cli, random_series
 from qgfourier.cli import build_dual, content_hash, execute, main
 from qgfourier.quantum_examples import ChainCheck
+from qgfourier.random_series import ContractionError
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -61,6 +62,13 @@ CONFIG_REFUSALS = [
     # neither runs on a --dual: four-unitary ignored --q, corollary-suq2 ran its own q values
     (["four-unitary", "--seed", "1", "--q", "0.3", "--trials", "10"], "argument --q", False),
     (["corollary-suq2", "--seed", "1", "--q", "0.3"], "argument --q", False),
+    # neither runs on a --dual; both ignored it and passed
+    (["four-unitary", "--seed", "1", "--dual", "bogus", "--trials", "2"], "argument --dual", False),
+    (["corollary-suq2", "--seed", "1", "--dual", "su2", "--families", "1", "--kmax", "2"],
+     "argument --dual", False),
+    # each run's dual is built with its config, so a bad spec stops `all` up front
+    (["all", "--seed", "1", "--dual", "bogus"], "unknown dual", False),
+    (["plancherel", "--seed", "1", "--dual", "z0"], "order must be >= 1", False),
 ]
 
 
@@ -159,6 +167,43 @@ def test_gaussian_norms_fails_closed_on_non_finite(bad, monkeypatch, capsys):
     assert code == 1
     assert doc["verdict"] == "fail"
     assert [rec["ok"] for rec in doc["records"]] == [False, False]
+
+
+RAISED = [ContractionError("matrix norm 2.0 exceeds 1 + 1e-09"),
+          AssertionError("d_k >= q^-k fails at k = 3"),
+          OverflowError("(34, 'Numerical result out of range')")]
+
+
+@pytest.mark.parametrize("exc", RAISED, ids=[type(e).__name__ for e in RAISED])
+def test_exception_in_a_run_is_a_failing_record(exc, monkeypatch, capsys):
+    def broken(cfg, ctx):
+        raise exc
+
+    ran = []
+
+    def recorder(name):
+        def run(cfg, ctx):
+            ran.append(name)
+            return [{"ok": True}]
+        return run
+
+    for name in cli.EXPERIMENTS:
+        monkeypatch.setitem(cli.EXPERIMENTS, name, recorder(name))
+    monkeypatch.setitem(cli.EXPERIMENTS, "four-unitary", broken)
+    failing = [{"error": f"{type(exc).__name__}: {exc}", "ok": False}]
+
+    code, doc = execute(["four-unitary", "--seed", "1", "--trials", "2"])
+    assert code == 1 and doc["verdict"] == "fail"
+    assert doc["records"] == failing
+    assert "Traceback" in capsys.readouterr().err  # where it was raised goes to stderr
+
+    code, doc = execute(["all", "--seed", "1"])
+    assert "FAIL" in capsys.readouterr().out
+    assert code == 1 and doc["verdict"] == "fail"
+    blocks = {b["meta"]["subcommand"]: b for b in doc["records"]}
+    assert [name for name, b in blocks.items() if b["verdict"] == "fail"] == ["four-unitary"]
+    assert blocks["four-unitary"]["records"] == failing
+    assert ran == [name for name in cli.EXPERIMENTS if name != "four-unitary"]
 
 
 def test_lemma35_beyond_measured_rule_is_usage_error(capsys):

@@ -14,6 +14,7 @@ from qgfourier import (
     FourierCoeffs,
     MatrixFamily,
     RngSeed,
+    cyclic_group,
     ell2_norm,
     expected_operator_norm,
     four_unitary_decomposition,
@@ -21,17 +22,21 @@ from qgfourier import (
     haar_unitary,
     identity_family,
     l2_invariance_check,
+    make_onplus_dual,
+    make_su2_dual,
     make_suq2_dual,
     make_trivial_dual,
     random_coeffs,
     randomize,
     randomize_ball,
+    symmetric_group_s3,
 )
 from qgfourier import random_series
 from qgfourier.random_series import (
     _MAX_PASSES,
     MeanAccumulator,
     _above_spectrum,
+    _gram_schmidt,
     bidiagonal_norms,
     bidiagonals_per_chunk,
     gaussian_bidiagonal_stack,
@@ -62,10 +67,10 @@ class TestSamplers:
         assert abs(mean_abs - np.sqrt(2 / np.pi)) <= 3 * stderr
         assert abs(np.mean(draws)) <= 3 / np.sqrt(draws.size)
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 16])
     def test_haar_unitary_defect(self, n):
-        u = haar_unitary(n, RngSeed(11).generator())
-        assert np.linalg.norm(u.conj().T @ u - np.eye(n), 2) <= 1e-12
+        assert unitarity_defects(haar_unitary(n, RngSeed(11).generator())) <= 1e-14
+        assert np.max(unitarity_defects(haar_unitary_stack(n, 256, RngSeed(11).generator()))) <= 1e-14
 
     def test_haar_phase_mean_is_zero(self):
         u = haar_unitary_stack(1, 100_000, RngSeed(13).generator())[:, 0, 0]
@@ -77,6 +82,145 @@ class TestSamplers:
         t = np.abs(np.einsum("tii->t", u)) ** 2
         stderr = np.std(t, ddof=1) / np.sqrt(t.size)
         assert abs(np.mean(t) - 1.0) <= 3 * stderr
+
+
+def random_coeffs_reference(dual, rng, labels=None, real=False):
+    """The per-block expression that `random_coeffs` is held to, bit for bit:
+    two draws per complex block, summed and divided by sqrt(2)."""
+    labels = dual.labels() if labels is None else list(labels)
+    support = {}
+    for label in labels:
+        n = dual.irrep(label).n
+        if real:
+            support[label] = rng.standard_normal((n, n)).astype(complex)
+        else:
+            support[label] = (rng.standard_normal((n, n))
+                              + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    return support
+
+
+def qr_haar_stack(n, count, rng):
+    """LAPACK reference for `haar_unitary_stack`: QR of the same Ginibre draw,
+    each column turned by the conjugate phase of R's diagonal entry."""
+    q, r = np.linalg.qr(ginibre_reference(n, count, rng))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag.conj() / np.abs(diag))[:, None, :]
+
+
+def ginibre_reference(n, count, rng):
+    return (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))) / np.sqrt(2.0)
+
+
+def unitarity_defects(q):
+    n = q.shape[-1]
+    return np.linalg.norm(q.swapaxes(-1, -2).conj() @ q - np.eye(n), 2, axis=(-2, -1))
+
+
+def next_draws_equal(a, b):
+    return np.array_equal(a.standard_normal(4), b.standard_normal(4))
+
+
+SAMPLER_DUALS = {
+    "suq2": make_suq2_dual(0.5, 60),
+    "su2": make_su2_dual(6),
+    "o3plus": make_onplus_dual(3, 3),
+    "s3": symmetric_group_s3().dual_descriptor(),
+    "z8": cyclic_group(8).dual_descriptor(),
+}
+LABEL_SETS = {
+    "full": lambda labels: None,
+    "partial": lambda labels: labels[1::2],
+    "out-of-order": lambda labels: labels[::-1][: max(1, len(labels) - 1)],
+}
+
+
+class TestSamplerReferences:
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("which", list(LABEL_SETS))
+    @pytest.mark.parametrize("name", list(SAMPLER_DUALS))
+    def test_random_coeffs_is_the_per_block_expression(self, name, which, real):
+        dual = SAMPLER_DUALS[name]
+        labels = LABEL_SETS[which](dual.labels())
+        a, b = RngSeed(211, len(name)).generator(), RngSeed(211, len(name)).generator()
+        f = random_coeffs(dual, a, labels=labels, real=real)
+        reference = random_coeffs_reference(dual, b, labels=labels, real=real)
+        assert f.labels() == list(reference)
+        for label, m in reference.items():
+            assert np.array_equal(f.support[label].view(float), m.view(float))
+        assert next_draws_equal(a, b)
+
+    @pytest.mark.parametrize("count", [1, 1024])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 16])
+    def test_haar_stack_matches_lapack(self, n, count):
+        a, b = RngSeed(223, n).generator(), RngSeed(223, n).generator()
+        u = haar_unitary_stack(n, count, a)
+        reference = qr_haar_stack(n, count, b)
+        assert u.shape == (count, n, n)
+        assert np.max(np.abs(u - reference)) <= 1e-12
+        assert next_draws_equal(a, b)
+
+    @pytest.mark.parametrize("labels", [None, [3, 0, 5]], ids=["full", "out-of-order"])
+    def test_haar_family_matches_lapack_per_label(self, labels):
+        a, b = RngSeed(227).generator(), RngSeed(227).generator()
+        fam = haar_family(SUQ2, a, labels=labels)
+        for label in SUQ2.labels() if labels is None else labels:
+            reference = qr_haar_stack(SUQ2.irrep(label).n, 1, b)[0]
+            assert np.max(np.abs(fam[label] - reference)) <= 1e-12
+        assert list(fam.entries) == (SUQ2.labels() if labels is None else labels)
+        assert next_draws_equal(a, b)
+
+    def test_unitarity_defect_of_nearly_dependent_columns(self):
+        rng = RngSeed(233).generator()
+        z = ginibre_reference(4, 256, rng)
+        z[:, :, 1] = z[:, :, 0] + 1e-8 * ginibre_reference(4, 256, rng)[:, :, 0]
+        assert np.max(unitarity_defects(_gram_schmidt(z))) <= 1e-14
+
+    def test_haar_family_unitarity_defect(self):
+        fam = haar_family(make_su2_dual(15), RngSeed(239).generator())
+        assert max(float(unitarity_defects(m)) for m in fam.entries.values()) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 16])
+    def test_r_is_upper_triangular_with_positive_diagonal(self, n):
+        u = haar_unitary_stack(n, 64, RngSeed(241, n).generator())
+        z = ginibre_reference(n, 64, RngSeed(241, n).generator())
+        r = u.swapaxes(-1, -2).conj() @ z
+        assert np.max(np.abs(np.tril(r, -1))) <= 1e-12
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        assert np.max(np.abs(diag.imag)) <= 1e-12
+        assert np.min(diag.real) > 1e-12
+
+    def test_samplers_take_no_qr(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "qr", raiser("np.linalg.qr"))
+        u = haar_unitary_stack(3, 10, RngSeed(251).generator())
+        fam = haar_family(SUQ2, RngSeed(251).generator())
+        assert np.max(unitarity_defects(u)) <= 1e-14
+        assert fam.is_unitary
+
+    def test_nan_draw_spoils_its_own_matrix_only(self):
+        z = ginibre_reference(3, 8, RngSeed(257).generator())
+        clean = _gram_schmidt(z)
+        z[5, 1, 2] = np.nan
+        q = _gram_schmidt(z)
+        assert np.isnan(q[5]).any()
+        np.testing.assert_array_equal(np.delete(q, 5, axis=0), np.delete(clean, 5, axis=0))
+
+    def test_nan_draw_spoils_its_own_label_only(self, monkeypatch):
+        clean = haar_family(SUQ2, RngSeed(263).generator())
+        ginibre = random_series._ginibre
+        calls = []
+
+        def poisoned(rng, shape):
+            z = ginibre(rng, shape)
+            calls.append(shape)
+            if len(calls) == 3:
+                z[0, 0] = np.nan
+            return z
+        monkeypatch.setattr(random_series, "_ginibre", poisoned)
+        fam = haar_family(SUQ2, RngSeed(263).generator())
+        assert np.isnan(fam[2]).any()
+        for label in SUQ2.labels():
+            if label != 2:
+                np.testing.assert_array_equal(fam[label], clean[label])
 
 
 class TestExpectedOperatorNorm:
