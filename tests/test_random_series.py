@@ -179,22 +179,30 @@ class TestSamplerReferences:
         fam = haar_family(make_su2_dual(15), RngSeed(239).generator())
         assert max(float(unitarity_defects(m)) for m in fam.entries.values()) <= 1e-14
 
+    @pytest.mark.parametrize("count", [1, 256])
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 16])
-    def test_r_is_upper_triangular_with_positive_diagonal(self, n):
-        u = haar_unitary_stack(n, 64, RngSeed(241, n).generator())
-        z = ginibre_reference(n, 64, RngSeed(241, n).generator())
+    def test_r_is_upper_triangular_with_positive_diagonal(self, n, count):
+        u = haar_unitary_stack(n, count, RngSeed(241, n).generator())
+        z = ginibre_reference(n, count, RngSeed(241, n).generator())
         r = u.swapaxes(-1, -2).conj() @ z
         assert np.max(np.abs(np.tril(r, -1))) <= 1e-12
         diag = np.diagonal(r, axis1=-2, axis2=-1)
         assert np.max(np.abs(diag.imag)) <= 1e-12
         assert np.min(diag.real) > 1e-12
 
-    def test_samplers_take_no_qr(self, monkeypatch):
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_deep_small_stacks_and_coefficients_take_no_qr(self, monkeypatch, n):
         monkeypatch.setattr(np.linalg, "qr", raiser("np.linalg.qr"))
-        u = haar_unitary_stack(3, 10, RngSeed(251).generator())
-        fam = haar_family(SUQ2, RngSeed(251).generator())
+        u = haar_unitary_stack(n, random_series._GS_MIN_COUNT, RngSeed(251).generator())
+        f = random_coeffs(SUQ2, RngSeed(251).generator())
         assert np.max(unitarity_defects(u)) <= 1e-14
-        assert fam.is_unitary
+        assert f.labels() == SUQ2.labels()
+
+    @pytest.mark.parametrize("n,count", [(7, 1024), (2, 255), (16, 1), (41, 1)])
+    def test_shallow_stacks_and_large_blocks_take_lapack(self, monkeypatch, n, count):
+        monkeypatch.setattr(np.linalg, "qr", raiser("np.linalg.qr"))
+        with pytest.raises(AssertionError, match="np.linalg.qr"):
+            haar_unitary_stack(n, count, RngSeed(251).generator())
 
     def test_nan_draw_spoils_its_own_matrix_only(self):
         z = ginibre_reference(3, 8, RngSeed(257).generator())
@@ -493,7 +501,8 @@ class TestBidiagonalRoute:
         assert sum(g.drawn for g in generators) == trials * (2 * n - 1)
 
     def test_peak_memory_is_a_few_draws(self):
-        # the draw, its squares, the padded bracket pairs and one temporary
+        # the draw, its squares, and the bracket's sums over a block of
+        # `_BRACKET_ROWS` rows
         n, trials = 256, 1000
         draw_bytes = trials * (2 * n + 1) * 8
         tracemalloc.start()
@@ -502,7 +511,7 @@ class TestBidiagonalRoute:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * draw_bytes + 2**20
+        assert peak <= 2 * draw_bytes + 2**21
 
 
 class TestRandomize:
