@@ -46,10 +46,11 @@ from .l2_operators import (
     multiplier_block_norm,
     trace_norm_duality,
 )
-from .quantum_examples import growth_report, suq2_chain_checks
+from .quantum_examples import growth_report, suq2_chain_table
 from .random_series import (
     MatrixFamily,
     RngSeed,
+    coefficient_traces,
     expected_operator_norm,
     four_unitary_decomposition,
     haar_family,
@@ -74,6 +75,9 @@ DETERMINISTIC = {"growth", "characters"}
 STREAM_BASE = {name: 1000 * (k + 1) for k, name in enumerate(SUBCOMMANDS)}
 
 VOLATILE_KEYS = {"elapsed_ms", "content_hash"}
+
+#: Families whose coefficient traces corollary-suq2 draws and checks at once.
+FAMILY_CHUNK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +428,21 @@ def run_tb_contraction(cfg, ctx):
     rng = _seed_for(cfg, "tb-contraction").generator()
     tol = 1.0 + 1e-9
     records = []
+    cases = cfg["families"]
     for dual in (make_su2_dual(6), make_suq2_dual(0.5, 8)):
         worst = 0.0
         for irrep in dual.irreps:
-            for _ in range(cfg["families"]):
-                b = rng.standard_normal((irrep.n, irrep.n)) + 1j * rng.standard_normal((irrep.n, irrep.n))
-                b = b / max(1e-12, np.linalg.norm(b, 2)) * rng.uniform(0.0, 1.0)
-                worst = max(worst, multiplier_block_norm(b, irrep))
+            n = irrep.n
+            b = np.empty((cases, n, n), dtype=complex)
+            scale = np.empty(cases)
+            for case in range(cases):  # draws in case order: normal, normal, uniform
+                b[case] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                scale[case] = rng.uniform(0.0, 1.0)
+            b /= np.maximum(1e-12, np.linalg.norm(b, 2, axis=(-2, -1)))[:, None, None]
+            b *= scale[:, None, None]
+            worst = max(worst, float(np.max(multiplier_block_norm(b, irrep))))
         records.append({"dual": dual.name, "irreps": len(dual.irreps),
-                        "cases_per_irrep": cfg["families"], "max_block_norm": worst,
+                        "cases_per_irrep": cases, "max_block_norm": worst,
                         "bound": tol, "ok": worst <= tol})
     return records
 
@@ -489,24 +499,30 @@ def run_corollary_suq2(cfg, ctx):
     for q in (0.3, 0.5, 0.9):
         dual = make_suq2_dual(q, cfg["kmax"])
         growth_report(dual, q=q)  # raises if the d_k >= q^{-k} bound ever fails
-        # one family at a time: its checks at every eps draw nothing, so the
-        # draws come in the same order as when all families were held at once
-        rows = {eps: [] for eps in epsilons}
-        for _ in range(cfg["families"]):
-            checks = suq2_chain_checks(q, epsilons, random_coeffs(dual, rng))
-            for eps, c in zip(epsilons, checks):
-                rows[eps].append((c.lhs, c.rhs, c.lhs - c.rhs * (1.0 + 1e-12), c.termwise_ok))
-        for eps in epsilons:
-            # columns lhs, rhs, excess; an infinite side gives a -inf or NaN
-            # excess, so every value must be finite, and np.max passes NaN on
-            values = np.array([row[:3] for row in rows[eps]])
-            worst_excess = float(np.max(values[:, 2]))
-            finite = bool(np.isfinite(values).all())
-            termwise = all(row[3] for row in rows[eps])
+        # the chain reads each block only through t_k, so the traces are drawn
+        # from their law and no coefficient matrix is formed; the draws are
+        # family-major, so chunks of families draw what one call would
+        worst_excess = np.full(len(epsilons), -np.inf)
+        worst_ratio = np.full(len(epsilons), -np.inf)
+        finite = np.ones(len(epsilons), dtype=bool)
+        termwise = np.ones(len(epsilons), dtype=bool)
+        for start in range(0, cfg["families"], FAMILY_CHUNK):
+            t = coefficient_traces(dual, min(FAMILY_CHUNK, cfg["families"] - start), rng)
+            lhs, rhs, termwise_ok = suq2_chain_table(q, epsilons, dual.irreps, t)  # rows by eps
+            with np.errstate(invalid="ignore"):  # inf - inf and inf / inf are NaN
+                excess = lhs - rhs * (1.0 + 1e-12)
+                ratio = lhs / rhs
+            # an infinite side gives a -inf or NaN excess, so every value must
+            # be finite, and np.maximum passes NaN on
+            worst_excess = np.maximum(worst_excess, np.max(excess, axis=1))
+            worst_ratio = np.maximum(worst_ratio, np.max(ratio, axis=1))
+            finite &= np.isfinite([lhs, rhs, excess]).all(axis=(0, 2))
+            termwise &= termwise_ok.all(axis=1)
+        for e, eps in enumerate(epsilons):
             records.append({"q": q, "eps": eps, "kmax": cfg["kmax"],
-                            "families": cfg["families"], "max_excess": worst_excess,
-                            "termwise_ok": termwise,
-                            "ok": finite and worst_excess <= 0.0 and termwise})
+                            "families": cfg["families"], "max_excess": float(worst_excess[e]),
+                            "max_ratio": float(worst_ratio[e]), "termwise_ok": bool(termwise[e]),
+                            "ok": bool(finite[e] and worst_excess[e] <= 0.0 and termwise[e])})
     return records
 
 
@@ -680,9 +696,7 @@ def write_output(doc: dict, path: str, fmt: str):
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return
-    if doc["meta"]["subcommand"] == "all":
-        raise ValueError("csv output is only available for single subcommands")
-    records = doc["records"]
+    records = doc["records"]  # one table: `execute` refuses a csv file for `all`
     columns = list(records[0].keys()) if records else []
     lines = [",".join(columns)]
     for rec in records:
@@ -788,6 +802,9 @@ def execute(argv=None) -> tuple[int, dict | None]:
             if getattr(args, flag) is not None and not any("dual" in DEFAULTS[t] for t in targets):
                 raise ValueError(f"argument --{flag}: {name} runs on no --dual, "
                                  "so nothing would use it")
+        if name == "all" and args.out and args.format == "csv":
+            raise ValueError("argument --format: csv output is only available for single "
+                             "subcommands")
         configs = [resolve_config(t, args, ctx) for t in targets]  # every refusal before any run
         blocks = [run_one(t, cfg, ctx) for t, cfg in zip(targets, configs)]
     except ValueError as exc:

@@ -29,12 +29,17 @@ def multiplier_block_norm(b, irrep: IrrepData) -> float:
     matrix of the map and D1, D2 the Gram diagonals.  The weights cancel the
     factor (Q^{-1})_{j,j}, which leaves a matrix that is block diagonal in j
     with every block equal to B: the norm is ||B||.
+
+    `b` is one (n, n) block, whose norm comes back as a float, or a stack
+    (..., n, n), whose norms come back as an array of shape (...).
     """
     b = np.asarray(b, dtype=complex)
     n = irrep.n
-    if b.shape != (n, n):
-        raise ValueError(f"multiplier block has shape {b.shape}, expected ({n}, {n})")
-    return float(np.linalg.norm(b, 2))
+    if b.shape[-2:] != (n, n):
+        raise ValueError(f"multiplier block has shape {b.shape}, expected (..., {n}, {n})")
+    if b.ndim == 2:
+        return float(np.linalg.norm(b, 2))
+    return np.linalg.norm(b, 2, axis=(-2, -1))
 
 
 @dataclass(frozen=True)

@@ -38,15 +38,27 @@ def suq2_chain_check(q: float, eps: float, f: FourierCoeffs) -> ChainCheck:
     return suq2_chain_checks(q, (eps,), f)[0]
 
 
-def _ordered_sum(terms: np.ndarray) -> float:
-    # left to right, one term at a time, as a loop over the levels adds them;
-    # np.sum would add pairwise and round differently
-    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
-
-
 def suq2_chain_checks(q: float, epsilons, f: FourierCoeffs) -> list[ChainCheck]:
-    """Geometric-series bound chain on the q-deformed rank-one dual, one
-    `ChainCheck` per eps in `epsilons`, in that order.
+    """The chain of `suq2_chain_table` for one family, one `ChainCheck` per
+    eps in `epsilons`, with t_k = `IrrepData.q_trace` of each block, in the
+    order of `f.support`.  An empty support gives (0.0, 0.0, True)."""
+    irreps = [f.dual.irrep(label) for label in f.support]
+    t = np.array([[irrep.q_trace(m) for irrep, m in zip(irreps, f.support.values())]])
+    return [ChainCheck(lhs=float(lhs[0]), rhs=float(rhs[0]), termwise_ok=bool(ok[0]))
+            for lhs, rhs, ok in zip(*suq2_chain_table(q, epsilons, irreps, t))]
+
+
+def _ordered_sums(terms: np.ndarray) -> np.ndarray:
+    # each row left to right, one term at a time, as a loop over the levels
+    # adds them; np.sum would add pairwise and round differently
+    return np.cumsum(terms, axis=1)[:, -1] if terms.shape[1] else np.zeros(len(terms))
+
+
+def suq2_chain_table(q: float, epsilons, irreps, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Geometric-series bound chain on the q-deformed rank-one dual for a
+    table `t` of shape (families, levels), column j at the level of
+    `irreps[j]` (its label is k).  Returns (lhs, rhs, termwise_ok), each of
+    shape (len(epsilons), families): row e holds the chain at `epsilons[e]`.
 
     With t_k = tr(Q_k X_k^* X_k) >= 0 the chain is
 
@@ -60,31 +72,31 @@ def suq2_chain_checks(q: float, epsilons, f: FourierCoeffs) -> list[ChainCheck]:
     of d_k go through the log domain, and a level where d_k^{1-eps} would
     pass `OVERFLOW_GUARD` raises an OverflowError.
 
-    The level data k, n_k, d_k and t_k (from `IrrepData.q_trace`) are read
-    once per family and shared by every eps; the checks are array operations
-    over the levels.  lhs and the tail sum are added left to right in the
-    order of `f.support`, and the scalar powers are taken with `math.log`,
-    `math.exp` and `**` on each level, so each value is bit-identical to a
-    level-by-level loop.  An empty support gives (0.0, 0.0, True).
+    The terms that do not depend on t (d_k^{1-eps}, q^{eps k}, the geometric
+    constant and the d_k >= q^{-k} test) are taken once per call, with
+    `math.log`, `math.exp` and `**` on each level; lhs and the tail sum are
+    added left to right along each row, so each row is bit-identical to a
+    level-by-level loop over that family.  Overflow gives inf and inf * 0
+    NaN, silently, as the Python floats of such a loop do.
     """
     if not (0.0 < q < 1.0):
         raise ValueError(f"q must lie in (0, 1), got {q}")
     for eps in epsilons:
         if eps <= 0.0:
             raise ValueError(f"eps must be > 0, got {eps}")
-    irreps = [f.dual.irrep(label) for label in f.support]
-    k = np.array([int(label) for label in f.support], dtype=float)
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 2 or t.shape[1] != len(irreps):
+        raise ValueError(f"need a (families, {len(irreps)}) table of traces, got shape {t.shape}")
+    k = np.array([int(irrep.label) for irrep in irreps], dtype=float)
     n = np.array([irrep.n for irrep in irreps], dtype=float)
     d = np.array([irrep.d for irrep in irreps])
-    t = np.array([irrep.q_trace(m) for irrep, m in zip(irreps, f.support.values())])
     log_d = np.array([math.log(d_k) for d_k in d.tolist()])
-    # overflow to inf and inf * 0 to NaN silently, as the Python floats of a loop do
     with np.errstate(over="ignore", invalid="ignore"):
         ratio_term = d / n * t
-        tail = _ordered_sum(ratio_term)
+        tail = _ordered_sums(ratio_term)
         # first displayed inequality: d_k >= q^{-k}, hence d_k^{-eps} <= q^{eps k}
         growth_ok = not np.any(d < np.power(q, -k))
-        checks = []
+        lhs, rhs, termwise_ok = [], [], []
         for eps in epsilons:
             geom = 1.0 / (1.0 - q**eps) ** 2
             log_pow = (1.0 - eps) * log_d
@@ -96,16 +108,16 @@ def suq2_chain_checks(q: float, epsilons, f: FourierCoeffs) -> list[ChainCheck]:
             d_pow = np.array([math.exp(x) for x in log_pow.tolist()])
             coeff = (k + 1) * np.array([q**x for x in (eps * k).tolist()])
             lhs_terms = d_pow * t
-            termwise_ok = (
-                growth_ok
-                # second: the k-th coefficient never exceeds the full geometric sum
-                and not np.any(coeff > geom * (1.0 + 1e-12))
-                # and the combined per-term comparison
-                and not np.any(lhs_terms > coeff * ratio_term * (1.0 + 1e-12) + 1e-300)
-            )
-            checks.append(ChainCheck(lhs=_ordered_sum(lhs_terms), rhs=geom * tail,
-                                     termwise_ok=termwise_ok))
-    return checks
+            # second: the k-th coefficient never exceeds the full geometric sum
+            levels_ok = growth_ok and not np.any(coeff > geom * (1.0 + 1e-12))
+            # and the combined per-term comparison, family by family
+            within = ~np.any(lhs_terms > coeff * ratio_term * (1.0 + 1e-12) + 1e-300, axis=1)
+            lhs.append(_ordered_sums(lhs_terms))
+            rhs.append(geom * tail)
+            termwise_ok.append(within & levels_ok)
+    shape = (len(epsilons), len(t))
+    return (np.array(lhs).reshape(shape), np.array(rhs).reshape(shape),
+            np.array(termwise_ok, dtype=bool).reshape(shape))
 
 
 @dataclass(frozen=True)

@@ -364,6 +364,28 @@ def random_coeffs(
     return FourierCoeffs(dual, support)
 
 
+def coefficient_traces(dual: DualDescriptor, families: int, rng: np.random.Generator) -> np.ndarray:
+    """t = tr(Q X^* X) of each block of `families` complex `random_coeffs`
+    families, drawn without the blocks: row f, column j is the trace of family
+    f at the j-th label of `dual.labels()`.
+
+    Law.  An entry z = (a + i b)/sqrt(2) of a block has |z|^2 = (a^2 + b^2)/2,
+    half a chi-square with 2 degrees of freedom, which is Gamma(1, 1).  So the
+    squared norm of each column of an n x n block, a sum of n independent
+    |z|^2, is Gamma(n, 1), independently over the columns, the blocks and the
+    families, and t = sum_i q_i ||X e_i||^2 = sum_i q_i gamma_i holds exactly
+    in law.  The draw is one `standard_gamma` call of families x sum_j n_j
+    variates, family-major, so fewer families draw a prefix.
+    """
+    irreps = [dual.irrep(label) for label in dual.labels()]
+    sizes = [irrep.n for irrep in irreps]
+    gammas = rng.standard_gamma(np.repeat(np.array(sizes, dtype=float), sizes),
+                                size=(families, sum(sizes)))
+    gammas *= np.concatenate([irrep.q_diag for irrep in irreps])
+    starts = np.cumsum([0] + sizes[:-1])
+    return np.add.reduceat(gammas, starts, axis=1)
+
+
 # ---------------------------------------------------------------------------
 # randomization
 # ---------------------------------------------------------------------------

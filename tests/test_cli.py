@@ -7,7 +7,6 @@ import pytest
 
 from qgfourier import cli, random_series
 from qgfourier.cli import build_dual, content_hash, execute, main
-from qgfourier.quantum_examples import ChainCheck
 from qgfourier.random_series import ContractionError
 
 
@@ -69,6 +68,8 @@ CONFIG_REFUSALS = [
     # each run's dual is built with its config, so a bad spec stops `all` up front
     (["all", "--seed", "1", "--dual", "bogus"], "unknown dual", False),
     (["plancherel", "--seed", "1", "--dual", "z0"], "order must be >= 1", False),
+    # a csv file holds one table; this ran the whole suite before failing in write_output
+    (["all", "--seed", "1", "--out", "x.csv", "--format", "csv"], "argument --format", False),
 ]
 
 
@@ -114,6 +115,15 @@ def test_q_on_all_is_accepted(monkeypatch, capsys):
     assert all(cfg["q"] == 0.3 for cfg in seen.values())
 
 
+def test_csv_format_without_out_is_accepted_on_all(monkeypatch, capsys):
+    # --format only shapes the file that --out writes; without one nothing is refused
+    for name in cli.EXPERIMENTS:
+        monkeypatch.setitem(cli.EXPERIMENTS, name, lambda cfg, ctx: [{"ok": True}])
+    code, doc = execute(["all", "--seed", "1", "--format", "csv"])
+    capsys.readouterr()
+    assert code == 0 and doc["verdict"] == "pass"
+
+
 def test_infinite_quantum_dimension_is_usage_error(capsys):
     # q^{-k} overflows past k = 589 at q = 0.3; this printed rows of d = inf
     with np.errstate(over="ignore"):
@@ -121,10 +131,10 @@ def test_infinite_quantum_dimension_is_usage_error(capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
-def test_corollary_suq2_holds_one_family_at_a_time():
-    # 10 families at kmax 60 are 12.4 MB of coefficients; held at once they
-    # peaked at 25.9 MiB
-    cfg = {"seed": 1, "q": 0.5, "kmax": 60, "families": 10}
+def test_corollary_suq2_holds_a_bounded_chunk_of_families():
+    # 1000 families at kmax 60 are 15.1 MB of Gamma variates; drawn in chunks
+    # of FAMILY_CHUNK families the peak stays the same at any family count
+    cfg = {"seed": 1, "q": 0.5, "kmax": 60, "families": 1000}
     tracemalloc.start()
     try:
         records = cli.run_corollary_suq2(cfg, cli.Context())
@@ -133,6 +143,13 @@ def test_corollary_suq2_holds_one_family_at_a_time():
         tracemalloc.stop()
     assert all(rec["ok"] for rec in records)
     assert peak <= 8 * 2**20
+
+
+def test_corollary_suq2_chunks_match_one_draw(monkeypatch):
+    cfg = {"seed": 3, "q": 0.5, "kmax": 12, "families": 11}
+    whole = cli.run_corollary_suq2(cfg, cli.Context())
+    monkeypatch.setattr(cli, "FAMILY_CHUNK", 4)
+    assert cli.run_corollary_suq2(cfg, cli.Context()) == whole
 
 
 def test_failing_record_fails_the_run(monkeypatch, capsys):
@@ -147,13 +164,56 @@ def test_failing_record_fails_the_run(monkeypatch, capsys):
                          ids=["both-inf", "rhs-inf", "lhs-nan"])
 def test_corollary_suq2_fails_closed_on_non_finite(lhs, rhs, monkeypatch, capsys):
     # inf - inf is NaN and finite - inf is -inf; neither may read as a pass
-    monkeypatch.setattr(cli, "suq2_chain_checks",
-                        lambda q, epsilons, f: [ChainCheck(lhs, rhs, True) for _ in epsilons])
+    def chain_table(q, epsilons, irreps, t):
+        shape = (len(epsilons), len(t))
+        return np.full(shape, lhs), np.full(shape, rhs), np.ones(shape, bool)
+
+    monkeypatch.setattr(cli, "suq2_chain_table", chain_table)
     code, doc = execute(["corollary-suq2", "--seed", "1", "--kmax", "2", "--families", "2"])
     capsys.readouterr()
     assert code == 1
     assert doc["verdict"] == "fail"
     assert [rec["ok"] for rec in doc["records"]] == [False] * 9
+
+
+def test_corollary_suq2_overflow_at_kmax_400_fails(capsys):
+    # at q = 0.3 both sides of the chain pass 1e308 (rhs alone at eps = 1);
+    # at q = 0.5 and 0.9 they stay finite
+    code, doc = execute(["corollary-suq2", "--seed", "1", "--kmax", "400", "--families", "2"])
+    capsys.readouterr()
+    assert code == 1 and doc["verdict"] == "fail"
+    records = doc["records"]
+    assert [rec["q"] for rec in records] == [0.3] * 3 + [0.5] * 3 + [0.9] * 3
+    for rec in records[:3]:
+        assert rec["ok"] is False
+        assert not math.isfinite(rec["max_excess"])
+    for rec in records[3:]:
+        assert rec["ok"] is True
+        assert rec["max_excess"] < 0.0 and 0.0 < rec["max_ratio"] <= 1.0
+
+
+def tb_contraction_reference(cfg):
+    """The per-case loop that `run_tb_contraction` is held to, bit for bit: one
+    normalisation and one single-block norm per case."""
+    rng = cli._seed_for(cfg, "tb-contraction").generator()
+    records = []
+    for dual in (cli.make_su2_dual(6), cli.make_suq2_dual(0.5, 8)):
+        worst = 0.0
+        for irrep in dual.irreps:
+            for _ in range(cfg["families"]):
+                b = rng.standard_normal((irrep.n, irrep.n)) + 1j * rng.standard_normal((irrep.n, irrep.n))
+                b = b / max(1e-12, np.linalg.norm(b, 2)) * rng.uniform(0.0, 1.0)
+                worst = max(worst, cli.multiplier_block_norm(b, irrep))
+        records.append({"dual": dual.name, "irreps": len(dual.irreps),
+                        "cases_per_irrep": cfg["families"], "max_block_norm": worst,
+                        "bound": 1.0 + 1e-9, "ok": worst <= 1.0 + 1e-9})
+    return records
+
+
+@pytest.mark.parametrize("seed, families", [(7, 100), (1007, 100), (3, 7)])
+def test_tb_contraction_matches_per_case_loop(seed, families):
+    cfg = {"seed": seed, "families": families}
+    assert cli.run_tb_contraction(cfg, cli.Context()) == tb_contraction_reference(cfg)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])

@@ -108,6 +108,19 @@ class TestMultiplierBlockNorm:
         with pytest.raises(ValueError):
             multiplier_block_norm(np.eye(2), SUQ2.irrep(2))
 
+    @pytest.mark.parametrize("bad", [(4, 2, 2), (4, 3, 2), (3,), ()], ids=str)
+    def test_stack_shape_mismatch(self, bad):
+        with pytest.raises(ValueError):
+            multiplier_block_norm(np.zeros(bad), SUQ2.irrep(2))
+
+    def test_stack_equals_block_by_block(self):
+        rng = RngSeed(139).generator()
+        b = rng.standard_normal((4, 5, 3, 3)) + 1j * rng.standard_normal((4, 5, 3, 3))
+        norms = multiplier_block_norm(b, SUQ2.irrep(2))
+        assert norms.shape == (4, 5)
+        np.testing.assert_array_equal(
+            norms, [[multiplier_block_norm(m, SUQ2.irrep(2)) for m in row] for row in b])
+
     @pytest.mark.parametrize("dual", [
         make_su2_dual(6), make_suq2_dual(0.5, 8), make_suq2_dual(0.5, 16), make_suq2_dual(0.3, 12),
     ], ids=lambda dual: dual.name)

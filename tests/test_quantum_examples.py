@@ -5,6 +5,7 @@ import pytest
 
 from qgfourier import (
     FourierCoeffs,
+    IrrepData,
     RngSeed,
     ell2_norm,
     growth_report,
@@ -16,7 +17,13 @@ from qgfourier import (
     random_coeffs,
     suq2_chain_check,
 )
-from qgfourier.quantum_examples import OVERFLOW_GUARD, ChainCheck, suq2_chain_checks
+from qgfourier import cli, random_series
+from qgfourier.quantum_examples import (
+    OVERFLOW_GUARD,
+    ChainCheck,
+    suq2_chain_checks,
+    suq2_chain_table,
+)
 
 SUQ2 = make_suq2_dual(0.5, 4)
 
@@ -101,6 +108,83 @@ class TestChainChecksAgainstLoop:
         f = FourierCoeffs(make_suq2_dual(0.5, 60), {})
         assert suq2_chain_checks(0.5, EPSILONS, f) == [ChainCheck(0.0, 0.0, True)] * 3
         assert loop_chain_check(0.5, 0.5, f) == ChainCheck(0.0, 0.0, True)
+
+
+def table_rows(lhs, rhs, termwise_ok):
+    return [ChainCheck(float(a), float(b), bool(ok)) for a, b, ok in zip(lhs, rhs, termwise_ok)]
+
+
+def trace_table(families):
+    return np.array([[f.dual.irrep(label).q_trace(m) for label, m in f.support.items()]
+                     for f in families])
+
+
+class TestChainTable:
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+    def test_each_row_is_the_loop_on_its_family(self, q):
+        dual = make_suq2_dual(q, 60)
+        rng = RngSeed(277).generator()
+        families = [random_coeffs(dual, rng) for _ in range(4)]
+        table = suq2_chain_table(q, EPSILONS, dual.irreps, trace_table(families))
+        assert all(part.shape == (len(EPSILONS), len(families)) for part in table)
+        for eps, *row in zip(EPSILONS, *table):
+            assert table_rows(*row) == [loop_chain_check(q, eps, f) for f in families]
+
+    def test_termwise_is_decided_per_family(self):
+        # a negative trace turns the combined comparison round at every level
+        # where d_k^{1-eps} < (k+1) q^{eps k} d_k/(k+1)
+        dual = make_suq2_dual(0.5, 8)
+        t = trace_table([random_coeffs(dual, RngSeed(281).generator())])
+        _, _, termwise_ok = suq2_chain_table(0.5, EPSILONS, dual.irreps, np.vstack([t, -t, t]))
+        assert termwise_ok.tolist() == [[True, False, True]] * 3
+
+    def test_table_must_match_the_levels(self):
+        dual = make_suq2_dual(0.5, 8)
+        with pytest.raises(ValueError, match="table of traces"):
+            suq2_chain_table(0.5, EPSILONS, dual.irreps, np.ones((2, 5)))
+        with pytest.raises(ValueError, match="table of traces"):
+            suq2_chain_table(0.5, EPSILONS, dual.irreps, np.ones(9))
+
+
+def raiser(what):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{what} called")
+    return fail
+
+
+class TestCorollaryRun:
+    CFG = {"seed": 7, "q": 0.5, "kmax": 60, "families": 50}
+
+    def test_forms_no_coefficient_matrix(self, monkeypatch):
+        monkeypatch.setattr(cli, "random_coeffs", raiser("random_coeffs"))
+        monkeypatch.setattr(random_series, "random_coeffs", raiser("random_coeffs"))
+        monkeypatch.setattr(IrrepData, "q_trace", raiser("IrrepData.q_trace"))
+        records = cli.run_corollary_suq2(self.CFG, cli.Context())
+        assert [(rec["q"], rec["eps"]) for rec in records] == [
+            (q, eps) for q in (0.3, 0.5, 0.9) for eps in EPSILONS]
+        assert all(rec["ok"] and 0.0 < rec["max_ratio"] <= 1.0 for rec in records)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_gamma_draw_fails_every_record(self, bad, monkeypatch, capsys):
+        generator = RngSeed.generator
+
+        class Poisoned:
+            """The seeded generator, with the last Gamma variate of each draw spoiled."""
+
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_gamma(self, shape, size):
+                out = self.rng.standard_gamma(shape, size)
+                out[-1, -1] = bad
+                return out
+
+        monkeypatch.setattr(RngSeed, "generator", lambda seed: Poisoned(generator(seed)))
+        code, doc = cli.execute(["corollary-suq2", "--seed", "1", "--kmax", "4", "--families", "3"])
+        capsys.readouterr()
+        assert code == 1 and doc["verdict"] == "fail"
+        assert [rec["ok"] for rec in doc["records"]] == [False] * 9
+        assert not any(math.isfinite(rec["max_excess"]) for rec in doc["records"])
 
 
 class TestChainCheck:

@@ -39,6 +39,7 @@ from qgfourier.random_series import (
     _gram_schmidt,
     bidiagonal_norms,
     bidiagonals_per_chunk,
+    coefficient_traces,
     gaussian_bidiagonal_stack,
     haar_unitary_stack,
     iter_chunks,
@@ -366,17 +367,20 @@ def dense_bidiagonal(e):
 
 
 class CountingGenerator:
-    """A generator that counts the variates it hands out."""
+    """A generator that counts the variates it hands out and names the
+    methods that drew them."""
 
     def __init__(self, rng):
         self.rng = rng
         self.drawn = 0
+        self.calls = []
 
     def __getattr__(self, name):
         method = getattr(self.rng, name)
 
         def counted(*args, **kwargs):
             out = method(*args, **kwargs)
+            self.calls.append(name)
             self.drawn += np.size(out)
             return out
         return counted
@@ -512,6 +516,63 @@ class TestBidiagonalRoute:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * draw_bytes + 2**21
+
+
+def matrix_route_traces(dual, families, rng):
+    """Reference for `coefficient_traces`: t = tr(Q X^* X) of each block of
+    `random_coeffs` families, one family at a time."""
+    rows = []
+    for _ in range(families):
+        f = random_coeffs(dual, rng)
+        rows.append([dual.irrep(label).q_trace(m) for label, m in f.support.items()])
+    return np.array(rows)
+
+
+TRACE_LEVELS = [0, 1, 5, 20]
+
+
+class TestCoefficientTraces:
+    @pytest.mark.parametrize("dual", [make_suq2_dual(0.5, 20), make_su2_dual(20)],
+                             ids=lambda dual: dual.name)
+    def test_two_sample_z_of_moments_against_matrix_route(self, dual):
+        families = 4000
+        levels = [dual.labels().index(k) for k in TRACE_LEVELS]
+        drawn = coefficient_traces(dual, families, RngSeed(163).generator())[:, levels]
+        reference = matrix_route_traces(dual, families, RngSeed(167).generator())[:, levels]
+        for power in (1, 2):  # the mean and the second moment of each t_k
+            a, b = drawn**power, reference**power
+            z = (a.mean(axis=0) - b.mean(axis=0)) / np.hypot(
+                a.std(axis=0, ddof=1), b.std(axis=0, ddof=1)) * np.sqrt(families)
+            assert np.all(np.abs(z) <= 4.0), (power, z)
+
+    def test_draws_families_times_sum_of_sizes_gamma_variates(self):
+        dual = make_suq2_dual(0.5, 60)
+        rng = CountingGenerator(RngSeed(173).generator())
+        t = coefficient_traces(dual, 7, rng)
+        assert t.shape == (7, 61)
+        assert rng.calls == ["standard_gamma"]
+        assert rng.drawn == 7 * sum(irrep.n for irrep in dual.irreps) == 7 * 1891
+
+    def test_fewer_families_draw_a_prefix(self):
+        dual = make_suq2_dual(0.3, 12)
+        full = coefficient_traces(dual, 9, RngSeed(179).generator())
+        short = coefficient_traces(dual, 4, RngSeed(179).generator())
+        np.testing.assert_array_equal(short, full[:4])
+
+    def test_is_the_q_weighted_sum_of_column_gammas(self):
+        dual = make_suq2_dual(0.5, 3)
+        t = coefficient_traces(dual, 5, RngSeed(181).generator())
+        sizes = [irrep.n for irrep in dual.irreps]
+        gammas = RngSeed(181).generator().standard_gamma(
+            np.repeat(np.array(sizes, dtype=float), sizes), size=(5, sum(sizes)))
+        expected = np.zeros((5, len(sizes)))
+        for f in range(5):
+            start = 0
+            for j, irrep in enumerate(dual.irreps):
+                for i in range(irrep.n):  # column i of the block at level j
+                    expected[f, j] += irrep.q_diag[i] * gammas[f, start + i]
+                start += irrep.n
+        np.testing.assert_allclose(t, expected, rtol=1e-14, atol=0.0)
 
 
 class TestRandomize:
