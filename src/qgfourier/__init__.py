@@ -15,7 +15,6 @@ from .dual_data import (
     make_suq2_dual,
     make_trivial_dual,
     onplus_dims,
-    quantum_dimension,
     schur_inner,
 )
 from .fourier_core import (
@@ -62,7 +61,6 @@ from .classical_eval import (
     coefficient_bound_check,
     cotype2_ratio,
     cyclic_group,
-    evaluate,
     evaluate_su2,
     gaussian_series_l1_mean,
     l1_norm_classical,
@@ -79,5 +77,4 @@ from .quantum_examples import (
     growth_report,
     nonkac_quantity,
     suq2_chain_check,
-    suq2_chain_checks,
 )

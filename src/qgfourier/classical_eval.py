@@ -1,6 +1,7 @@
 """Function-side evaluation for classical compact groups.
 
-Two concrete Haar realizations back the classical checks:
+Two concrete Haar realizations, each a :class:`HaarRule`, back the classical
+checks:
 
 * :class:`FiniteGroupTable` -- a finite group given by its multiplication
   table together with a complete set of unitary irreps; the Haar integral is
@@ -44,6 +45,24 @@ class GroupTableError(ValueError):
     """Raised when a finite-group table fails a construction-time invariant."""
 
 
+class HaarRule:
+    """A positive Haar rule: node `weights` summing to 1, and `irrep_stack(label)`,
+    the irrep at `label` evaluated at every node, of shape (nodes, n, n)."""
+
+    weights: np.ndarray
+
+    def irrep_stack(self, label) -> np.ndarray:
+        raise NotImplementedError
+
+    def coeff_values(self, f: FourierCoeffs) -> np.ndarray:
+        """Values of sum_pi n_pi tr(f_pi pi(g)) at every node."""
+        vals = np.zeros(len(self.weights), dtype=complex)
+        for label, m in f.support.items():
+            stack = self.irrep_stack(label)
+            vals += stack.shape[-1] * np.einsum("ij,gji->g", m, stack)
+        return vals
+
+
 # ---------------------------------------------------------------------------
 # finite groups
 # ---------------------------------------------------------------------------
@@ -61,7 +80,7 @@ class GroupIrrep:
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteGroupTable:
+class FiniteGroupTable(HaarRule):
     """A finite group with unitary irreps and the exact Haar average."""
 
     name: str
@@ -192,22 +211,8 @@ class FiniteGroupTable:
     def weights(self) -> np.ndarray:
         return np.full(self.order, 1.0 / self.order)
 
-    def coeff_values(self, f: FourierCoeffs) -> np.ndarray:
-        """Values of sum_pi n_pi tr(f_pi pi(g)) at every group element."""
-        vals = np.zeros(self.order, dtype=complex)
-        for label, m in f.support.items():
-            ir = self.irrep(label)
-            vals += ir.n * np.einsum("ij,gji->g", m, ir.matrices)
-        return vals
-
-    def evaluate(self, f: FourierCoeffs, g: int) -> complex:
-        if not (0 <= g < self.order):
-            raise IndexError(f"element index {g} out of range")
-        acc = 0j
-        for label, m in f.support.items():
-            ir = self.irrep(label)
-            acc += ir.n * np.trace(m @ ir.matrices[g])
-        return complex(acc)
+    def irrep_stack(self, label) -> np.ndarray:
+        return self.irrep(label).matrices
 
     def fourier_coeffs(self, values: np.ndarray) -> FourierCoeffs:
         """Exact coefficient extraction f(pi)_{i,j} = (1/|G|) sum_g v(g) conj(pi(g)_{j,i})."""
@@ -239,8 +244,8 @@ class FiniteGroupTable:
         }
 
 
-def table_to_json(table: FiniteGroupTable, indent: int | None = None) -> str:
-    return json.dumps(table.to_json_dict(), indent=indent)
+def table_to_json(table: FiniteGroupTable) -> str:
+    return json.dumps(table.to_json_dict())
 
 
 def table_from_json(text: str) -> FiniteGroupTable:
@@ -380,7 +385,7 @@ def su2_irrep_matrix(k: int, g) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class SU2Quadrature:
+class SU2Quadrature(HaarRule):
     """Nodes/weights approximating the Haar integral, with measured validity."""
 
     nodes: np.ndarray            # (M, 2, 2)
@@ -389,18 +394,13 @@ class SU2Quadrature:
     _stacks: dict = field(default_factory=dict, repr=False)
 
     def irrep_stack(self, k: int) -> np.ndarray:
+        if not isinstance(k, (int, np.integer)) or k < 0:
+            raise ClassicalDomainError(f"label {k!r} is not a valid irrep level")
+        k = int(k)
         if k not in self._stacks:
             g = self.nodes
             self._stacks[k] = _su2_entry_stack(k, g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1])
         return self._stacks[k]
-
-    def coeff_values(self, f: FourierCoeffs) -> np.ndarray:
-        vals = np.zeros(len(self.weights), dtype=complex)
-        for label, m in f.support.items():
-            if not isinstance(label, (int, np.integer)) or label < 0:
-                raise ClassicalDomainError(f"label {label!r} is not a valid irrep level")
-            vals += (label + 1) * np.einsum("ij,gji->g", m, self.irrep_stack(int(label)))
-        return vals
 
     def fourier_coeffs(self, values: np.ndarray, kmax: int, dual: DualDescriptor) -> FourierCoeffs:
         values = np.asarray(values, dtype=complex)
@@ -478,26 +478,17 @@ def evaluate_su2(f: FourierCoeffs, g) -> complex:
     return complex(acc)
 
 
-def evaluate(f: FourierCoeffs, realization, g) -> complex:
-    """Pointwise evaluation against a concrete Haar realization."""
-    if isinstance(realization, FiniteGroupTable):
-        return realization.evaluate(f, g)
-    if isinstance(realization, SU2Quadrature):
-        return evaluate_su2(f, g)
-    raise ClassicalDomainError(f"no classical realization for {type(realization).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # norms and verification chains
 # ---------------------------------------------------------------------------
 
-def l1_norm_classical(f: FourierCoeffs, haar) -> float:
+def l1_norm_classical(f: FourierCoeffs, haar: HaarRule) -> float:
     """Haar integral of |f| over the realization's nodes."""
     vals = haar.coeff_values(f)
     return float(np.sum(haar.weights * np.abs(vals)))
 
 
-def linfty_norm_classical(f: FourierCoeffs, haar) -> float:
+def linfty_norm_classical(f: FourierCoeffs, haar: HaarRule) -> float:
     """Max of |f| over the realization's nodes (a lower bound for the true sup)."""
     vals = haar.coeff_values(f)
     return float(np.max(np.abs(vals))) if vals.size else 0.0
@@ -518,8 +509,20 @@ class GaussianL1:
     predicted: float
 
 
+def _series_l1(haar: HaarRule, f: FourierCoeffs, trials: int, seed: RngSeed, draw):
+    """Per chunk of trials, the L1 norms of sum_pi s_pi tr(X_pi f_pi pi(g)), where
+    `draw(rng, n)` gives (s, a stack of MC_CHUNK random n x n matrices X)."""
+    for index, take in iter_chunks(trials, MC_CHUNK):
+        rng = seed.chunk_generator(index)
+        vals = np.zeros((take, len(haar.weights)), dtype=complex)
+        for label, m in f.support.items():
+            scale, x = draw(rng, m.shape[0])
+            vals += scale * np.einsum("tij,jm,gmi->tg", x[:take], m, haar.irrep_stack(label))
+        yield np.abs(vals) @ haar.weights
+
+
 def gaussian_series_l1_mean(
-    f: FourierCoeffs, trials: int, seed: RngSeed, haar
+    f: FourierCoeffs, trials: int, seed: RngSeed, haar: HaarRule
 ) -> GaussianL1:
     """Monte Carlo E ||f_G||_{L1} for Gaussian-randomized coefficients.
 
@@ -529,28 +532,15 @@ def gaussian_series_l1_mean(
     Gaussian at every group point (real coefficient data in a real-matrix
     realization, or supports whose characters share a common phase pointwise).
     """
-    labels = list(f.support)
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2, got {trials}")
     predicted = float(np.sqrt(2.0 / np.pi) * np.sqrt(hilbert_schmidt_sq(f)))
-    if not labels or trials < 2:
-        if trials < 2:
-            raise ValueError(f"trials must be >= 2, got {trials}")
+    if not f.support:
         return GaussianL1(mean=0.0, stderr=0.0, predicted=predicted)
-    weights = haar.weights
     acc = MeanAccumulator()
-    for index, take in iter_chunks(trials, MC_CHUNK):
-        rng = seed.chunk_generator(index)
-        vals = np.zeros((take, len(weights)), dtype=complex)
-        for label in labels:
-            m = f.support[label]
-            n = m.shape[0]
-            g = rng.standard_normal((MC_CHUNK, n, n))[:take]
-            stack = (
-                haar.irrep_stack(int(label))
-                if isinstance(haar, SU2Quadrature)
-                else haar.irrep(label).matrices
-            )
-            vals += np.sqrt(n) * np.einsum("tij,jm,gmi->tg", g, m, stack)
-        acc.add(np.abs(vals) @ weights)
+    for l1 in _series_l1(haar, f, trials, seed,
+                         lambda rng, n: (np.sqrt(n), rng.standard_normal((MC_CHUNK, n, n)))):
+        acc.add(l1)
     mean, stderr = acc.mean_stderr()
     return GaussianL1(mean=mean, stderr=stderr, predicted=predicted)
 
@@ -622,9 +612,9 @@ def weyl_character_l1(k: int) -> float:
     return float((2.0 / np.pi) * np.sum(np.abs(np.diff(vals))))
 
 
-def character_l1(k: int, haar: SU2Quadrature | None = None) -> float:
+def character_l1(k: int, haar: SU2Quadrature) -> float:
     """Haar integral of |chi_k|; 3D quadrature while it is valid, 1D beyond."""
-    if haar is not None and k <= haar.kmax_valid:
+    if k <= haar.kmax_valid:
         tr = np.einsum("gii->g", haar.irrep_stack(k))
         return float(np.sum(haar.weights * np.abs(tr)))
     return weyl_character_l1(k)
@@ -637,15 +627,15 @@ class CotypeRatio:
 
 
 def cotype2_ratio(
-    table: FiniteGroupTable, xs: list[FourierCoeffs], trials: int, seed: RngSeed
+    haar: HaarRule, xs: list[FourierCoeffs], trials: int, seed: RngSeed
 ) -> CotypeRatio:
-    """E ||sum_j g_j x_j||_{L1} / (sum_j ||x_j||_{L1}^2)^{1/2} on a finite group."""
+    """E ||sum_j g_j x_j||_{L1} / (sum_j ||x_j||_{L1}^2)^{1/2} against a Haar rule."""
     if not xs:
         raise ValueError("need at least one coefficient family")
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
-    values = np.stack([table.coeff_values(x) for x in xs])  # (J, |G|)
-    weights = table.weights
+    values = np.stack([haar.coeff_values(x) for x in xs])  # (J, nodes)
+    weights = haar.weights
     l1s = np.abs(values) @ weights
     denom = float(np.sqrt(np.sum(l1s * l1s)))
     if denom == 0.0:
@@ -667,28 +657,19 @@ class L1Report:
 
 
 def randomized_l1_report(
-    table: FiniteGroupTable, f: FourierCoeffs, num_unitaries: int, seed: RngSeed
+    haar: HaarRule, f: FourierCoeffs, num_unitaries: int, seed: RngSeed
 ) -> L1Report:
     """Sup over sampled unitary randomizers of ||f_U||_{L1}, with the ell2 norm.
 
     No inequality between the two is asserted; the pair is reported for
     stability checks.
     """
-    labels = list(f.support)
     ell2 = ell2_norm(f)
-    if not labels or num_unitaries < 1:
+    if not f.support or num_unitaries < 1:
         return L1Report(sup_l1_over_u=0.0, ell2=ell2, ratio=0.0)
-    weights = table.weights
     best = 0.0
-    for index, take in iter_chunks(num_unitaries, MC_CHUNK):
-        rng = seed.chunk_generator(index)
-        vals = np.zeros((take, table.order), dtype=complex)
-        for label in labels:
-            m = f.support[label]
-            n = m.shape[0]
-            u = haar_unitary_stack(n, MC_CHUNK, rng)[:take]
-            vals += n * np.einsum("tij,jm,gmi->tg", u, m, table.irrep(label).matrices)
-        per_family = np.abs(vals) @ weights
-        best = max(best, float(np.max(per_family)))
+    for l1 in _series_l1(haar, f, num_unitaries, seed,
+                         lambda rng, n: (n, haar_unitary_stack(n, MC_CHUNK, rng))):
+        best = max(best, float(np.max(l1)))
     ratio = best / ell2 if ell2 > 0 else 0.0
     return L1Report(sup_l1_over_u=best, ell2=ell2, ratio=ratio)

@@ -632,20 +632,20 @@ DEFAULTS = {
 def resolve_config(name: str, args: argparse.Namespace, ctx: Context) -> dict:
     """The subcommand's config; a ValueError for flags the run could not honour."""
     cfg = {"q": args.q if args.q is not None else 0.5, "seed": args.seed}
-    defaults = DEFAULTS.get(name, {})
-    for key in ("dual", "kmax", "families", "trials", "nmax"):
-        supplied = getattr(args, key, None)
-        if supplied is not None:
-            cfg[key] = supplied
-        elif key in defaults:
-            cfg[key] = defaults[key]
+    for key, default in DEFAULTS[name].items():
+        supplied = getattr(args, key)
+        cfg[key] = default if supplied is None else supplied
     if args.q is not None and "dual" in cfg and cfg["dual"] != "suq2":
         raise ValueError(f"argument --q: only the suq2 dual is deformed; {name} "
                          f"runs on --dual {cfg['dual']}")
     if "dual" in cfg:
         # an unknown or invalid spec is refused here, before any run; the run
         # builds its own dual, so no dual outlives its subcommand
-        build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
+        try:
+            build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
+        except MemoryError as exc:
+            raise ValueError(f"argument --dual: {cfg['dual']} does not fit in memory "
+                             f"({exc})") from None
     if name == "lemma35":
         if cfg["kmax"] < 1:  # its levels are drawn from 1..kmax
             raise ValueError(f"argument --kmax: lemma35 needs >= 1, got {cfg['kmax']}")
@@ -697,7 +697,7 @@ def write_output(doc: dict, path: str, fmt: str):
             fh.write("\n")
         return
     records = doc["records"]  # one table: `execute` refuses a csv file for `all`
-    columns = list(records[0].keys()) if records else []
+    columns = list(dict.fromkeys(key for rec in records for key in rec))
     lines = [",".join(columns)]
     for rec in records:
         lines.append(",".join(_csv_cell(rec.get(c, "")) for c in columns))
@@ -798,9 +798,10 @@ def execute(argv=None) -> tuple[int, dict | None]:
         args.seed = 0
     ctx = Context()
     try:
-        for flag in ("q", "dual"):
-            if getattr(args, flag) is not None and not any("dual" in DEFAULTS[t] for t in targets):
-                raise ValueError(f"argument --{flag}: {name} runs on no --dual, "
+        for flag in ("q", "dual", "kmax", "families", "trials", "nmax"):
+            key = "dual" if flag == "q" else flag  # --q is read wherever --dual is
+            if getattr(args, flag) is not None and not any(key in DEFAULTS[t] for t in targets):
+                raise ValueError(f"argument --{flag}: {name} does not read it, "
                                  "so nothing would use it")
         if name == "all" and args.out and args.format == "csv":
             raise ValueError("argument --format: csv output is only available for single "

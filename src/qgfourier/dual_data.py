@@ -72,11 +72,6 @@ class IrrepData:
         return float((x.real**2 + x.imag**2).sum(axis=0) @ self.q_diag)
 
 
-def quantum_dimension(irrep: IrrepData) -> float:
-    """Quantum dimension of an irrep: the cached value of tr(Q) = tr(Q^{-1})."""
-    return irrep.d
-
-
 @dataclass(frozen=True, eq=False)
 class BlockGram:
     """Diagonal Gram weights of one block: basis {u_{i,j}} and basis {(u_{i,j})^*}."""
@@ -173,8 +168,8 @@ class DualDescriptor:
         }
 
 
-def dual_to_json(dual: DualDescriptor, indent: int | None = None) -> str:
-    return json.dumps(dual.to_json_dict(), indent=indent, sort_keys=False)
+def dual_to_json(dual: DualDescriptor) -> str:
+    return json.dumps(dual.to_json_dict())
 
 
 def dual_from_json(text: str) -> DualDescriptor:

@@ -86,8 +86,8 @@ class FourierCoeffs:
         }
 
 
-def coeffs_to_json(f: FourierCoeffs, indent: int | None = None) -> str:
-    return json.dumps(f.to_json_dict(), indent=indent)
+def coeffs_to_json(f: FourierCoeffs) -> str:
+    return json.dumps(f.to_json_dict())
 
 
 def coeffs_from_json(text: str, dual: DualDescriptor) -> FourierCoeffs:

@@ -34,18 +34,13 @@ class ChainCheck:
 
 
 def suq2_chain_check(q: float, eps: float, f: FourierCoeffs) -> ChainCheck:
-    """The chain of `suq2_chain_checks` at one eps."""
-    return suq2_chain_checks(q, (eps,), f)[0]
-
-
-def suq2_chain_checks(q: float, epsilons, f: FourierCoeffs) -> list[ChainCheck]:
-    """The chain of `suq2_chain_table` for one family, one `ChainCheck` per
-    eps in `epsilons`, with t_k = `IrrepData.q_trace` of each block, in the
-    order of `f.support`.  An empty support gives (0.0, 0.0, True)."""
+    """The chain of `suq2_chain_table` at one eps for one family, with
+    t_k = `IrrepData.q_trace` of each block, in the order of `f.support`.
+    An empty support gives (0.0, 0.0, True)."""
     irreps = [f.dual.irrep(label) for label in f.support]
     t = np.array([[irrep.q_trace(m) for irrep, m in zip(irreps, f.support.values())]])
-    return [ChainCheck(lhs=float(lhs[0]), rhs=float(rhs[0]), termwise_ok=bool(ok[0]))
-            for lhs, rhs, ok in zip(*suq2_chain_table(q, epsilons, irreps, t))]
+    lhs, rhs, ok = suq2_chain_table(q, (eps,), irreps, t)
+    return ChainCheck(lhs=float(lhs[0, 0]), rhs=float(rhs[0, 0]), termwise_ok=bool(ok[0, 0]))
 
 
 def _ordered_sums(terms: np.ndarray) -> np.ndarray:

@@ -53,9 +53,6 @@ class RngSeed:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream, chunk_index))
         return np.random.Generator(np.random.PCG64(ss))
 
-    def with_stream(self, stream: int) -> "RngSeed":
-        return RngSeed(self.seed, stream)
-
 
 def matrices_per_chunk(n: int) -> int:
     # keep chunks near 4M scalars, capped so tiny matrices do not overdraw
@@ -341,14 +338,12 @@ class MatrixFamily:
         return max(float(np.linalg.norm(m, 2)) for m in self.entries.values())
 
 
-def identity_family(dual: DualDescriptor, labels=None) -> MatrixFamily:
-    labels = dual.labels() if labels is None else list(labels)
-    return MatrixFamily(dual, {l: np.eye(dual.irrep(l).n, dtype=complex) for l in labels})
+def identity_family(dual: DualDescriptor) -> MatrixFamily:
+    return MatrixFamily(dual, {l: np.eye(dual.irrep(l).n, dtype=complex) for l in dual.labels()})
 
 
-def haar_family(dual: DualDescriptor, rng: np.random.Generator, labels=None) -> MatrixFamily:
-    labels = dual.labels() if labels is None else list(labels)
-    return MatrixFamily(dual, {l: haar_unitary(dual.irrep(l).n, rng) for l in labels})
+def haar_family(dual: DualDescriptor, rng: np.random.Generator) -> MatrixFamily:
+    return MatrixFamily(dual, {l: haar_unitary(dual.irrep(l).n, rng) for l in dual.labels()})
 
 
 def random_coeffs(

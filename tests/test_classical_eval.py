@@ -14,7 +14,6 @@ from qgfourier import (
     cotype2_ratio,
     cyclic_group,
     ell2_norm,
-    evaluate,
     evaluate_su2,
     gaussian_series_l1_mean,
     haar_unitary,
@@ -108,15 +107,13 @@ class TestFiniteGroups:
     def test_sign_character_values(self):
         z2 = cyclic_group(2)
         f = FourierCoeffs(z2.dual_descriptor(), {1: np.array([[1.0]])})
-        assert z2.evaluate(f, 0) == pytest.approx(1.0)
-        assert z2.evaluate(f, 1) == pytest.approx(-1.0)
+        np.testing.assert_allclose(z2.coeff_values(f), [1.0, -1.0], atol=1e-15)
         assert l1_norm_classical(f, z2) == pytest.approx(1.0)
         assert linfty_norm_classical(f, z2) == pytest.approx(1.0)
 
     def test_constant_function(self, s3_table):
         f = FourierCoeffs(s3_table.dual_descriptor(), {"triv": np.array([[2.0 - 1.0j]])})
-        for g in range(6):
-            assert evaluate(f, s3_table, g) == pytest.approx(2.0 - 1.0j)
+        np.testing.assert_allclose(s3_table.coeff_values(f), [2.0 - 1.0j] * 6, atol=1e-15)
         assert l1_norm_classical(f, s3_table) == pytest.approx(abs(2 - 1j))
 
     def test_round_trip_extraction(self, s3_table):
@@ -211,6 +208,14 @@ class TestQuadrature:
         back = su2_quad.fourier_coeffs(su2_quad.coeff_values(f), 4, dual)
         for k in range(5):
             np.testing.assert_allclose(back.block(k), f.block(k), atol=1e-8)
+
+    def test_bad_level_is_a_domain_error(self, su2_quad, s3_table):
+        for label in (-1, "std"):
+            with pytest.raises(ClassicalDomainError):
+                su2_quad.irrep_stack(label)
+        f = FourierCoeffs(s3_table.dual_descriptor(), {"std": np.eye(2)})
+        with pytest.raises(ClassicalDomainError):
+            su2_quad.coeff_values(f)
 
     def test_pointwise_evaluation_matches_stack(self, su2_quad):
         from qgfourier import make_su2_dual
@@ -394,7 +399,10 @@ class TestRandomizedL1Report:
         assert r2.sup_l1_over_u >= r1.sup_l1_over_u  # nested seeds: sup is monotone
 
 
-def test_evaluate_dispatch_rejects_unknown(s3_table):
-    f = FourierCoeffs(s3_table.dual_descriptor(), {})
-    with pytest.raises(ClassicalDomainError):
-        evaluate(f, object(), 0)
+    def test_su2_rule_ratio_is_at_most_one(self, su2_quad):
+        # on a probability measure L1 <= L2, and the L2 norm of f_U is ell2(f)
+        from qgfourier import make_su2_dual
+
+        f = random_coeffs(make_su2_dual(2), RngSeed(257).generator())
+        res = randomized_l1_report(su2_quad, f, 256, RngSeed(263))
+        assert 0.0 < res.ratio <= 1.0 + 1e-9

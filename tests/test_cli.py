@@ -70,6 +70,13 @@ CONFIG_REFUSALS = [
     (["plancherel", "--seed", "1", "--dual", "z0"], "order must be >= 1", False),
     # a csv file holds one table; this ran the whole suite before failing in write_output
     (["all", "--seed", "1", "--out", "x.csv", "--format", "csv"], "argument --format", False),
+    # a flag no subcommand of the run reads was ignored, yet written into its config
+    (["plancherel", "--seed", "1", "--trials", "5"], "argument --trials", False),
+    (["plancherel", "--seed", "1", "--nmax", "3"], "argument --nmax", False),
+    (["four-unitary", "--seed", "1", "--kmax", "3"], "argument --kmax", False),
+    (["four-unitary", "--seed", "1", "--families", "9"], "argument --families", False),
+    (["characters", "--families", "2"], "argument --families", False),
+    (["growth", "--trials", "3"], "argument --trials", False),
 ]
 
 
@@ -122,6 +129,19 @@ def test_csv_format_without_out_is_accepted_on_all(monkeypatch, capsys):
     code, doc = execute(["all", "--seed", "1", "--format", "csv"])
     capsys.readouterr()
     assert code == 0 and doc["verdict"] == "pass"
+
+
+def test_dual_out_of_memory_is_usage_error(monkeypatch, capsys):
+    # z2000 asks numpy for 59.6 GiB while its group law is checked; this ended
+    # in a MemoryError traceback.  Nothing is allocated for real here.
+    def no_memory(n):
+        raise MemoryError(f"Unable to allocate the {n}^3 associativity table")
+
+    monkeypatch.setattr(cli, "cyclic_group", no_memory)
+    for name in cli.EXPERIMENTS:
+        monkeypatch.setitem(cli.EXPERIMENTS, name, lambda cfg, ctx: [{"ok": True}])
+    assert execute(["plancherel", "--seed", "1", "--dual", "z2000"]) == (2, None)
+    assert "error: argument --dual: z2000 does not fit in memory" in capsys.readouterr().err
 
 
 def test_infinite_quantum_dimension_is_usage_error(capsys):
@@ -328,6 +348,20 @@ def test_growth_csv_output(tmp_path, capsys):
     assert len(lines) == 8
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "1"
+
+
+def test_csv_keeps_keys_of_later_records(tmp_path, capsys):
+    # the header came from the first record alone, so the n=2 window was lost
+    out = tmp_path / "g.csv"
+    code = main(["gaussian-norms", "--seed", "1", "--nmax", "2", "--trials", "10",
+                 "--out", str(out), "--format", "csv"])
+    capsys.readouterr()
+    assert code == 0
+    header, first, second = (line.split(",") for line in out.read_text().splitlines())
+    assert header[-1] == "window"  # keys in first-seen order
+    assert first[-1] == ""
+    assert second[-1] == "[1.2; 2.6]"
+    assert second[header.index("target")] == ""
 
 
 def test_gaussian_norms_small(capsys):

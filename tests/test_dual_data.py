@@ -17,7 +17,6 @@ from qgfourier import (
     make_suq2_dual,
     make_trivial_dual,
     onplus_dims,
-    quantum_dimension,
 )
 from qgfourier.dual_data import DualDescriptor
 
@@ -25,7 +24,7 @@ from qgfourier.dual_data import DualDescriptor
 def test_trivial_dual():
     dual = make_trivial_dual()
     assert len(dual.irreps) == 1
-    assert quantum_dimension(dual.trivial) == 1.0
+    assert dual.trivial.d == 1.0
     assert dual.kac
 
 
@@ -134,10 +133,10 @@ def test_onplus_recursion_exact_integers():
 
 
 def test_quantum_dimension_values():
-    assert quantum_dimension(make_trivial_dual().trivial) == 1.0
-    assert quantum_dimension(make_suq2_dual(0.5, 1).irrep(1)) == pytest.approx(2.5)
+    assert make_trivial_dual().trivial.d == 1.0
+    assert make_suq2_dual(0.5, 1).irrep(1).d == pytest.approx(2.5)
     for ir in make_su2_dual(5).irreps:
-        assert quantum_dimension(ir) == ir.n
+        assert ir.d == ir.n
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from qgfourier import cli, random_series
 from qgfourier.quantum_examples import (
     OVERFLOW_GUARD,
     ChainCheck,
-    suq2_chain_checks,
     suq2_chain_table,
 )
 
@@ -93,20 +92,20 @@ class TestChainChecksAgainstLoop:
         rng = RngSeed(269).generator()
         for _ in range(3):
             f = random_coeffs(dual, rng)
-            checks = suq2_chain_checks(q, EPSILONS, f)
-            assert checks == [loop_chain_check(q, eps, f) for eps in EPSILONS]
-            assert [suq2_chain_check(q, eps, f) for eps in EPSILONS] == checks
+            assert [suq2_chain_check(q, eps, f) for eps in EPSILONS] == [
+                loop_chain_check(q, eps, f) for eps in EPSILONS]
 
     def test_partial_support_is_bit_identical(self):
         dual = make_suq2_dual(0.5, 60)
         # out of level order, so the sums must follow the support's order
         f = random_coeffs(dual, RngSeed(271).generator(), labels=[40, 3, 0, 59, 17])
-        assert suq2_chain_checks(0.5, EPSILONS, f) == [
+        assert [suq2_chain_check(0.5, eps, f) for eps in EPSILONS] == [
             loop_chain_check(0.5, eps, f) for eps in EPSILONS]
 
     def test_empty_support(self):
         f = FourierCoeffs(make_suq2_dual(0.5, 60), {})
-        assert suq2_chain_checks(0.5, EPSILONS, f) == [ChainCheck(0.0, 0.0, True)] * 3
+        assert [suq2_chain_check(0.5, eps, f) for eps in EPSILONS] == [
+            ChainCheck(0.0, 0.0, True)] * 3
         assert loop_chain_check(0.5, 0.5, f) == ChainCheck(0.0, 0.0, True)
 
 
@@ -218,9 +217,10 @@ class TestChainCheck:
         f = FourierCoeffs(dual, {300: np.eye(301)})
         with pytest.raises(OverflowError):
             suq2_chain_check(0.1, 1e-6, f)
-        # through the plural too, where eps = 0.5 alone would pass the guard
+        # through the table too, where eps = 0.5 alone would pass the guard
+        top = dual.irrep(300)
         with pytest.raises(OverflowError, match="k=300"):
-            suq2_chain_checks(0.1, (0.5, 1e-6), f)
+            suq2_chain_table(0.1, (0.5, 1e-6), [top], [[top.q_trace(np.eye(301))]])
 
 
 class TestGrowthReport:

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from qgfourier import (
     ContractionError,
+    DualDescriptor,
     DualMismatchError,
     FamilyError,
     FourierCoeffs,
@@ -160,14 +161,16 @@ class TestSamplerReferences:
         assert np.max(np.abs(u - reference)) <= 1e-12
         assert next_draws_equal(a, b)
 
-    @pytest.mark.parametrize("labels", [None, [3, 0, 5]], ids=["full", "out-of-order"])
-    def test_haar_family_matches_lapack_per_label(self, labels):
+    @pytest.mark.parametrize("dual", [
+        SUQ2, DualDescriptor("suq2-out-of-order", tuple(SUQ2.irrep(l) for l in (0, 5, 3))),
+    ], ids=["full", "out-of-order"])
+    def test_haar_family_matches_lapack_per_label(self, dual):
         a, b = RngSeed(227).generator(), RngSeed(227).generator()
-        fam = haar_family(SUQ2, a, labels=labels)
-        for label in SUQ2.labels() if labels is None else labels:
-            reference = qr_haar_stack(SUQ2.irrep(label).n, 1, b)[0]
+        fam = haar_family(dual, a)
+        for label in dual.labels():
+            reference = qr_haar_stack(dual.irrep(label).n, 1, b)[0]
             assert np.max(np.abs(fam[label] - reference)) <= 1e-12
-        assert list(fam.entries) == (SUQ2.labels() if labels is None else labels)
+        assert list(fam.entries) == dual.labels()
         assert next_draws_equal(a, b)
 
     def test_unitarity_defect_of_nearly_dependent_columns(self):
