@@ -61,13 +61,11 @@ from .classical_eval import (
     coefficient_bound_check,
     cotype2_ratio,
     cyclic_group,
-    evaluate_su2,
     gaussian_series_l1_mean,
     l1_norm_classical,
     linfty_norm_classical,
     make_su2_quadrature,
     randomized_l1_report,
-    su2_irrep_matrix,
     symmetric_group_s3,
     table_from_json,
     table_to_json,

@@ -12,8 +12,10 @@ checks:
   (Gauss-Legendre in the polar angle, uniform in the two phases) with the
   degree of validity measured, not assumed: ``kmax_valid`` is the largest
   irrep level whose orthogonality relations the rule reproduces to 1e-8.
+  Its irrep stacks come from the Euler-angle structure of the grid and are
+  tied to the entry formula when the rule is built.
 
-On top of these: pointwise evaluation of coefficient families, L1/Linf norms,
+On top of these: values of coefficient families at the nodes, L1/Linf norms,
 the Gaussian-randomized L1 mean, the coefficient row-norm bounds, character
 L1 integrals, an empirical cotype-2 ratio, and a randomized-L1 report.
 """
@@ -31,8 +33,8 @@ from .fourier_core import FourierCoeffs, ell2_norm
 from .random_series import MeanAccumulator, RngSeed, haar_unitary_stack, iter_chunks
 
 GROUP_TOL = 1e-12          # exact-group checks
-SU2_INPUT_TOL = 1e-10      # special-unitarity tolerance on inputs
 SCHUR_QUAD_TOL = 1e-8      # orthogonality reproduction threshold for quadrature
+STACK_TIE_TOL = 1e-13      # assembled irrep stacks against the entry formula
 MC_CHUNK = 1024
 QUAD_NODE_BLOCK = 1024     # quadrature nodes per product in _measure_valid_kmax
 
@@ -370,36 +372,56 @@ def _su2_entry_stack(k: int, g00, g01, g10, g11) -> np.ndarray:
     return out
 
 
-def su2_irrep_matrix(k: int, g) -> np.ndarray:
-    """The (k+1)-dimensional unitary irrep of the 2x2 special unitary group at g."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    g = np.asarray(g, dtype=complex)
-    if g.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {g.shape}")
-    if float(np.linalg.norm(g.conj().T @ g - np.eye(2), 2)) > SU2_INPUT_TOL:
-        raise ValueError("input is not unitary within tolerance")
-    if abs(np.linalg.det(g) - 1.0) > SU2_INPUT_TOL:
-        raise ValueError("input does not have determinant 1 within tolerance")
-    return _su2_entry_stack(k, g[0, 0], g[0, 1], g[1, 0], g[1, 1])
+def _euler_exponents(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents of e^{i phi1} and e^{i phi2} in rho_k(g)_{ij}, as (k+1, k+1) tables
+    (see `SU2Quadrature.irrep_stack`)."""
+    i, j = np.indices((k + 1, k + 1))
+    return k - i - j, j - i
 
 
 @dataclass(eq=False)
 class SU2Quadrature(HaarRule):
-    """Nodes/weights approximating the Haar integral, with measured validity."""
+    """Nodes/weights approximating the Haar integral, with measured validity.
+
+    The nodes form a product grid: polar angles xi, then phases phi1, then
+    phases phi2 (node index (r * P + p1) * P + p2 for P phases), the node being
+    [[cos xi e^{i phi1}, sin xi e^{i phi2}], [-sin xi e^{-i phi2}, cos xi e^{-i phi1}]].
+    """
 
     nodes: np.ndarray            # (M, 2, 2)
     weights: np.ndarray          # (M,)
+    polar: np.ndarray            # (R,) the angles xi
+    phases: np.ndarray           # (P,) the angles phi1 and phi2 both run over
     kmax_valid: int
     _stacks: dict = field(default_factory=dict, repr=False)
 
     def irrep_stack(self, k: int) -> np.ndarray:
+        """rho_k at every node, from the Euler-angle structure of the grid.
+
+        Every node is g = D(alpha) g0(xi) D(beta), with D(t) = diag(e^{it}, e^{-it}),
+        g0(xi) = [[cos xi, sin xi], [-sin xi, cos xi]], phi1 = alpha + beta and
+        phi2 = alpha - beta: multiplying out gives a = cos xi e^{i(alpha+beta)} and
+        b = sin xi e^{i(alpha-beta)}.  In the orthonormal monomial basis
+        rho_k(D(t)) = diag(e^{i(k-2i)t}), so, rho_k being a homomorphism,
+
+            rho_k(g)_{ij} = e^{i(k-2i)alpha} rho_k(g0(xi))_{ij} e^{i(k-2j)beta}
+                          = e^{i(k-i-j)phi1} e^{i(j-i)phi2} rho_k(g0(xi))_{ij}.
+
+        The entry formula runs at the R polar angles only; two (P, k+1, k+1) phase
+        tables, broadcast over the grid, give the stack in node order (Vilenkin,
+        Special Functions and the Theory of Group Representations, 1968, ch. III).
+        """
         if not isinstance(k, (int, np.integer)) or k < 0:
             raise ClassicalDomainError(f"label {k!r} is not a valid irrep level")
         k = int(k)
         if k not in self._stacks:
-            g = self.nodes
-            self._stacks[k] = _su2_entry_stack(k, g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1])
+            c, s = np.cos(self.polar), np.sin(self.polar)
+            rho0 = _su2_entry_stack(k, c, s, -s, c)                      # (R, n, n)
+            e1, e2 = _euler_exponents(k)
+            p1 = np.exp(1j * np.multiply.outer(self.phases, e1))          # (P, n, n)
+            p2 = np.exp(1j * np.multiply.outer(self.phases, e2))
+            stack = rho0[:, None, None] * (p1[:, None] * p2[None, :])   # (R, P, P, n, n)
+            self._stacks[k] = stack.reshape(-1, k + 1, k + 1)
         return self._stacks[k]
 
     def fourier_coeffs(self, values: np.ndarray, kmax: int, dual: DualDescriptor) -> FourierCoeffs:
@@ -417,7 +439,9 @@ def make_su2_quadrature(resolution: int = 10, validate_kmax: int = 6) -> SU2Quad
     Writing a group element as [[a, b], [-conj(b), conj(a)]] with
     a = cos(xi) e^{i phi1}, b = sin(xi) e^{i phi2}, the Haar measure is
     sin(xi) cos(xi) dxi dphi1 dphi2 / (2 pi^2); substituting t = cos(2 xi)
-    turns the polar factor into a plain Legendre weight.
+    turns the polar factor into a plain Legendre weight.  The build measures
+    `kmax_valid` and then ties the stacks it made to the entry formula
+    (`_check_stacks`); either failing raises ValueError.
     """
     if resolution < 4:
         raise ValueError(f"resolution must be >= 4, got {resolution}")
@@ -437,11 +461,37 @@ def make_su2_quadrature(resolution: int = 10, validate_kmax: int = 6) -> SU2Quad
     weights = np.broadcast_to(
         (v / (2.0 * n_phase * n_phase))[:, None, None], (resolution, n_phase, n_phase)
     ).reshape(-1)
-    quad = SU2Quadrature(nodes=nodes, weights=weights.copy(), kmax_valid=-1)
+    quad = SU2Quadrature(nodes=nodes, weights=weights.copy(), polar=xi, phases=phi,
+                         kmax_valid=-1)
     quad.kmax_valid = _measure_valid_kmax(quad, validate_kmax)
+    _check_stacks(quad)
     if quad.kmax_valid < 0:
         raise ValueError("quadrature fails orthogonality already at level 0")
     return quad
+
+
+def _check_stacks(quad: SU2Quadrature) -> None:
+    """Raise ValueError unless the assembled stacks agree with the entry formula.
+
+    The Gram validation cannot see an assembly fault: a relabelled or re-phased
+    orthonormal set is still orthonormal.  So level 1 must reproduce the nodes
+    at every node, and every stack built so far must match `_su2_entry_stack`
+    to STACK_TIE_TOL on one ring of nodes per polar angle.  On the ring at the
+    r-th polar angle, phi1 runs over every phase and phi2 runs r + 1 steps
+    ahead of it, so the two phase axes cannot trade places unseen.
+    """
+    err = float(np.max(np.abs(quad.irrep_stack(1) - quad.nodes)))
+    if err > STACK_TIE_TOL:
+        raise ValueError(f"level 1 stack differs from the nodes by {err!r}")
+    n_polar, n_phase = len(quad.polar), len(quad.phases)
+    r, p = np.indices((n_polar, n_phase))
+    ring = ((r * n_phase + p) * n_phase + (p + r + 1) % n_phase).reshape(-1)
+    g = quad.nodes[ring]
+    for k, stack in quad._stacks.items():
+        formula = _su2_entry_stack(k, g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1])
+        err = float(np.max(np.abs(stack[ring] - formula)))
+        if err > STACK_TIE_TOL:
+            raise ValueError(f"level {k} stack differs from the entry formula by {err!r}")
 
 
 def _measure_valid_kmax(quad: SU2Quadrature, cap: int) -> int:
@@ -468,14 +518,6 @@ def _measure_valid_kmax(quad: SU2Quadrature, cap: int) -> int:
         if float(np.max(np.abs(gram))) > SCHUR_QUAD_TOL:
             return k - 1
     return max(cap, -1)
-
-
-def evaluate_su2(f: FourierCoeffs, g) -> complex:
-    """Pointwise value sum_k (k+1) tr(f_k rho_k(g)) at an arbitrary group element."""
-    acc = 0j
-    for label, m in f.support.items():
-        acc += (label + 1) * np.trace(m @ su2_irrep_matrix(int(label), g))
-    return complex(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -511,13 +553,20 @@ class GaussianL1:
 
 def _series_l1(haar: HaarRule, f: FourierCoeffs, trials: int, seed: RngSeed, draw):
     """Per chunk of trials, the L1 norms of sum_pi s_pi tr(X_pi f_pi pi(g)), where
-    `draw(rng, n)` gives (s, a stack of MC_CHUNK random n x n matrices X)."""
+    `draw(rng, n)` gives (s, a stack of MC_CHUNK random n x n matrices X).
+
+    tr(X f pi(g)) = sum_{m,i} (X f)^T_{mi} pi(g)_{mi}: per label, X f for the
+    chunk, then one product of its transposes, flattened to (take, n^2),
+    against the stack flattened to (nodes, n^2).
+    """
     for index, take in iter_chunks(trials, MC_CHUNK):
         rng = seed.chunk_generator(index)
         vals = np.zeros((take, len(haar.weights)), dtype=complex)
         for label, m in f.support.items():
             scale, x = draw(rng, m.shape[0])
-            vals += scale * np.einsum("tij,jm,gmi->tg", x[:take], m, haar.irrep_stack(label))
+            stack = haar.irrep_stack(label)
+            xm_t = np.swapaxes(x[:take] @ m, 1, 2).reshape(take, -1)
+            vals += scale * (xm_t @ stack.reshape(len(stack), -1).T)
         yield np.abs(vals) @ haar.weights
 
 

@@ -139,6 +139,9 @@ class Context:
 
     def __init__(self):
         self._cache = {}
+        # subcommand -> the dual `resolve_config` built for it; its run pops it,
+        # so the dual is built once and does not outlive its subcommand
+        self.duals = {}
 
     def s3(self):
         return self._cache.setdefault("s3", symmetric_group_s3())
@@ -161,7 +164,7 @@ def _seed_for(cfg: dict, name: str, case: int = 0) -> RngSeed:
 # ---------------------------------------------------------------------------
 
 def run_plancherel(cfg, ctx):
-    dual = build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
+    dual = ctx.duals.pop("plancherel")
     rng = _seed_for(cfg, "plancherel").generator()
     tol = 1e-12
     max_rel = 0.0
@@ -174,7 +177,7 @@ def run_plancherel(cfg, ctx):
 
 
 def run_pairing(cfg, ctx):
-    dual = build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
+    dual = ctx.duals.pop("pairing")
     rng = _seed_for(cfg, "pairing").generator()
     tol = 1e-12
     max_self = 0.0
@@ -240,7 +243,7 @@ def run_convolve_check(cfg, ctx):
 
 
 def run_randomize_l2(cfg, ctx):
-    dual = build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
+    dual = ctx.duals.pop("randomize-l2")
     rng = _seed_for(cfg, "randomize-l2").generator()
     tol = 1e-10
     max_rel = 0.0
@@ -287,7 +290,7 @@ def run_four_unitary(cfg, ctx):
 
 
 def run_ball_decomposition(cfg, ctx):
-    dual = build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
+    dual = ctx.duals.pop("ball-decomposition")
     rng = _seed_for(cfg, "ball-decomposition").generator()
     tol = 1e-9
     max_dev = 0.0
@@ -448,7 +451,7 @@ def run_tb_contraction(cfg, ctx):
 
 
 def run_hx_identity(cfg, ctx):
-    dual = build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
+    dual = ctx.duals.pop("hx-identity")
     rng = _seed_for(cfg, "hx-identity").generator()
     max_rel = 0.0
     for _ in range(cfg["families"]):
@@ -527,7 +530,7 @@ def run_corollary_suq2(cfg, ctx):
 
 
 def run_growth(cfg, ctx):
-    dual = build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
+    dual = ctx.duals.pop("growth")
     q = cfg["q"] if cfg["dual"] == "suq2" else None
     rows = growth_report(dual, q=q)
     return [{"k": r.k, "n": r.n, "d": r.d, "ratio": r.ratio} for r in rows]
@@ -639,10 +642,9 @@ def resolve_config(name: str, args: argparse.Namespace, ctx: Context) -> dict:
         raise ValueError(f"argument --q: only the suq2 dual is deformed; {name} "
                          f"runs on --dual {cfg['dual']}")
     if "dual" in cfg:
-        # an unknown or invalid spec is refused here, before any run; the run
-        # builds its own dual, so no dual outlives its subcommand
+        # an unknown or invalid spec is refused here, before any run
         try:
-            build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
+            ctx.duals[name] = build_dual(cfg["dual"], cfg["q"], cfg["kmax"])
         except MemoryError as exc:
             raise ValueError(f"argument --dual: {cfg['dual']} does not fit in memory "
                              f"({exc})") from None

@@ -169,7 +169,8 @@ def haar_unitary_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarr
         return _gram_schmidt(z)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    phase = diag.conj() / np.abs(diag)
+    with np.errstate(invalid="ignore"):  # a NaN draw runs through to a NaN unitary
+        phase = diag.conj() / np.abs(diag)
     return q * phase[:, None, :]
 
 

@@ -14,25 +14,51 @@ from qgfourier import (
     cotype2_ratio,
     cyclic_group,
     ell2_norm,
-    evaluate_su2,
     gaussian_series_l1_mean,
     haar_unitary,
     l1_norm_classical,
     linfty_norm_classical,
     random_coeffs,
     randomized_l1_report,
-    su2_irrep_matrix,
     table_from_json,
     table_to_json,
     weyl_character_l1,
 )
 from qgfourier import classical_eval
 from qgfourier.classical_eval import (
+    MC_CHUNK,
     SCHUR_QUAD_TOL,
     FiniteGroupTable,
     GroupIrrep,
     make_su2_quadrature,
 )
+from qgfourier.random_series import haar_unitary_stack, iter_chunks
+
+
+SU2_INPUT_TOL = 1e-10  # special-unitarity tolerance on the reference's inputs
+
+
+def su2_irrep_matrix(k: int, g) -> np.ndarray:
+    """Reference: the (k+1)-dimensional unitary irrep of SU(2) at one element g,
+    straight from the entry formula."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    g = np.asarray(g, dtype=complex)
+    if g.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {g.shape}")
+    if float(np.linalg.norm(g.conj().T @ g - np.eye(2), 2)) > SU2_INPUT_TOL:
+        raise ValueError("input is not unitary within tolerance")
+    if abs(np.linalg.det(g) - 1.0) > SU2_INPUT_TOL:
+        raise ValueError("input does not have determinant 1 within tolerance")
+    return classical_eval._su2_entry_stack(k, g[0, 0], g[0, 1], g[1, 0], g[1, 1])
+
+
+def evaluate_su2(f: FourierCoeffs, g) -> complex:
+    """Reference: the value sum_k (k+1) tr(f_k rho_k(g)) at one group element."""
+    acc = 0j
+    for label, m in f.support.items():
+        acc += (label + 1) * np.trace(m @ su2_irrep_matrix(int(label), g))
+    return complex(acc)
 
 
 def random_su2(rng):
@@ -231,6 +257,57 @@ class TestQuadrature:
             make_su2_quadrature(3)
 
 
+def mutant_exponents(phi1, phi2, from_level=0):
+    """A planted assembly fault: `_euler_exponents` with other phase exponents
+    from level `from_level` on."""
+    def exponents(k):
+        i, j = np.indices((k + 1, k + 1))
+        if k < from_level:
+            return k - i - j, j - i
+        return phi1(k, i, j), phi2(k, i, j)
+    return exponents
+
+
+ASSEMBLY_MUTANTS = {
+    "phi2 exponent i - j": mutant_exponents(lambda k, i, j: k - i - j, lambda k, i, j: i - j),
+    "phi1 exponent k - 2i": mutant_exponents(lambda k, i, j: k - 2 * i, lambda k, i, j: j - i),
+    # level 1 is right here, so only the ring comparison can see it
+    "phi2 exponent i - j above level 1": mutant_exponents(
+        lambda k, i, j: k - i - j, lambda k, i, j: i - j, from_level=2),
+}
+
+
+class TestEulerStacks:
+    @pytest.mark.parametrize("resolution", [4, 5, 10])
+    def test_stacks_match_entry_formula_at_every_node(self, resolution):
+        quad = make_su2_quadrature(resolution, 0)
+        g = quad.nodes
+        for k in range(15):
+            formula = classical_eval._su2_entry_stack(
+                k, g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1])
+            assert float(np.max(np.abs(quad.irrep_stack(k) - formula))) <= 1e-13
+            quad._stacks.pop(k)  # one level held at a time
+
+    def test_level_one_is_the_nodes(self, su2_quad):
+        assert float(np.max(np.abs(su2_quad.irrep_stack(1) - su2_quad.nodes))) <= 1e-15
+
+    @pytest.mark.parametrize("name", ASSEMBLY_MUTANTS)
+    def test_assembly_fault_raises_at_build(self, name, monkeypatch):
+        # the Gram validation passes every mutant: only the tie to the formula sees it
+        measure = classical_eval._measure_valid_kmax
+        levels = []
+
+        def spy(quad, cap):
+            levels.append(measure(quad, cap))
+            return levels[-1]
+
+        monkeypatch.setattr(classical_eval, "_measure_valid_kmax", spy)
+        monkeypatch.setattr(classical_eval, "_euler_exponents", ASSEMBLY_MUTANTS[name])
+        with pytest.raises(ValueError, match="differs from the"):
+            make_su2_quadrature()
+        assert levels == [6]
+
+
 class TestValidityMeasurement:
     @pytest.mark.parametrize("resolution, cap, level", [(4, 9, 7), (5, 8, 8), (10, 6, 6)])
     def test_agrees_with_einsum_route(self, resolution, cap, level):
@@ -374,6 +451,41 @@ class TestCotype:
         zero = FourierCoeffs(s3_table.dual_descriptor(), {})
         with pytest.raises(ValueError):
             cotype2_ratio(s3_table, [zero, zero], 100, RngSeed(229))
+
+
+def einsum_series_l1(haar, f, trials, seed, draw):
+    """Reference for `_series_l1`: one three-operand einsum per label and chunk."""
+    for index, take in iter_chunks(trials, MC_CHUNK):
+        rng = seed.chunk_generator(index)
+        vals = np.zeros((take, len(haar.weights)), dtype=complex)
+        for label, m in f.support.items():
+            scale, x = draw(rng, m.shape[0])
+            vals += scale * np.einsum("tij,jm,gmi->tg", x[:take], m, haar.irrep_stack(label))
+        yield np.abs(vals) @ haar.weights
+
+
+SERIES_DRAWS = {
+    "gaussian": lambda rng, n: (np.sqrt(n), rng.standard_normal((MC_CHUNK, n, n))),
+    "unitary": lambda rng, n: (n, haar_unitary_stack(n, MC_CHUNK, rng)),
+}
+
+
+@pytest.mark.parametrize("draw", SERIES_DRAWS)
+@pytest.mark.parametrize("rule, trials", [("s3_table", 1500), ("z8_table", 1500),
+                                          ("su2_quad", 40)])
+def test_series_l1_agrees_with_einsum(rule, trials, draw, request):
+    haar = request.getfixturevalue(rule)
+    if rule == "su2_quad":
+        from qgfourier import make_su2_dual
+
+        dual = make_su2_dual(3)
+    else:
+        dual = haar.dual_descriptor()
+    f = random_coeffs(dual, RngSeed(269).generator())
+    got = list(classical_eval._series_l1(haar, f, trials, RngSeed(271), SERIES_DRAWS[draw]))
+    ref = list(einsum_series_l1(haar, f, trials, RngSeed(271), SERIES_DRAWS[draw]))
+    assert [len(l1) for l1 in got] == [len(l1) for l1 in ref]
+    np.testing.assert_allclose(np.concatenate(got), np.concatenate(ref), rtol=1e-13, atol=0)
 
 
 class TestRandomizedL1Report:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qgfourier import cli, random_series
+from qgfourier import cli, cyclic_group, random_series
 from qgfourier.cli import build_dual, content_hash, execute, main
 from qgfourier.random_series import ContractionError
 
@@ -383,3 +383,24 @@ def test_build_dual_forms():
     assert build_dual("suq2", 0.25, 2).irrep(1).d == pytest.approx(0.25 + 4.0)
     with pytest.raises(ValueError):
         build_dual("zz", 0.5, 3)
+
+
+DUAL_RUNS = ["plancherel", "pairing", "randomize-l2", "ball-decomposition", "hx-identity",
+             "growth"]
+
+
+@pytest.mark.parametrize("sub", DUAL_RUNS)
+def test_dual_is_built_once_per_subcommand(sub, monkeypatch, capsys):
+    # the dual resolve_config builds to refuse a bad spec is the one the run uses
+    built = []
+
+    def counting(n):
+        built.append(n)
+        return cyclic_group(n)
+
+    monkeypatch.setattr(cli, "cyclic_group", counting)
+    argv = [sub, "--dual", "z8"] + ([] if sub == "growth" else ["--seed", "1", "--families", "1"])
+    code, doc = execute(argv)
+    capsys.readouterr()
+    assert code == 0 and doc["meta"]["config"]["dual"] == "z8"
+    assert built == [8]
