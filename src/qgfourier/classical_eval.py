@@ -12,8 +12,10 @@ checks:
   (Gauss-Legendre in the polar angle, uniform in the two phases) with the
   degree of validity measured, not assumed: ``kmax_valid`` is the largest
   irrep level whose orthogonality relations the rule reproduces to 1e-8.
-  Its irrep stacks come from the Euler-angle structure of the grid and are
-  tied to the entry formula when the rule is built.
+  Its irrep stacks and its validity Gram both come from the Euler-angle
+  structure of the grid: the entry formula runs at the polar angles only,
+  and the phase sums factor out.  The stacks are tied to the entry formula
+  when the rule is built.
 
 On top of these: values of coefficient families at the nodes, L1/Linf norms,
 the Gaussian-randomized L1 mean, the coefficient row-norm bounds, character
@@ -36,7 +38,6 @@ GROUP_TOL = 1e-12          # exact-group checks
 SCHUR_QUAD_TOL = 1e-8      # orthogonality reproduction threshold for quadrature
 STACK_TIE_TOL = 1e-13      # assembled irrep stacks against the entry formula
 MC_CHUNK = 1024
-QUAD_NODE_BLOCK = 1024     # quadrature nodes per product in _measure_valid_kmax
 
 
 class ClassicalDomainError(ValueError):
@@ -152,10 +153,8 @@ class FiniteGroupTable(HaarRule):
                 raise GroupTableError(
                     f"irrep {ir.label!r}: matrices shape {mats.shape}"
                 )
-            eye = np.eye(ir.n)
-            defect = max(
-                float(np.linalg.norm(m.conj().T @ m - eye, 2)) for m in mats
-            )
+            gram = np.swapaxes(mats.conj(), -2, -1) @ mats
+            defect = float(np.max(np.linalg.norm(gram - np.eye(ir.n), 2, axis=(-2, -1))))
             if defect > GROUP_TOL:
                 raise GroupTableError(f"irrep {ir.label!r}: unitarity defect {defect!r}")
             prod = np.einsum("aij,bjk->abik", mats, mats)
@@ -394,6 +393,14 @@ class SU2Quadrature(HaarRule):
     phases: np.ndarray           # (P,) the angles phi1 and phi2 both run over
     kmax_valid: int
     _stacks: dict = field(default_factory=dict, repr=False)
+    _polar_stacks: dict = field(default_factory=dict, repr=False)
+
+    def _polar_stack(self, k: int) -> np.ndarray:
+        """rho_k(g0(xi)) at the R polar angles, shape (R, k+1, k+1) (see `irrep_stack`)."""
+        if k not in self._polar_stacks:
+            c, s = np.cos(self.polar), np.sin(self.polar)
+            self._polar_stacks[k] = _su2_entry_stack(k, c, s, -s, c)
+        return self._polar_stacks[k]
 
     def irrep_stack(self, k: int) -> np.ndarray:
         """rho_k at every node, from the Euler-angle structure of the grid.
@@ -415,8 +422,7 @@ class SU2Quadrature(HaarRule):
             raise ClassicalDomainError(f"label {k!r} is not a valid irrep level")
         k = int(k)
         if k not in self._stacks:
-            c, s = np.cos(self.polar), np.sin(self.polar)
-            rho0 = _su2_entry_stack(k, c, s, -s, c)                      # (R, n, n)
+            rho0 = self._polar_stack(k)                                  # (R, n, n)
             e1, e2 = _euler_exponents(k)
             p1 = np.exp(1j * np.multiply.outer(self.phases, e1))          # (P, n, n)
             p2 = np.exp(1j * np.multiply.outer(self.phases, e2))
@@ -439,9 +445,19 @@ def make_su2_quadrature(resolution: int = 10, validate_kmax: int = 6) -> SU2Quad
     Writing a group element as [[a, b], [-conj(b), conj(a)]] with
     a = cos(xi) e^{i phi1}, b = sin(xi) e^{i phi2}, the Haar measure is
     sin(xi) cos(xi) dxi dphi1 dphi2 / (2 pi^2); substituting t = cos(2 xi)
-    turns the polar factor into a plain Legendre weight.  The build measures
-    `kmax_valid` and then ties the stacks it made to the entry formula
-    (`_check_stacks`); either failing raises ValueError.
+    turns the polar factor into a plain Legendre weight, so node (r, p1, p2)
+    carries v_r / (2 P^2) for Legendre weight v_r and P phases.
+
+    The build measures `kmax_valid` on the R polar angles alone: every node is
+    D(alpha) g0(xi_r) D(beta), so the Gram of the irrep coefficients over the
+    R P^2 nodes is a sum over r of polar-angle products times two phase sums
+    S(m) = (1/P) sum_p e^{i m phi_p}, taken from the phases themselves (see
+    `_level_gram`).  That is exact as long as every node of one polar angle
+    has the same weight, which `_measure_valid_kmax` checks.  The build then
+    makes the stacks of levels 0..`kmax_valid` and ties them to the entry
+    formula (`_check_stacks`), which also checks that the nodes are the Euler
+    products the measurement assumed.  A rule valid below level 0, or a stack
+    off the formula, raises ValueError.
     """
     if resolution < 4:
         raise ValueError(f"resolution must be >= 4, got {resolution}")
@@ -464,9 +480,11 @@ def make_su2_quadrature(resolution: int = 10, validate_kmax: int = 6) -> SU2Quad
     quad = SU2Quadrature(nodes=nodes, weights=weights.copy(), polar=xi, phases=phi,
                          kmax_valid=-1)
     quad.kmax_valid = _measure_valid_kmax(quad, validate_kmax)
-    _check_stacks(quad)
     if quad.kmax_valid < 0:
-        raise ValueError("quadrature fails orthogonality already at level 0")
+        raise ValueError("quadrature fails validation already at level 0")
+    for k in range(quad.kmax_valid + 1):
+        quad.irrep_stack(k)
+    _check_stacks(quad)
     return quad
 
 
@@ -494,28 +512,58 @@ def _check_stacks(quad: SU2Quadrature) -> None:
             raise ValueError(f"level {k} stack differs from the entry formula by {err!r}")
 
 
+def _level_gram(quad: SU2Quadrature, k: int) -> np.ndarray:
+    """Gram rows of level k against levels 0..k side by side, over every node.
+
+    Entry ((i, j), (l, s, t)) is sum_g w_g conj(rho_k(g)_{ij}) rho_l(g)_{st}.
+    At node (r, p1, p2), rho_k(g)_{ij} = e^{i a phi1} e^{i b phi2} rho_k(g0(xi_r))_{ij}
+    with a = k-i-j and b = j-i (`SU2Quadrature.irrep_stack`).  If the weight is
+    w_r on all P^2 nodes of the r-th polar angle, the two phase sums split off:
+
+        G = sum_r P^2 w_r conj(rho_k(g0(xi_r))_{ij}) rho_l(g0(xi_r))_{st}
+                * S(a' - a) * S(b' - b),      S(m) = (1/P) sum_p e^{i m phi_p},
+
+    (a', b') being the exponents of (l, s, t).  This is the node sum regrouped,
+    not an approximation: S is summed from `quad.phases`, so a phase grid too
+    coarse for level k shows as S(m) != 0 at some m != 0, just as a polar rule
+    too coarse for it shows in the R-term sum.  The weight premise is the
+    caller's to check.
+    """
+    n_polar, n_phase = len(quad.polar), len(quad.phases)
+    ring_weights = quad.weights[:: n_phase * n_phase] * (n_phase * n_phase)
+    polar = [quad._polar_stack(l).reshape(n_polar, -1) for l in range(k + 1)]
+    gram = (polar[-1].conj() * ring_weights[:, None]).T @ np.concatenate(polar, axis=1)
+    m = np.arange(-2 * k, 2 * k + 1)                        # every a' - a and b' - b
+    s_table = np.exp(1j * np.multiply.outer(m, quad.phases)).mean(axis=1)
+    exponents = [_euler_exponents(l) for l in range(k + 1)]
+    for axis in (0, 1):
+        cols = np.concatenate([e[axis].reshape(-1) for e in exponents])
+        rows = exponents[-1][axis].reshape(-1, 1)
+        gram *= s_table[cols - rows + 2 * k]
+    return gram
+
+
 def _measure_valid_kmax(quad: SU2Quadrature, cap: int) -> int:
     """Largest k <= cap whose coefficient Gram (against all levels <= k) is exact to 1e-8.
 
-    Level k takes one product per block of QUAD_NODE_BLOCK nodes: the weighted,
-    conjugated level-k columns against the columns of levels 0..k side by side,
-    summed over the blocks.  Beyond the cached irrep stacks, the extra memory is
-    one node block of columns and the Gram rows of level k.  The measurement
-    stops at the first failing level and reads only the stacks and the weights.
+    Level k is one product over the R polar angles and two gathers from a
+    phase-sum table (`_level_gram`), equal to the Gram over all R P^2 nodes up
+    to rounding.  That regrouping needs every node of one polar angle to carry
+    the same weight; the weights are checked for it exactly, and a rule that
+    breaks it measures -1, so its build fails.  The node premise, that the
+    nodes are the Euler products of `polar` and `phases`, is the level-1 tie
+    of `_check_stacks`.  The measurement reads the angles and the weights,
+    never an irrep stack; beyond R x (k+1)^2 polar tables its memory is the
+    Gram rows of level k.  It stops at the first failing level.
     """
-    w = quad.weights
-    flat = []
+    rings = quad.weights.reshape(len(quad.polar), len(quad.phases) ** 2)
+    if not np.all(rings == rings[:, :1]):
+        return -1
     for k in range(cap + 1):
-        stack = quad.irrep_stack(k)
-        flat.append(stack.reshape(stack.shape[0], -1))
-        nk = flat[-1].shape[1]
-        gram = np.zeros((nk, sum(y.shape[1] for y in flat)), dtype=complex)
-        for lo in range(0, len(w), QUAD_NODE_BLOCK):
-            blk = slice(lo, lo + QUAD_NODE_BLOCK)
-            weighted = flat[-1][blk].conj() * w[blk, None]
-            gram += weighted.T @ np.concatenate([y[blk] for y in flat], axis=1)
+        gram = _level_gram(quad, k)
+        nk = (k + 1) ** 2
         gram[:, -nk:] -= np.eye(nk) / (k + 1)  # the expected blocks: I/(k+1), else 0
-        if float(np.max(np.abs(gram))) > SCHUR_QUAD_TOL:
+        if not float(np.max(np.abs(gram))) <= SCHUR_QUAD_TOL:
             return k - 1
     return max(cap, -1)
 

@@ -66,25 +66,27 @@ def random_su2(rng):
     return u / np.sqrt(np.linalg.det(u))
 
 
+def einsum_level_gram(quad, k) -> np.ndarray:
+    """Oracle for _level_gram: the Gram rows of level k against levels 0..k,
+    as one einsum over all nodes.  It is contracted by BLAS: unoptimised, the
+    einsum sums the nodes in sequence and drifts from a long-double Gram by
+    up to 6e-14 on these rules, where the BLAS contraction stays below 6e-15."""
+    ys = [quad.irrep_stack(l).reshape(len(quad.weights), -1) for l in range(k + 1)]
+    return np.einsum("gi,g,gj->ij", ys[-1].conj(), quad.weights,
+                     np.concatenate(ys, axis=1), optimize=True)
+
+
 def einsum_valid_kmax(quad, cap) -> int:
-    """Oracle for _measure_valid_kmax: one three-operand einsum over all
-    nodes for each pair of levels, stopping at the first failing level."""
-    valid = -1
-    flat = []
+    """Oracle for _measure_valid_kmax: the full-node Gram rows of each level,
+    stopping at the first failing level."""
     for k in range(cap + 1):
-        stack = quad.irrep_stack(k)
-        yk = stack.reshape(stack.shape[0], -1)
-        for kp, yp in enumerate(flat + [yk]):
-            gram = np.einsum("gi,g,gj->ij", yk.conj(), quad.weights, yp)
-            if kp == k:
-                expected = np.eye(yk.shape[1]) / (k + 1)
-            else:
-                expected = np.zeros((yk.shape[1], yp.shape[1]))
-            if float(np.max(np.abs(gram - expected))) > SCHUR_QUAD_TOL:
-                return valid
-        flat.append(yk)
-        valid = k
-    return valid
+        gram = einsum_level_gram(quad, k)
+        nk = (k + 1) ** 2
+        expected = np.zeros(gram.shape)
+        expected[:, -nk:] = np.eye(nk) / (k + 1)
+        if float(np.max(np.abs(gram - expected))) > SCHUR_QUAD_TOL:
+            return k - 1
+    return max(cap, -1)
 
 
 class TestFiniteGroups:
@@ -116,6 +118,14 @@ class TestFiniteGroups:
         irreps = (GroupIrrep(0, 1, np.ones((2, 1, 1))),)
         with pytest.raises(GroupTableError):
             FiniteGroupTable(name="bad", order=2, mult=mult, irreps=irreps)
+
+    def test_rejects_non_unitary_irrep(self, z8_table):
+        irreps = list(z8_table.irreps)
+        mats = irreps[3].matrices.copy()
+        mats[5] *= 1 + 1e-9
+        irreps[3] = GroupIrrep(3, 1, mats)
+        with pytest.raises(GroupTableError, match="unitarity defect"):
+            FiniteGroupTable(name="z8", order=8, mult=z8_table.mult, irreps=irreps)
 
     def test_rejects_wrong_peter_weyl(self):
         z2 = cyclic_group(2)
@@ -288,6 +298,12 @@ class TestEulerStacks:
             assert float(np.max(np.abs(quad.irrep_stack(k) - formula))) <= 1e-13
             quad._stacks.pop(k)  # one level held at a time
 
+    @pytest.mark.parametrize("resolution, cap, levels", [(10, 6, 7), (10, 0, 2), (4, 9, 8)])
+    def test_build_makes_stacks_through_kmax_valid(self, resolution, cap, levels):
+        # level 1 is always made: the tie of level 1 to the nodes needs it
+        quad = make_su2_quadrature(resolution, cap)
+        assert sorted(quad._stacks) == list(range(levels))
+
     def test_level_one_is_the_nodes(self, su2_quad):
         assert float(np.max(np.abs(su2_quad.irrep_stack(1) - su2_quad.nodes))) <= 1e-15
 
@@ -309,11 +325,25 @@ class TestEulerStacks:
 
 
 class TestValidityMeasurement:
-    @pytest.mark.parametrize("resolution, cap, level", [(4, 9, 7), (5, 8, 8), (10, 6, 6)])
+    # every case but the last crosses a failing level
+    @pytest.mark.parametrize("resolution, cap, level",
+                             [(4, 9, 7), (5, 10, 8), (6, 10, 9), (8, 12, 11), (10, 6, 6)])
     def test_agrees_with_einsum_route(self, resolution, cap, level):
         quad = make_su2_quadrature(resolution, 0)
         assert classical_eval._measure_valid_kmax(quad, cap) == level
         assert einsum_valid_kmax(quad, cap) == level
+        for k in range(min(level + 1, cap) + 1):
+            gram = classical_eval._level_gram(quad, k)
+            assert float(np.max(np.abs(gram - einsum_level_gram(quad, k)))) <= 1e-14
+
+    def test_reads_no_irrep_stack(self, monkeypatch):
+        quad = make_su2_quadrature(10, 0)
+
+        def refuse(self, k):
+            raise AssertionError(f"the measurement read the level-{k} stack")
+
+        monkeypatch.setattr(classical_eval.SU2Quadrature, "irrep_stack", refuse)
+        assert classical_eval._measure_valid_kmax(quad, 20) == 13
 
     def test_default_rule_is_exact_to_level_13(self):
         assert make_su2_quadrature(10, 20).kmax_valid == 13
@@ -331,6 +361,22 @@ class TestValidityMeasurement:
         with pytest.raises(ValueError, match="level 0"):
             make_su2_quadrature()
         assert levels == [-1, -1]
+
+    def test_uneven_ring_weights_fail_closed(self, monkeypatch):
+        # too small for the Gram to see, but the polar product would not be exact
+        measure = classical_eval._measure_valid_kmax
+        levels = []
+
+        def uneven(quad, cap):
+            quad.weights[17] += 1e-12  # nodes 17 and 18 share the first polar angle
+            quad.weights[18] -= 1e-12
+            levels.append(measure(quad, cap))
+            return levels[0]
+
+        monkeypatch.setattr(classical_eval, "_measure_valid_kmax", uneven)
+        with pytest.raises(ValueError, match="level 0"):
+            make_su2_quadrature()
+        assert levels == [-1]
 
     def test_peak_memory_not_above_einsum_route(self, su2_quad):
         su2_quad.irrep_stack(6)  # stacks cached before tracing, as after a build
