@@ -499,7 +499,7 @@ def _check_stacks(quad: SU2Quadrature) -> None:
     ahead of it, so the two phase axes cannot trade places unseen.
     """
     err = float(np.max(np.abs(quad.irrep_stack(1) - quad.nodes)))
-    if err > STACK_TIE_TOL:
+    if not err <= STACK_TIE_TOL:
         raise ValueError(f"level 1 stack differs from the nodes by {err!r}")
     n_polar, n_phase = len(quad.polar), len(quad.phases)
     r, p = np.indices((n_polar, n_phase))
@@ -508,7 +508,7 @@ def _check_stacks(quad: SU2Quadrature) -> None:
     for k, stack in quad._stacks.items():
         formula = _su2_entry_stack(k, g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1])
         err = float(np.max(np.abs(stack[ring] - formula)))
-        if err > STACK_TIE_TOL:
+        if not err <= STACK_TIE_TOL:
             raise ValueError(f"level {k} stack differs from the entry formula by {err!r}")
 
 

@@ -77,16 +77,24 @@ def einsum_level_gram(quad, k) -> np.ndarray:
 
 
 def einsum_valid_kmax(quad, cap) -> int:
-    """Oracle for _measure_valid_kmax: the full-node Gram rows of each level,
-    stopping at the first failing level."""
+    """Oracle for _measure_valid_kmax: one three-operand einsum over all
+    nodes for each pair of levels, stopping at the first failing level."""
+    valid = -1
+    flat = []
     for k in range(cap + 1):
-        gram = einsum_level_gram(quad, k)
-        nk = (k + 1) ** 2
-        expected = np.zeros(gram.shape)
-        expected[:, -nk:] = np.eye(nk) / (k + 1)
-        if float(np.max(np.abs(gram - expected))) > SCHUR_QUAD_TOL:
-            return k - 1
-    return max(cap, -1)
+        stack = quad.irrep_stack(k)
+        yk = stack.reshape(stack.shape[0], -1)
+        for kp, yp in enumerate(flat + [yk]):
+            gram = np.einsum("gi,g,gj->ij", yk.conj(), quad.weights, yp)
+            if kp == k:
+                expected = np.eye(yk.shape[1]) / (k + 1)
+            else:
+                expected = np.zeros((yk.shape[1], yp.shape[1]))
+            if float(np.max(np.abs(gram - expected))) > SCHUR_QUAD_TOL:
+                return valid
+        flat.append(yk)
+        valid = k
+    return valid
 
 
 class TestFiniteGroups:
@@ -307,6 +315,12 @@ class TestEulerStacks:
     def test_level_one_is_the_nodes(self, su2_quad):
         assert float(np.max(np.abs(su2_quad.irrep_stack(1) - su2_quad.nodes))) <= 1e-15
 
+    def test_nan_node_raises(self):
+        quad = make_su2_quadrature(10, 6)
+        quad.nodes[17, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="level 1 stack differs"):
+            classical_eval._check_stacks(quad)
+
     @pytest.mark.parametrize("name", ASSEMBLY_MUTANTS)
     def test_assembly_fault_raises_at_build(self, name, monkeypatch):
         # the Gram validation passes every mutant: only the tie to the formula sees it
@@ -348,12 +362,18 @@ class TestValidityMeasurement:
     def test_default_rule_is_exact_to_level_13(self):
         assert make_su2_quadrature(10, 20).kmax_valid == 13
 
-    def test_perturbed_weight_fails_at_level_zero(self, monkeypatch):
+    # one node's weight breaks the per-ring premise; a whole ring scaled keeps
+    # it, so only the polar Gram can see the wrong Legendre weight
+    @pytest.mark.parametrize("whole_ring", [False, True], ids=["one node", "whole ring"])
+    def test_perturbed_weight_fails_at_level_zero(self, whole_ring, monkeypatch):
         measure = classical_eval._measure_valid_kmax
         levels = []
 
         def perturbed(quad, cap):
-            quad.weights[17] += 1e-6
+            if whole_ring:
+                quad.weights[:len(quad.phases) ** 2] *= 1 + 1e-6
+            else:
+                quad.weights[17] += 1e-6
             levels.extend([measure(quad, cap), einsum_valid_kmax(quad, cap)])
             return levels[0]
 
