@@ -8,20 +8,15 @@ from .dual_data import (
     DualValidationError,
     IrrepData,
     block_gram,
-    dual_from_json,
-    dual_to_json,
     make_onplus_dual,
     make_su2_dual,
     make_suq2_dual,
     make_trivial_dual,
     onplus_dims,
-    schur_inner,
 )
 from .fourier_core import (
     DualMismatchError,
     FourierCoeffs,
-    coeffs_from_json,
-    coeffs_to_json,
     convolve,
     ell1_norm,
     ell2_norm,
@@ -38,7 +33,6 @@ from .random_series import (
     expected_operator_norm,
     four_unitary_decomposition,
     haar_family,
-    haar_unitary,
     identity_family,
     l2_invariance_check,
     random_coeffs,
@@ -62,13 +56,9 @@ from .classical_eval import (
     cotype2_ratio,
     cyclic_group,
     gaussian_series_l1_mean,
-    l1_norm_classical,
-    linfty_norm_classical,
     make_su2_quadrature,
     randomized_l1_report,
     symmetric_group_s3,
-    table_from_json,
-    table_to_json,
     weyl_character_l1,
 )
 from .quantum_examples import (

@@ -17,14 +17,13 @@ checks:
   and the phase sums factor out.  The stacks are tied to the entry formula
   when the rule is built.
 
-On top of these: values of coefficient families at the nodes, L1/Linf norms,
-the Gaussian-randomized L1 mean, the coefficient row-norm bounds, character
+On top of these: values of coefficient families at the nodes, the
+Gaussian-randomized L1 mean, the coefficient row-norm bounds, character
 L1 integrals, an empirical cotype-2 ratio, and a randomized-L1 report.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -226,48 +225,6 @@ class FiniteGroupTable(HaarRule):
         }
         return FourierCoeffs(self.dual_descriptor(), support)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "order": self.order,
-            "mult": self.mult.tolist(),
-            "irreps": [
-                {
-                    "label": ir.label,
-                    "n": ir.n,
-                    "matrices": [
-                        {"re": np.real(m).tolist(), "im": np.imag(m).tolist()}
-                        for m in ir.matrices
-                    ],
-                }
-                for ir in self.irreps
-            ],
-        }
-
-
-def table_to_json(table: FiniteGroupTable) -> str:
-    return json.dumps(table.to_json_dict())
-
-
-def table_from_json(text: str) -> FiniteGroupTable:
-    doc = json.loads(text)
-    irreps = tuple(
-        GroupIrrep(
-            label=e["label"],
-            n=int(e["n"]),
-            matrices=np.array(
-                [np.array(m["re"], dtype=float) + 1j * np.array(m["im"], dtype=float) for m in e["matrices"]]
-            ),
-        )
-        for e in doc["irreps"]
-    )
-    return FiniteGroupTable(
-        name=doc.get("name", "custom"),
-        order=int(doc["order"]),
-        mult=np.array(doc["mult"], dtype=int),
-        irreps=irreps,
-    )
-
 
 def cyclic_group(n: int) -> FiniteGroupTable:
     """The cyclic group of order n with its n characters."""
@@ -430,14 +387,6 @@ class SU2Quadrature(HaarRule):
             self._stacks[k] = stack.reshape(-1, k + 1, k + 1)
         return self._stacks[k]
 
-    def fourier_coeffs(self, values: np.ndarray, kmax: int, dual: DualDescriptor) -> FourierCoeffs:
-        values = np.asarray(values, dtype=complex)
-        support = {}
-        for k in range(kmax + 1):
-            stack = self.irrep_stack(k)
-            support[k] = np.einsum("g,g,gji->ij", self.weights, values, stack.conj())
-        return FourierCoeffs(dual, support)
-
 
 def make_su2_quadrature(resolution: int = 10, validate_kmax: int = 6) -> SU2Quadrature:
     """Product Haar rule: Gauss-Legendre in the polar angle, uniform phases.
@@ -571,18 +520,6 @@ def _measure_valid_kmax(quad: SU2Quadrature, cap: int) -> int:
 # ---------------------------------------------------------------------------
 # norms and verification chains
 # ---------------------------------------------------------------------------
-
-def l1_norm_classical(f: FourierCoeffs, haar: HaarRule) -> float:
-    """Haar integral of |f| over the realization's nodes."""
-    vals = haar.coeff_values(f)
-    return float(np.sum(haar.weights * np.abs(vals)))
-
-
-def linfty_norm_classical(f: FourierCoeffs, haar: HaarRule) -> float:
-    """Max of |f| over the realization's nodes (a lower bound for the true sup)."""
-    vals = haar.coeff_values(f)
-    return float(np.max(np.abs(vals))) if vals.size else 0.0
-
 
 def hilbert_schmidt_sq(f: FourierCoeffs) -> float:
     """sum_pi n_pi tr(f_pi^* f_pi), the unweighted coefficient energy."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
 import time
@@ -60,19 +61,8 @@ from .random_series import (
     randomize_ball,
 )
 
-SUBCOMMANDS = [
-    "plancherel", "pairing", "convolve-check", "randomize-l2", "four-unitary",
-    "ball-decomposition", "gaussian-norms", "helgason-gaussian",
-    "helgason-instance", "lemma35", "tb-contraction", "hx-identity",
-    "trace-duality", "central-sum", "corollary-suq2", "growth", "characters",
-    "cotype2", "all",
-]
-
 #: Deterministic runs need no seed; everything else requires one.
 DETERMINISTIC = {"growth", "characters"}
-
-#: Per-subcommand RNG stream bases; case i inside a subcommand uses base+i.
-STREAM_BASE = {name: 1000 * (k + 1) for k, name in enumerate(SUBCOMMANDS)}
 
 VOLATILE_KEYS = {"elapsed_ms", "content_hash"}
 
@@ -159,6 +149,15 @@ def _seed_for(cfg: dict, name: str, case: int = 0) -> RngSeed:
     return RngSeed(cfg["seed"], STREAM_BASE[name] + case)
 
 
+def _fold(pick, *values):
+    """`pick` (max or min) of `values`, but NaN if any value is NaN: Python's max
+    and min keep a NaN only when it comes first (max(0.0, nan) is 0.0), so a NaN
+    deviation would drop out of the worst value and pass its gate."""
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    return pick(values)
+
+
 # ---------------------------------------------------------------------------
 # experiments: each returns its records; a record with "ok" is gated
 # ---------------------------------------------------------------------------
@@ -171,7 +170,7 @@ def run_plancherel(cfg, ctx):
     for _ in range(cfg["families"]):
         f = random_coeffs(dual, rng)
         e2 = ell2_norm(f)
-        max_rel = max(max_rel, abs(plancherel_gram_norm(f) - e2) / e2)
+        max_rel = _fold(max, max_rel, abs(plancherel_gram_norm(f) - e2) / e2)
     return [{"dual": dual.name, "families": cfg["families"], "max_rel_deviation": max_rel,
              "tolerance": tol, "ok": max_rel <= tol}]
 
@@ -186,9 +185,9 @@ def run_pairing(cfg, ctx):
         f = random_coeffs(dual, rng)
         g = random_coeffs(dual, rng)
         e2sq = ell2_norm(f) ** 2
-        max_self = max(max_self, abs(pairing(f, f) - e2sq) / e2sq)
-        scale = max(1.0, abs(pairing(f, g)))
-        max_herm = max(max_herm, abs(pairing(f, g) - np.conj(pairing(g, f))) / scale)
+        max_self = _fold(max, max_self, abs(pairing(f, f) - e2sq) / e2sq)
+        fg = pairing(f, g)
+        max_herm = _fold(max, max_herm, abs(fg - np.conj(pairing(g, f))) / max(1.0, abs(fg)))
     labels = dual.labels()
     disjoint = 0.0
     if len(labels) >= 2:
@@ -218,25 +217,22 @@ def run_convolve_check(cfg, ctx):
             for g in range(table.order)
         ])
         brute = table.fourier_coeffs(brute_vals)
-        max_match = max(
-            max_match,
-            max(float(np.max(np.abs(brute.support[l] - dual_side.block(l))))
-                for l in dual.labels()),
-        )
+        max_match = _fold(max, max_match, *(
+            float(np.max(np.abs(brute.support[l] - dual_side.block(l)))) for l in dual.labels()
+        ))
         f3 = random_coeffs(dual, rng)
         left = convolve(convolve(f1, f2), f3)
         right = convolve(f1, convolve(f2, f3))
-        max_assoc = max(
-            max_assoc,
-            max(float(np.max(np.abs(left.block(l) - right.block(l)))) for l in dual.labels()),
-        )
+        max_assoc = _fold(max, max_assoc, *(
+            float(np.max(np.abs(left.block(l) - right.block(l)))) for l in dual.labels()
+        ))
     delta = FourierCoeffs(dual, {l: np.eye(dual.irrep(l).n) for l in dual.labels()})
     f = random_coeffs(dual, rng)
-    delta_err = max(
+    delta_err = _fold(max, *(
         float(np.max(np.abs(convolve(f, delta).block(l) - f.block(l))))
         + float(np.max(np.abs(convolve(delta, f).block(l) - f.block(l))))
         for l in dual.labels()
-    )
+    ))
     return [{"group": table.name, "pairs": cfg["families"], "max_bruteforce_mismatch": max_match,
              "max_associativity_defect": max_assoc, "identity_element_defect": delta_err,
              "tolerance": tol, "ok": max_match <= tol and max_assoc <= tol and delta_err <= tol}]
@@ -250,7 +246,7 @@ def run_randomize_l2(cfg, ctx):
     for _ in range(cfg["families"]):
         f = random_coeffs(dual, rng)
         fam = haar_family(dual, rng)
-        max_rel = max(max_rel, l2_invariance_check(f, fam) / ell2_norm(f))
+        max_rel = _fold(max, max_rel, l2_invariance_check(f, fam) / ell2_norm(f))
     f = random_coeffs(dual, rng)
     ident_dev = l2_invariance_check(f, identity_family(dual))
     phases = MatrixFamily(dual, {
@@ -280,10 +276,10 @@ def run_four_unitary(cfg, ctx):
         scale = np.array([u for _, u in group])[:, None, None]
         x = x / np.maximum(1e-12, np.linalg.norm(x, 2, axis=(-2, -1)))[:, None, None] * scale
         vs = four_unitary_decomposition(x)
-        max_rec = max(max_rec, float(np.max(np.abs(sum(vs) / 2.0 - x))))
+        max_rec = _fold(max, max_rec, float(np.max(np.abs(sum(vs) / 2.0 - x))))
         defects = [np.linalg.norm(v.swapaxes(-1, -2).conj() @ v - np.eye(n), 2, axis=(-2, -1))
                    for v in vs]
-        max_unit = max(max_unit, float(np.max(defects)))
+        max_unit = _fold(max, max_unit, float(np.max(defects)))
     return [{"contractions": cfg["trials"], "max_dim": 16, "max_reconstruction_error": max_rec,
              "max_unitarity_defect": max_unit, "tolerance": tol,
              "ok": max_rec <= tol and max_unit <= tol}]
@@ -302,7 +298,7 @@ def run_ball_decomposition(cfg, ctx):
             b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             entries[l] = b / max(1e-12, np.linalg.norm(b, 2)) * rng.uniform(0.0, 1.0)
         result = randomize_ball(f, MatrixFamily(dual, entries))
-        max_dev = max(max_dev, result.max_deviation)
+        max_dev = _fold(max, max_dev, result.max_deviation)
     f = random_coeffs(dual, rng)
     unitary_dev = randomize_ball(f, haar_family(dual, rng)).max_deviation
     zero = randomize_ball(f, MatrixFamily(dual, {
@@ -312,10 +308,10 @@ def run_ball_decomposition(cfg, ctx):
     half = randomize_ball(f, MatrixFamily(dual, {
         l: 0.5 * np.eye(dual.irrep(l).n) for l in dual.labels()
     }))
-    half_err = max(
+    half_err = _fold(max, *(
         float(np.max(np.abs(half.randomized.block(l) - 0.5 * f.block(l))))
         for l in dual.labels()
-    )
+    ))
     ok = (max_dev <= tol and unitary_dev <= tol and zero_norm == 0.0
           and zero.max_deviation <= tol and half_err <= 1e-12)
     return [{"dual": dual.name, "families": cfg["families"], "max_identity_deviation": max_dev,
@@ -420,7 +416,7 @@ def run_lemma35(cfg, ctx):
             i = int(rng.integers(0, n))
             j = int(rng.integers(0, n))
             res = coefficient_bound_check(a, k, i, j, quad, side)
-            min_margin = min(min_margin, res.margin)
+            min_margin = _fold(min, min_margin, res.margin)
         records.append({"side": side, "cases": cfg["families"], "kmax": cfg["kmax"],
                         "min_margin": float(min_margin), "allowance": allowance,
                         "ok": min_margin >= allowance})
@@ -443,7 +439,7 @@ def run_tb_contraction(cfg, ctx):
                 scale[case] = rng.uniform(0.0, 1.0)
             b /= np.maximum(1e-12, np.linalg.norm(b, 2, axis=(-2, -1)))[:, None, None]
             b *= scale[:, None, None]
-            worst = max(worst, float(np.max(multiplier_block_norm(b, irrep))))
+            worst = _fold(max, worst, float(np.max(multiplier_block_norm(b, irrep))))
         records.append({"dual": dual.name, "irreps": len(dual.irreps),
                         "cases_per_irrep": cases, "max_block_norm": worst,
                         "bound": tol, "ok": worst <= tol})
@@ -461,7 +457,7 @@ def run_hx_identity(cfg, ctx):
             for l in dual.labels()
         })
         res = haar_state_pairing_check(f, fam)
-        max_rel = max(max_rel, res.deviation / (1.0 + abs(res.rhs)))
+        max_rel = _fold(max, max_rel, res.deviation / (1.0 + abs(res.rhs)))
     return [{"dual": dual.name, "pairs": cfg["families"], "max_rel_deviation": max_rel,
              "tolerance": 1e-12, "ok": max_rel <= 1e-12}]
 
@@ -489,7 +485,7 @@ def run_central_sum(cfg, ctx):
         for _ in range(cfg["families"]):
             c = rng.standard_normal(len(dual.irreps)) + 1j * rng.standard_normal(len(dual.irreps))
             res = central_sum_check(c, dual)
-            max_rel = max(max_rel, res.deviation / res.sum_c_sq)
+            max_rel = _fold(max, max_rel, res.deviation / res.sum_c_sq)
         records.append({"dual": dual.name, "families": cfg["families"],
                         "max_rel_deviation": max_rel, "tolerance": 1e-12, "ok": max_rel <= 1e-12})
     return records
@@ -545,12 +541,13 @@ def run_characters(cfg, ctx):
         values.append(v)
         records.append({"k": k, "value": v,
                         "method": "euler3d" if k <= quad.kmax_valid else "weyl1d"})
-    min_ok = min(values) >= 0.5
+    min_value = _fold(min, *values)
+    min_ok = min_value >= 0.5
     # the exact 1D tail decreases toward 8/pi^2; the 3D segment is excluded
     # because its quadrature error is larger than successive differences
     tail = values[quad.kmax_valid + 1:]
     tail_monotone = all(a >= b for a, b in zip(tail, tail[1:]))
-    summary = {"kmax": cfg["kmax"], "min_value": min(values), "floor": 0.5,
+    summary = {"kmax": cfg["kmax"], "min_value": min_value, "floor": 0.5,
                "tail_monotone": tail_monotone, "ok": min_ok and tail_monotone}
     if cfg["kmax"] >= 200:
         limit = 8.0 / np.pi**2
@@ -608,6 +605,13 @@ EXPERIMENTS = {
     "characters": run_characters,
     "cotype2": run_cotype2,
 }
+
+#: The subcommands, in the order `all` runs them.
+SUBCOMMANDS = [*EXPERIMENTS, "all"]
+
+#: Per-subcommand RNG stream bases, from the order of EXPERIMENTS, so every draw
+#: moves if that order does; case i inside a subcommand uses base+i.
+STREAM_BASE = {name: 1000 * (k + 1) for k, name in enumerate(EXPERIMENTS)}
 
 #: Per-subcommand defaults for flags the user left unset.
 DEFAULTS = {
@@ -790,7 +794,7 @@ def execute(argv=None) -> tuple[int, dict | None]:
     except SystemExit as exc:
         return int(exc.code or 0), None
     name = args.subcommand
-    targets = [s for s in SUBCOMMANDS if s != "all"] if name == "all" else [name]
+    targets = list(EXPERIMENTS) if name == "all" else [name]
     needs_seed = any(t not in DETERMINISTIC for t in targets)
     if needs_seed and args.seed is None:
         parser.print_usage(sys.stderr)

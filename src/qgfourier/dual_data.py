@@ -14,13 +14,12 @@ q-deformation, and the free orthogonal family.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Relative tolerance for the trace identity sum(q) == sum(1/q) and for the
-#: Kac test max|q - 1| <= KAC_TOL.
+#: Relative tolerance for the trace identity sum(q) == sum(1/q), and the
+#: tolerance on q = 1 for the trivial first irrep.
 TRACE_TOL = 1e-12
 KAC_TOL = 1e-12
 
@@ -63,10 +62,6 @@ class IrrepData:
             )
         object.__setattr__(self, "d", d)
 
-    @property
-    def is_kac(self) -> bool:
-        return bool(np.max(np.abs(self.q_diag - 1.0)) <= KAC_TOL)
-
     def q_trace(self, x: np.ndarray) -> float:
         """tr(Q X^* X) = sum_i q_i ||X[:, i]||^2, with Q applied by broadcasting."""
         return float((x.real**2 + x.imag**2).sum(axis=0) @ self.q_diag)
@@ -99,19 +94,6 @@ def block_gram(irrep: IrrepData) -> BlockGram:
     return BlockGram(irrep=irrep, gram_u=gram_u, gram_ustar=gram_ustar)
 
 
-def schur_inner(irrep: IrrepData, ij: tuple[int, int], st: tuple[int, int]) -> complex:
-    """Haar inner product <u_{i,j}, u_{s,t}> = h((u_{s,t})^* u_{i,j})."""
-    i, j = ij
-    s, t = st
-    n = irrep.n
-    for idx in (i, j, s, t):
-        if not (0 <= idx < n):
-            raise IndexError(f"index {idx} out of range for dimension {n}")
-    if i != s or j != t:
-        return 0j
-    return complex(block_gram(irrep).gram_u[i, j])
-
-
 @dataclass(frozen=True, eq=False)
 class DualDescriptor:
     """An ordered, finitely truncated discrete dual.
@@ -138,14 +120,6 @@ class DualDescriptor:
             )
         object.__setattr__(self, "_index", {ir.label: ir for ir in self.irreps})
 
-    @property
-    def kac(self) -> bool:
-        return all(ir.is_kac for ir in self.irreps)
-
-    @property
-    def trivial(self) -> IrrepData:
-        return self.irreps[0]
-
     def irrep(self, label) -> IrrepData:
         try:
             return self._index[label]
@@ -157,28 +131,6 @@ class DualDescriptor:
 
     def labels(self) -> list:
         return [ir.label for ir in self.irreps]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "irreps": [
-                {"label": ir.label, "n": ir.n, "q_diag": [float(x) for x in ir.q_diag]}
-                for ir in self.irreps
-            ],
-        }
-
-
-def dual_to_json(dual: DualDescriptor) -> str:
-    return json.dumps(dual.to_json_dict())
-
-
-def dual_from_json(text: str) -> DualDescriptor:
-    doc = json.loads(text)
-    irreps = tuple(
-        IrrepData(label=e["label"], n=int(e["n"]), q_diag=np.array(e["q_diag"], dtype=float))
-        for e in doc["irreps"]
-    )
-    return DualDescriptor(name=doc["name"], irreps=irreps)
 
 
 def make_trivial_dual() -> DualDescriptor:

@@ -14,7 +14,6 @@ the ell2 norm (the Plancherel consistency check).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,39 +67,6 @@ class FourierCoeffs:
             return self.support[label]
         irrep = self.dual.irrep(label)
         return np.zeros((irrep.n, irrep.n), dtype=complex)
-
-    def map_blocks(self, fn) -> "FourierCoeffs":
-        return FourierCoeffs(self.dual, {l: fn(l, m) for l, m in self.support.items()})
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dual": self.dual.name,
-            "entries": [
-                {
-                    "label": label,
-                    "re": np.real(m).tolist(),
-                    "im": np.imag(m).tolist(),
-                }
-                for label, m in self.support.items()
-            ],
-        }
-
-
-def coeffs_to_json(f: FourierCoeffs) -> str:
-    return json.dumps(f.to_json_dict())
-
-
-def coeffs_from_json(text: str, dual: DualDescriptor) -> FourierCoeffs:
-    doc = json.loads(text)
-    if doc["dual"] != dual.name:
-        raise DualMismatchError(
-            f"document was written for dual {doc['dual']!r}, got {dual.name!r}"
-        )
-    support = {
-        e["label"]: np.array(e["re"], dtype=float) + 1j * np.array(e["im"], dtype=float)
-        for e in doc["entries"]
-    }
-    return FourierCoeffs(dual, support)
 
 
 def ell_infty_norm(x: FourierCoeffs) -> float:

@@ -174,10 +174,6 @@ def haar_unitary_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarr
     return q * phase[:, None, :]
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    return haar_unitary_stack(n, 1, rng)[0]
-
-
 @dataclass(frozen=True)
 class NormEstimate:
     mean: float
@@ -344,7 +340,9 @@ def identity_family(dual: DualDescriptor) -> MatrixFamily:
 
 
 def haar_family(dual: DualDescriptor, rng: np.random.Generator) -> MatrixFamily:
-    return MatrixFamily(dual, {l: haar_unitary(dual.irrep(l).n, rng) for l in dual.labels()})
+    return MatrixFamily(dual, {
+        l: haar_unitary_stack(dual.irrep(l).n, 1, rng)[0] for l in dual.labels()
+    })
 
 
 def random_coeffs(

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -5,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qgfourier import cli, cyclic_group, random_series
+from qgfourier import FourierCoeffs, cli, cyclic_group, random_series
 from qgfourier.cli import build_dual, content_hash, execute, main
 from qgfourier.random_series import ContractionError
 
@@ -247,6 +249,71 @@ def test_gaussian_norms_fails_closed_on_non_finite(bad, monkeypatch, capsys):
     assert code == 1
     assert doc["verdict"] == "fail"
     assert [rec["ok"] for rec in doc["records"]] == [False, False]
+
+
+def nan_like(value):
+    """`value` with every number in it NaN: a scalar, an array, a coefficient
+    family, or a result record of those."""
+    if isinstance(value, FourierCoeffs):
+        return FourierCoeffs(value.dual, {l: np.full_like(m, math.nan)
+                                          for l, m in value.support.items()})
+    if isinstance(value, np.ndarray):
+        return np.full_like(value, math.nan)
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(value, **{
+            f.name: nan_like(getattr(value, f.name)) for f in dataclasses.fields(value)
+        })
+    if isinstance(value, (float, complex)):
+        return type(value)(math.nan)
+    return value
+
+
+#: (argv, the kernel `cli` calls that returns NaN on its second call)
+NAN_KERNELS = [
+    (["plancherel", "--seed", "1", "--families", "3"], "plancherel_gram_norm"),
+    (["pairing", "--seed", "1", "--families", "3"], "pairing"),
+    (["convolve-check", "--seed", "1", "--families", "2"], "convolve"),
+    (["randomize-l2", "--seed", "1", "--families", "3"], "l2_invariance_check"),
+    (["ball-decomposition", "--seed", "1", "--families", "3"], "randomize_ball"),
+    (["lemma35", "--seed", "1", "--families", "3"], "coefficient_bound_check"),
+    (["tb-contraction", "--seed", "1", "--families", "3"], "multiplier_block_norm"),
+    (["hx-identity", "--seed", "1", "--families", "3"], "haar_state_pairing_check"),
+    (["central-sum", "--seed", "1", "--families", "3"], "central_sum_check"),
+    (["characters", "--kmax", "3"], "character_l1"),
+]
+
+
+@pytest.mark.parametrize("argv, kernel", NAN_KERNELS, ids=[argv[0] for argv, _ in NAN_KERNELS])
+def test_nan_from_a_kernel_fails_the_run(argv, kernel, monkeypatch, capsys):
+    # Python's max(0.0, nan) is 0.0: a NaN after the first value must still
+    # reach the worst value and fail its gate
+    real = getattr(cli, kernel)
+    calls = itertools.count(1)
+
+    def second_is_nan(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return nan_like(result) if next(calls) == 2 else result
+
+    monkeypatch.setattr(cli, kernel, second_is_nan)
+    code, doc = execute(argv)
+    capsys.readouterr()
+    assert code == 1 and doc["verdict"] == "fail"
+    assert not any("error" in rec for rec in doc["records"])
+    assert False in [rec["ok"] for rec in doc["records"] if "ok" in rec]
+
+
+def test_subcommand_order_is_the_experiment_table():
+    assert list(cli.DEFAULTS) == list(cli.EXPERIMENTS)
+    assert cli.SUBCOMMANDS == [*cli.EXPERIMENTS, "all"]
+    # the stream bases fix every draw, so they are pinned
+    assert cli.STREAM_BASE == {
+        "plancherel": 1000, "pairing": 2000, "convolve-check": 3000, "randomize-l2": 4000,
+        "four-unitary": 5000, "ball-decomposition": 6000, "gaussian-norms": 7000,
+        "helgason-gaussian": 8000, "helgason-instance": 9000, "lemma35": 10000,
+        "tb-contraction": 11000, "hx-identity": 12000, "trace-duality": 13000,
+        "central-sum": 14000, "corollary-suq2": 15000, "growth": 16000,
+        "characters": 17000, "cotype2": 18000,
+    }
 
 
 RAISED = [ContractionError("matrix norm 2.0 exceeds 1 + 1e-09"),

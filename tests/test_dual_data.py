@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +7,6 @@ from qgfourier import (
     DualValidationError,
     FourierCoeffs,
     IrrepData,
-    dual_from_json,
-    dual_to_json,
     ell2_norm,
     make_onplus_dual,
     make_su2_dual,
@@ -24,8 +20,8 @@ from qgfourier.dual_data import DualDescriptor
 def test_trivial_dual():
     dual = make_trivial_dual()
     assert len(dual.irreps) == 1
-    assert dual.trivial.d == 1.0
-    assert dual.kac
+    assert dual.irreps[0].d == 1.0
+    np.testing.assert_array_equal(dual.irreps[0].q_diag, [1.0])
 
 
 def test_trivial_dual_ell2_smoke():
@@ -38,13 +34,14 @@ def test_su2_dims():
     dual = make_su2_dual(3)
     assert [ir.n for ir in dual.irreps] == [1, 2, 3, 4]
     assert [ir.d for ir in dual.irreps] == [1, 2, 3, 4]
-    assert dual.kac
+    for ir in dual.irreps:
+        np.testing.assert_array_equal(ir.q_diag, np.ones(ir.n))
 
 
 def test_su2_kmax_zero_is_trivial():
     dual = make_su2_dual(0)
     assert len(dual.irreps) == 1
-    assert dual.trivial.n == 1
+    assert dual.irreps[0].n == 1
 
 
 def test_suq2_level_one():
@@ -60,7 +57,7 @@ def test_suq2_level_two_dimension():
 
 
 def test_suq2_not_kac():
-    assert not make_suq2_dual(0.5, 2).kac
+    np.testing.assert_array_equal(make_suq2_dual(0.5, 2).irrep(2).q_diag, [0.25, 1.0, 4.0])
 
 
 @pytest.mark.parametrize("q", [0.5, 1.5, 0.0, 1.0, -0.3])
@@ -116,7 +113,8 @@ def test_onplus_n3():
     assert onplus_dims(3, 2) == [1, 3, 8]
     dual = make_onplus_dual(3, 2)
     assert [ir.n for ir in dual.irreps] == [1, 3, 8]
-    assert dual.kac
+    for ir in dual.irreps:
+        np.testing.assert_array_equal(ir.q_diag, np.ones(ir.n))
 
 
 def test_onplus_domain():
@@ -133,7 +131,7 @@ def test_onplus_recursion_exact_integers():
 
 
 def test_quantum_dimension_values():
-    assert make_trivial_dual().trivial.d == 1.0
+    assert make_trivial_dual().irreps[0].d == 1.0
     assert make_suq2_dual(0.5, 1).irrep(1).d == pytest.approx(2.5)
     for ir in make_su2_dual(5).irreps:
         assert ir.d == ir.n
@@ -171,21 +169,3 @@ def test_dual_validation_errors():
         DualDescriptor("dup", (trivial, other))
     with pytest.raises(DualValidationError):
         DualDescriptor("notrivial", (IrrepData(label="x", n=2, q_diag=np.ones(2)),))
-
-
-def test_json_round_trip_bit_identical():
-    dual = make_suq2_dual(0.7, 5)
-    text = dual_to_json(dual)
-    again = dual_to_json(dual_from_json(text))
-    assert text == again
-    parsed = dual_from_json(text)
-    assert parsed.name == dual.name
-    for a, b in zip(parsed.irreps, dual.irreps):
-        assert a.label == b.label and a.n == b.n
-        assert list(a.q_diag) == list(b.q_diag)  # exact float equality
-
-
-def test_json_document_shape():
-    doc = json.loads(dual_to_json(make_su2_dual(1)))
-    assert set(doc) == {"name", "irreps"}
-    assert set(doc["irreps"][0]) == {"label", "n", "q_diag"}

@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module, and every public
-name it defines is named somewhere else in the sources."""
+name it defines has a caller in the package or the benchmark."""
 
 import ast
-import re
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -40,8 +41,18 @@ def test_no_unused_imports(path):
 
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = {p: p.read_text() for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")}
-PACKAGE = sorted((ROOT / "src" / "qgfourier").glob("*.py"))
+SOURCES = {
+    p.relative_to(ROOT).as_posix(): p.read_text()
+    for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")
+}
+PACKAGE = sorted(p for p in SOURCES if p.startswith("src/qgfourier/"))
+
+
+def is_caller(path: str) -> bool:
+    """Whether a name in `path` counts as a use: the package outside its
+    re-exports, and the benchmark.  A name only tests name is a test
+    reference, and lives in tests/."""
+    return path.startswith(("src/", "bench/")) and not path.endswith("__init__.py")
 
 
 def public_defs(tree: ast.Module):
@@ -53,28 +64,36 @@ def public_defs(tree: ast.Module):
                 yield item.name, item.lineno, item.end_lineno
 
 
+def code_names(source: str, skip=range(0)) -> set[str]:
+    """The names `source` uses in code outside the lines in `skip`; a name in a
+    comment or a string calls nothing."""
+    return {tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+            if tok.type == tokenize.NAME and tok.start[0] not in skip}
+
+
 def unread_names(path, sources: dict) -> list[str]:
-    """Public names defined in `path` that no source names outside their own def."""
-    lines = sources[path].splitlines()
-    unread = []
-    for name, first, last in public_defs(ast.parse(sources[path])):
-        pattern = re.compile(rf"\b{name}\b")
-        rest = "\n".join(lines[:first - 1] + lines[last:])
-        others = (text for p, text in sources.items() if p != path)
-        if not any(pattern.search(text) for text in (rest, *others)):
-            unread.append(f"{name} (line {first})")
-    return unread
+    """Public names defined in `path` that no caller uses outside their own def."""
+    called = set().union(*(code_names(text) for p, text in sources.items()
+                           if p != path and is_caller(p)))
+    return [f"{name} (line {first})"
+            for name, first, last in public_defs(ast.parse(sources[path]))
+            if name not in called | code_names(sources[path], range(first, last + 1))]
 
 
 def test_detector_flags_an_unread_name():
     sources = {
-        "a": "def used():\n    pass\n\n\ndef dead():\n    return dead()\n\n\n"
-             "class K:\n    def __init__(self):\n        pass\n\n    def gone(self):\n        pass\n",
-        "b": "used()\nK()\n",
+        "src/a.py": "def used():\n    pass\n\n\ndef dead():\n    return dead()\n\n\n"
+                    "class K:\n    def __init__(self):\n        pass\n\n    def gone(self):\n"
+                    "        pass\n\n\ndef tested():\n    pass\n",
+        "src/b.py": "used()\nK()\nprint('gone')  # dead() is not called here\n",
+        "src/__init__.py": "from .a import dead, tested\n",
+        "tests/test_a.py": "tested()\ngone()\n",
     }
-    assert unread_names("a", sources) == ["dead (line 5)", "gone (line 13)"]
+    assert unread_names("src/a.py", sources) == [
+        "dead (line 5)", "gone (line 13)", "tested (line 17)",
+    ]
 
 
-@pytest.mark.parametrize("path", PACKAGE, ids=[p.stem for p in PACKAGE])
+@pytest.mark.parametrize("path", PACKAGE, ids=[Path(p).stem for p in PACKAGE])
 def test_every_public_name_is_read(path):
     assert unread_names(path, SOURCES) == []

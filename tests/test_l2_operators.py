@@ -17,7 +17,6 @@ from qgfourier import (
     multiplier_block_norm,
     plancherel_gram_norm,
     random_coeffs,
-    schur_inner,
     trace_norm_duality,
 )
 from qgfourier import fourier_core, l2_operators
@@ -45,29 +44,17 @@ def gram_route_block_norm(b, irrep) -> float:
     return float(np.linalg.svd(scaled, compute_uv=False)[0])
 
 
-class TestSchurInner:
+class TestBlockGram:
     def test_trivial(self):
-        assert schur_inner(TRIVIAL.trivial, (0, 0), (0, 0)) == 1.0
+        assert block_gram(TRIVIAL.irreps[0]).gram_u[0, 0] == 1.0
 
     def test_kac_weight(self):
-        assert schur_inner(KAC.irrep(1), (0, 1), (0, 1)) == pytest.approx(0.5)
-
-    def test_orthogonality(self):
-        ir = SUQ2.irrep(1)
-        assert schur_inner(ir, (0, 1), (1, 0)) == 0.0
-        assert schur_inner(ir, (0, 0), (0, 1)) == 0.0
+        assert block_gram(KAC.irrep(1)).gram_u[0, 1] == pytest.approx(0.5)
 
     def test_deformed_weight(self):
-        ir = SUQ2.irrep(1)
         # weight (Q^{-1})_{i,i} / d at i = 1: (1/2.0) / 2.5
-        assert schur_inner(ir, (1, 0), (1, 0)) == pytest.approx((1 / 2.0) / 2.5)
+        assert block_gram(SUQ2.irrep(1)).gram_u[1, 0] == pytest.approx((1 / 2.0) / 2.5)
 
-    def test_index_range(self):
-        with pytest.raises(IndexError):
-            schur_inner(KAC.irrep(1), (0, 2), (0, 0))
-
-
-class TestBlockGram:
     def test_kac_uniform(self):
         g = block_gram(KAC.irrep(2))
         np.testing.assert_allclose(g.gram_u, 1.0 / 3.0)
