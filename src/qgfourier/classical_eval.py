@@ -188,10 +188,8 @@ class FiniteGroupTable(HaarRule):
         }
         f = FourierCoeffs(self.dual_descriptor(), support)
         back = self.fourier_coeffs(self.coeff_values(f))
-        err = max(
-            float(np.max(np.abs(back.support[l] - f.support[l]))) for l in support
-        )
-        if err > GROUP_TOL:
+        err = float(np.max([np.max(np.abs(back.support[l] - f.support[l])) for l in support]))
+        if not err <= GROUP_TOL:  # a NaN error fails
             raise GroupTableError(f"coefficient extraction round trip failed ({err!r})")
 
     # -- Haar realization ---------------------------------------------------
@@ -704,6 +702,6 @@ def randomized_l1_report(
     best = 0.0
     for l1 in _series_l1(haar, f, num_unitaries, seed,
                          lambda rng, n: (n, haar_unitary_stack(n, MC_CHUNK, rng))):
-        best = max(best, float(np.max(l1)))
+        best = float(np.maximum(best, np.max(l1)))  # a NaN value is kept
     ratio = best / ell2 if ell2 > 0 else 0.0
     return L1Report(sup_l1_over_u=best, ell2=ell2, ratio=ratio)

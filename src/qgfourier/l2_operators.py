@@ -99,7 +99,7 @@ def trace_norm_duality(a, trials: int, seed: RngSeed) -> TraceDuality:
     for index, take in iter_chunks(trials, chunk):
         w = haar_unitary_stack(n, chunk, seed.chunk_generator(index))[:take]
         vals = np.einsum("tij,ji->t", w, a).real
-        best = max(best, float(np.max(vals)))
+        best = float(np.maximum(best, np.max(vals)))  # a NaN value is kept
     return TraceDuality(exact=exact, aligned=aligned, random_sup=best)
 
 

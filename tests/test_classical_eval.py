@@ -150,6 +150,18 @@ class TestFiniteGroups:
         with pytest.raises(GroupTableError, match="unitarity defect"):
             FiniteGroupTable(name="z8", order=8, mult=z8_table.mult, irreps=irreps)
 
+    def test_nan_round_trip_fails(self, monkeypatch):
+        # a NaN in a later label's block must not drop out of the worst error
+        extract = FiniteGroupTable.fourier_coeffs
+
+        def poisoned(self, values):
+            f = extract(self, values)
+            last = f.labels()[-1]
+            return FourierCoeffs(f.dual, {**f.support, last: np.full_like(f.support[last], np.nan)})
+        monkeypatch.setattr(FiniteGroupTable, "fourier_coeffs", poisoned)
+        with pytest.raises(GroupTableError, match="round trip"):
+            cyclic_group(3)
+
     def test_rejects_wrong_peter_weyl(self):
         z2 = cyclic_group(2)
         with pytest.raises(GroupTableError):
@@ -585,6 +597,19 @@ class TestRandomizedL1Report:
         assert abs(r1.ratio - r2.ratio) <= 0.1 * r2.ratio
         assert r2.sup_l1_over_u >= r1.sup_l1_over_u  # nested seeds: sup is monotone
 
+
+    def test_nan_chunk_is_kept(self, s3_table, monkeypatch):
+        # one label, so one draw per chunk; the second of three chunks NaN
+        calls = []
+
+        def poisoned(n, count, rng):
+            calls.append(n)
+            w = haar_unitary_stack(n, count, rng)
+            return w * np.nan if len(calls) == 2 else w
+        monkeypatch.setattr(classical_eval, "haar_unitary_stack", poisoned)
+        f = FourierCoeffs(s3_table.dual_descriptor(), {"std": np.eye(2)})
+        res = randomized_l1_report(s3_table, f, 3 * MC_CHUNK, RngSeed(233))
+        assert len(calls) == 3 and np.isnan(res.sup_l1_over_u)
 
     def test_su2_rule_ratio_is_at_most_one(self, su2_quad):
         # on a probability measure L1 <= L2, and the L2 norm of f_U is ell2(f)

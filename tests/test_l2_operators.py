@@ -243,6 +243,19 @@ class TestTraceDuality:
         res = trace_norm_duality(a, 50, RngSeed(113))
         assert res.aligned == pytest.approx(res.exact, abs=1e-10)
 
+    def test_nan_chunk_is_kept(self, monkeypatch):
+        # every second chunk of unitaries NaN, the first finite: the supremum is NaN
+        stack = l2_operators.haar_unitary_stack
+        calls = []
+
+        def poisoned(n, count, rng):
+            calls.append(n)
+            w = stack(n, count, rng)
+            return w * np.nan if len(calls) % 2 == 0 else w
+        monkeypatch.setattr(l2_operators, "haar_unitary_stack", poisoned)
+        res = trace_norm_duality(np.array([[1.0, 0.5j], [0.25, -1.0]]), 5000, RngSeed(131))
+        assert len(calls) == 5 and np.isnan(res.random_sup)
+
     def test_random_sup_monotone_in_trials(self):
         a = np.array([[1.0, 0.5j], [0.25, -1.0]])
         sups = [

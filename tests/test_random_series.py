@@ -33,10 +33,14 @@ from qgfourier import (
 )
 from qgfourier import random_series
 from qgfourier.random_series import (
+    _BRACKET_ROWS,
     _MAX_PASSES,
+    _NEWTON_SWEEPS,
+    _TOL_ULPS,
     MeanAccumulator,
     _above_spectrum,
     _gram_schmidt,
+    _newton_sweep,
     bidiagonal_norms,
     bidiagonals_per_chunk,
     coefficient_traces,
@@ -368,6 +372,68 @@ def dense_bidiagonal(e):
     return np.diag(e[0::2]) + np.diag(e[1::2], 1)
 
 
+def bisection_norms(e):
+    """Reference: `bidiagonal_norms` by plain bisection, each of up to
+    `_MAX_PASSES` passes sweeping every row, from the same bracket to the same
+    stopping rule."""
+    e2 = np.square(np.asarray(e, dtype=float).T, order="C")
+    lo2 = np.maximum(e2[0], e2[-1])
+    hi = np.sqrt(lo2)
+    for start in range(0, len(e2) - 1, _BRACKET_ROWS):
+        rows = e2[start:start + _BRACKET_ROWS + 1]
+        lo2 = np.maximum(lo2, (rows[:-1] + rows[1:]).max(axis=0))
+        roots = np.sqrt(rows)
+        hi = np.maximum(hi, (roots[:-1] + roots[1:]).max(axis=0))
+    lo = np.sqrt(lo2)
+    hi = np.maximum(hi, lo)
+    target = _TOL_ULPS * np.spacing(lo)
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, e2.max(axis=0))
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_PASSES):
+            bisect = hi - lo > target
+            if not bisect.any():
+                break
+            x = 0.5 * (lo + hi)
+            above = _above_spectrum(e2, x, pivmin)
+            hi = np.where(bisect & above, x, hi)
+            lo = np.where(bisect & ~above, x, lo)
+        return np.where(hi - lo <= target, 0.5 * (lo + hi), np.nan)
+
+
+def sturm_inputs(e):
+    """The squared off-diagonal rows and pivmin of a stack, as `bidiagonal_norms`
+    hands them to its sweeps."""
+    e2 = np.square(np.asarray(e, dtype=float).T, order="C")
+    return e2, np.finfo(float).tiny * np.maximum(1.0, e2.max(axis=0))
+
+
+def counting(fn, counts):
+    def counted(*args):
+        counts.append(fn.__name__)
+        return fn(*args)
+    return counted
+
+
+HAND_BUILT = [
+    ([0.0], []),
+    ([0.0, 0.0, 0.0], [0.0, 0.0]),
+    ([0.0, 0.0], [1.0]),                            # zero diagonal
+    ([3.0, 0.0, 2.0], [0.0, 0.0]),                  # three 1 x 1 blocks
+    ([1.0, 0.0, 1.0], [1.0, 1.0]),                  # zero inside the diagonal
+    ([2.0, 1.0, 0.0, 5.0], [0.0, 3.0, 0.0]),        # split blocks
+    ([1.0, 1.0], [1.0]),                            # bracket sqrt(2) wide
+]
+HAND_BUILT_IDS = ["n1-zero", "n3-zero", "zero-diag", "diagonal", "zero-inside", "split", "widest"]
+
+def golub_kahan_rows(n):
+    """Golub-Kahan off-diagonals (a_1, b_1, ..., a_n), each entry zero or in
+    [1e-3, 1e3], so with zero pivots and split blocks."""
+    return arrays(float, 2 * n - 1, elements=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
+
+
+SCALES = [1e-8, 1e-4, 1.0, 1e4, 1e8]
+
+
 class CountingGenerator:
     """A generator that counts the variates it hands out and names the
     methods that drew them."""
@@ -417,20 +483,13 @@ class TestBidiagonalRoute:
         np.testing.assert_allclose(norms, svd, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(norms, tridiagonal, rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("diag, sup", [
-        ([0.0], []),
-        ([0.0, 0.0, 0.0], [0.0, 0.0]),
-        ([0.0, 0.0], [1.0]),                            # zero diagonal
-        ([3.0, 0.0, 2.0], [0.0, 0.0]),                  # three 1 x 1 blocks
-        ([1.0, 0.0, 1.0], [1.0, 1.0]),                  # zero inside the diagonal
-        ([2.0, 1.0, 0.0, 5.0], [0.0, 3.0, 0.0]),        # split blocks
-        ([1.0, 1.0], [1.0]),                            # bracket sqrt(2) wide
-    ], ids=["n1-zero", "n3-zero", "zero-diag", "diagonal", "zero-inside", "split", "widest"])
+    @pytest.mark.parametrize("diag, sup", HAND_BUILT, ids=HAND_BUILT_IDS)
     def test_hand_built_matrices(self, diag, sup):
         e = golub_kahan(diag, sup)
         expected = np.linalg.svd(dense_bidiagonal(e), compute_uv=False)[0]
         (norm,) = bidiagonal_norms(e[None, :])
         assert norm == pytest.approx(expected, rel=1e-13, abs=0.0)
+        np.testing.assert_array_equal(norm, bisection_norms(e[None, :]))
 
     def test_zero_pivots_count_as_negative(self):
         # B = I_2 at x = 1: every other pivot of T - xI is exactly zero and the
@@ -448,8 +507,11 @@ class TestBidiagonalRoute:
     def test_each_norm_depends_on_its_own_row(self):
         e = gaussian_bidiagonal_stack(40, 60, RngSeed(113).generator())
         norms = bidiagonal_norms(e)
+        np.testing.assert_array_equal(norms, bisection_norms(e))
         np.testing.assert_array_equal(bidiagonal_norms(e[:7]), norms[:7])
         np.testing.assert_array_equal(bidiagonal_norms(e[::-1]), norms[::-1])
+        np.testing.assert_array_equal(bidiagonal_norms(e[59:]), norms[59:])
+        np.testing.assert_array_equal(bidiagonal_norms(e[::-3]), norms[::-3])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_row_reads_nan_alone(self, bad):
@@ -459,6 +521,9 @@ class TestBidiagonalRoute:
         norms = bidiagonal_norms(e)
         assert np.isnan(norms[3])
         np.testing.assert_array_equal(np.delete(norms, 3), np.delete(clean, 3))
+        e[7, 0] = -bad
+        e[9] = bad
+        np.testing.assert_array_equal(bidiagonal_norms(e), bisection_norms(e))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_draw_fails_closed(self, bad, monkeypatch):
@@ -477,6 +542,99 @@ class TestBidiagonalRoute:
         c = lo / np.sqrt(2.0)
         (norm,) = bidiagonal_norms(golub_kahan([c, c], [c])[None, :])
         assert norm == pytest.approx(c * (1.0 + np.sqrt(5.0)) / 2.0, rel=1e-15, abs=0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(e=st.integers(1, 8).flatmap(golub_kahan_rows), scale=st.sampled_from(SCALES))
+    def test_sturm_test_is_monotone_in_x(self, e, scale):
+        # x <= y and above(x) imply above(y): on a grid over the bracket, and on
+        # the 16 doubles on each side of the computed norm
+        e = e * scale
+        (norm,) = bisection_norms(e[None, :])
+        grid = np.linspace(0.0, 2.0 * norm, 101)
+        near = [norm]
+        for _ in range(16):
+            near = [np.nextafter(near[0], -np.inf), *near, np.nextafter(near[-1], np.inf)]
+        x = np.sort(np.concatenate([grid, near]))
+        e2, pivmin = sturm_inputs(np.repeat(e[None, :], len(x), axis=0))
+        above = _above_spectrum(e2, x, pivmin)
+        assert not np.any(above[:-1] & ~above[1:])
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 256])
+    def test_newton_sweep_decides_as_the_sturm_test(self, n):
+        # Gaussian rows, then the hand-built rows cut or repeated to this length
+        e = gaussian_bidiagonal_stack(n, 200, RngSeed(167, n).generator())
+        e = np.concatenate([e, *(np.resize(golub_kahan(d, s), (1, 2 * n - 1))
+                                 for d, s in HAND_BUILT)])
+        e2, pivmin = sturm_inputs(e)
+        norms = bisection_norms(e)
+        spread = RngSeed(173, n).generator().uniform(0.5, 1.5, len(norms))
+        for x in (norms * spread, norms, np.nextafter(norms, 0.0), np.nextafter(norms, np.inf),
+                  np.zeros_like(norms)):
+            with np.errstate(all="ignore"):
+                up, _ = _newton_sweep(e2, x, pivmin)
+            np.testing.assert_array_equal(up, _above_spectrum(e2, x, pivmin))
+
+    def test_newton_sweep_takes_the_log_derivative(self):
+        # above the spectrum, G = p'/p = sum_i 1/(x - lambda_i) over the 2n
+        # eigenvalues +/- sigma_i of the Golub-Kahan tridiagonal
+        n = 17
+        e = gaussian_bidiagonal_stack(n, 20, RngSeed(179).generator())
+        x = 1.1 * bisection_norms(e)
+        e2, pivmin = sturm_inputs(e)
+        _, g = _newton_sweep(e2, x, pivmin)
+        expected = [np.sum(1.0 / (xi - scipy.linalg.eigvalsh_tridiagonal(np.zeros(2 * n), row)))
+                    for xi, row in zip(x, e)]
+        np.testing.assert_allclose(g, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 256, 1024])
+    def test_equals_bisection_on_seeded_stacks(self, n):
+        e = gaussian_bidiagonal_stack(n, 300, RngSeed(181, n).generator())
+        np.testing.assert_array_equal(bidiagonal_norms(e), bisection_norms(e))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.tuples(golub_kahan_rows(n), st.sampled_from(SCALES)), min_size=1, max_size=6)))
+    def test_equals_bisection_on_scaled_stacks_with_zeros(self, rows):
+        e = np.stack([r * scale for r, scale in rows])
+        np.testing.assert_array_equal(bidiagonal_norms(e), bisection_norms(e))
+
+    @pytest.mark.parametrize("sweeps", [0, 1, 3])
+    def test_capped_newton_phase_leaves_the_norms(self, sweeps, monkeypatch):
+        # whatever Newton leaves open, the replay sweeps
+        e = gaussian_bidiagonal_stack(64, 200, RngSeed(197).generator())
+        monkeypatch.setattr(random_series, "_NEWTON_SWEEPS", sweeps)
+        np.testing.assert_array_equal(bidiagonal_norms(e), bisection_norms(e))
+
+    @pytest.mark.parametrize("spoil", [np.nan, np.inf, 1e-30, 1e30], ids=["nan", "inf", "tiny", "huge"])
+    def test_spoilt_newton_steps_leave_the_norms(self, spoil, monkeypatch):
+        # a non-finite, far too long or far too short step falls back to a
+        # probe or the midpoint
+        def spoilt(e2, x, pivmin):
+            up, g = _newton_sweep(e2, x, pivmin)
+            return up, g * spoil
+        e = gaussian_bidiagonal_stack(64, 200, RngSeed(199).generator())
+        monkeypatch.setattr(random_series, "_newton_sweep", spoilt)
+        np.testing.assert_array_equal(bidiagonal_norms(e), bisection_norms(e))
+
+    @pytest.mark.parametrize("case", ["seeded-256", "widest", "nan-row"])
+    def test_sweep_bound(self, case, monkeypatch):
+        # about `_BISECT_FIRST` + 7 sweeps on a Gaussian stack; never more than
+        # `_MAX_PASSES` + `_NEWTON_SWEEPS`
+        if case == "seeded-256":
+            e, bound = gaussian_bidiagonal_stack(256, 1000, RngSeed(157).generator()), 20
+        elif case == "widest":
+            c = np.nextafter(2.0, 0.0) / np.sqrt(2.0)
+            e, bound = golub_kahan([c, c], [c])[None, :], _MAX_PASSES + _NEWTON_SWEEPS
+        else:
+            e = gaussian_bidiagonal_stack(16, 50, RngSeed(211).generator())
+            e[7, 3] = np.nan
+            bound = _MAX_PASSES + _NEWTON_SWEEPS
+        expected = bisection_norms(e)
+        counts = []
+        monkeypatch.setattr(random_series, "_above_spectrum", counting(_above_spectrum, counts))
+        monkeypatch.setattr(random_series, "_newton_sweep", counting(_newton_sweep, counts))
+        np.testing.assert_array_equal(bidiagonal_norms(e), expected)
+        assert 0 < len(counts) <= bound
 
     @pytest.mark.parametrize("n", [2, 16, 64])
     def test_two_sample_z_against_dense_route(self, n):
@@ -714,6 +872,21 @@ class TestRandomizeBall:
         res = randomize_ball(f, half)
         for l in f.labels():
             np.testing.assert_allclose(res.randomized.block(l), 0.5 * f.block(l), atol=1e-12)
+
+    def test_nan_deviation_is_kept(self, monkeypatch):
+        # the second label's unitaries NaN, the first finite: the deviation is NaN
+        split = random_series.four_unitary_decomposition
+        calls = []
+
+        def poisoned(b):
+            calls.append(b)
+            vs = split(b)
+            return tuple(v * np.nan for v in vs) if len(calls) == 2 else vs
+        monkeypatch.setattr(random_series, "four_unitary_decomposition", poisoned)
+        rng = RngSeed(83).generator()
+        f = random_coeffs(SUQ2, rng)
+        res = randomize_ball(f, haar_family(SUQ2, rng))
+        assert len(calls) == len(SUQ2.labels()) > 2 and np.isnan(res.max_deviation)
 
     def test_rejects_out_of_ball(self):
         f = random_coeffs(SUQ2, RngSeed(79).generator())
