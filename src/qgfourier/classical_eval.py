@@ -539,16 +539,19 @@ def _series_l1(haar: HaarRule, f: FourierCoeffs, trials: int, seed: RngSeed, dra
     `draw(rng, n)` gives (s, a stack of MC_CHUNK random n x n matrices X).
 
     tr(X f pi(g)) = sum_{m,i} (X f)^T_{mi} pi(g)_{mi}: per label, X f for the
-    chunk, then one product of its transposes, flattened to (take, n^2),
-    against the stack flattened to (nodes, n^2).
+    chunk as one (take n, n) @ (n, n) product, then one product of its
+    transposes, flattened to (take, n^2), against the stack flattened to
+    (nodes, n^2).
     """
     for index, take in iter_chunks(trials, MC_CHUNK):
         rng = seed.chunk_generator(index)
         vals = np.zeros((take, len(haar.weights)), dtype=complex)
         for label, m in f.support.items():
-            scale, x = draw(rng, m.shape[0])
+            n = m.shape[0]
+            scale, x = draw(rng, n)
             stack = haar.irrep_stack(label)
-            xm_t = np.swapaxes(x[:take] @ m, 1, 2).reshape(take, -1)
+            xm = (x[:take].reshape(take * n, n) @ m).reshape(take, n, n)
+            xm_t = np.swapaxes(xm, 1, 2).reshape(take, -1)
             vals += scale * (xm_t @ stack.reshape(len(stack), -1).T)
         yield np.abs(vals) @ haar.weights
 
@@ -606,15 +609,16 @@ def coefficient_bound_check(
         raise ValueError(f"matrix shape {a.shape}, expected ({n}, {n})")
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"indices ({i}, {j}) out of range for dimension {n}")
-    stack = haar.irrep_stack(k)
+    column = haar.irrep_stack(k)[:, :, j]  # u_{m,j} at each node
     row_norm = float(np.linalg.norm(a[i, :]))
     if side == "upper":
-        vals = np.einsum("m,gm->g", a[i, :], stack[:, :, j].conj())
+        # |sum_m A_{i,m} conj(u_{m,j})| = |sum_m conj(A_{i,m}) u_{m,j}|
+        vals = column @ a[i, :].conj()
         actual = float(np.max(np.abs(vals)))
         bound = row_norm
         margin = bound - actual
     elif side == "lower":
-        vals = np.einsum("m,gm->g", a[i, :], stack[:, :, j])
+        vals = column @ a[i, :]
         actual = float(np.sum(haar.weights * np.abs(vals)))
         bound = row_norm / n
         margin = actual - bound

@@ -133,16 +133,19 @@ class Context:
         # so the dual is built once and does not outlive its subcommand
         self.duals = {}
 
+    def _get(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def s3(self):
-        return self._cache.setdefault("s3", symmetric_group_s3())
+        return self._get("s3", symmetric_group_s3)
 
     def z8(self):
-        return self._cache.setdefault("z8", cyclic_group(8))
+        return self._get("z8", lambda: cyclic_group(8))
 
     def quad(self):
-        if "quad" not in self._cache:
-            self._cache["quad"] = make_su2_quadrature()
-        return self._cache["quad"]
+        return self._get("quad", make_su2_quadrature)
 
 
 def _seed_for(cfg: dict, name: str, case: int = 0) -> RngSeed:
@@ -277,9 +280,10 @@ def run_four_unitary(cfg, ctx):
         x = x / np.maximum(1e-12, np.linalg.norm(x, 2, axis=(-2, -1)))[:, None, None] * scale
         vs = four_unitary_decomposition(x)
         max_rec = _fold(max, max_rec, float(np.max(np.abs(sum(vs) / 2.0 - x))))
-        defects = [np.linalg.norm(v.swapaxes(-1, -2).conj() @ v - np.eye(n), 2, axis=(-2, -1))
-                   for v in vs]
-        max_unit = _fold(max, max_unit, float(np.max(defects)))
+        # each defect V^* V - I is Hermitian: its 2-norm is its largest |eigenvalue|
+        v = np.concatenate(vs)
+        defects = np.linalg.eigvalsh(v.swapaxes(-1, -2).conj() @ v - np.eye(n))
+        max_unit = _fold(max, max_unit, float(np.max(np.abs(defects))))
     return [{"contractions": cfg["trials"], "max_dim": 16, "max_reconstruction_error": max_rec,
              "max_unitarity_defect": max_unit, "tolerance": tol,
              "ok": max_rec <= tol and max_unit <= tol}]

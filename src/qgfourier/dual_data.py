@@ -36,6 +36,10 @@ class IrrepData:
     n: int
     q_diag: np.ndarray
     d: float = field(init=False)
+    # the weights `block_gram` built for this irrep, kept here so that they
+    # live exactly as long as the irrep (and its dual) does; they hold no
+    # reference back, so reference counting frees them
+    _gram: BlockGram | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         q = np.asarray(self.q_diag, dtype=float)
@@ -71,7 +75,6 @@ class IrrepData:
 class BlockGram:
     """Diagonal Gram weights of one block: basis {u_{i,j}} and basis {(u_{i,j})^*}."""
 
-    irrep: IrrepData
     gram_u: np.ndarray      # weight of u_{i,j} at (i, j): (Q^{-1})_{i,i} / d
     gram_ustar: np.ndarray  # weight of (u_{i,j})^* at (i, j): (Q)_{j,j} / d
 
@@ -83,15 +86,22 @@ def block_gram(irrep: IrrepData) -> BlockGram:
         h(u_{s,t} (u_{i,j})^*) = delta_{i,s} delta_{j,t} (Q)_{j,j} / d
 
     (Woronowicz, Comm. Math. Phys. 111, 1987).  The only place in the
-    package that writes these weights.
+    package that writes these weights.  They are built on the first call for
+    `irrep`, stored on it read-only, and the same object is returned after.
     """
+    if irrep._gram is not None:
+        return irrep._gram
     n, d = irrep.n, irrep.d
     qinv_diag = 1.0 / irrep.q_diag
     gram_u = np.repeat(qinv_diag[:, None], n, axis=1) / d
     gram_ustar = np.repeat(irrep.q_diag[None, :], n, axis=0) / d
     if not (np.all(gram_u > 0) and np.all(gram_ustar > 0)):
         raise ValueError("gram weights must be strictly positive")
-    return BlockGram(irrep=irrep, gram_u=gram_u, gram_ustar=gram_ustar)
+    gram_u.flags.writeable = False
+    gram_ustar.flags.writeable = False
+    gram = BlockGram(gram_u=gram_u, gram_ustar=gram_ustar)
+    object.__setattr__(irrep, "_gram", gram)
+    return gram
 
 
 @dataclass(frozen=True, eq=False)

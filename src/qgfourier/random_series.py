@@ -420,10 +420,15 @@ class MatrixFamily:
 
     @property
     def is_unitary(self) -> bool:
-        return all(
-            np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]), 2) <= UNITARY_TOL
-            for m in self.entries.values()
-        )
+        """Every entry has ||M^* M - I||_2 <= UNITARY_TOL.  The Frobenius norm of
+        the defect bounds its 2-norm from above, so a Frobenius norm within the
+        tolerance accepts; the SVD is taken only when it cannot decide."""
+        for m in self.entries.values():
+            defect = m.conj().T @ m - np.eye(m.shape[0])
+            if not (np.linalg.norm(defect) <= UNITARY_TOL
+                    or np.linalg.norm(defect, 2) <= UNITARY_TOL):
+                return False
+        return True
 
     def sup_norm(self) -> float:
         if not self.entries:
@@ -524,14 +529,32 @@ def four_unitary_decomposition(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     `x` is one (n, n) matrix or a stack (..., n, n), and each v has its
     shape.  A stack is split matrix by matrix with stacked `eigh` and matmul
     calls, so each matrix of the stack gets exactly the unitaries it would get
-    alone.  ContractionError if any matrix has norm above 1 + NORM_SLACK.
+    alone.  ContractionError if any entry is not finite, or any matrix has
+    norm above 1 + NORM_SLACK.
+
+    Guard.  With r = 1 + NORM_SLACK, ||X|| <= r exactly when r^2 I - X^* X is
+    positive semidefinite.  A Cholesky factorisation of it that succeeds
+    accepts the whole stack without an SVD; when one fails, the largest
+    singular value decides, so a rounding miss of the factorisation near
+    ||X|| = r does not refuse a contraction.  Non-finite entries are refused
+    first: a factorisation can return a NaN factor instead of failing, and an
+    inf entry gives a NaN singular value, which no comparison refuses.
     """
     x = np.array(x, dtype=complex)
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {x.shape}")
-    norm = float(np.max(np.linalg.norm(x, 2, axis=(-2, -1))))
-    if norm > 1.0 + NORM_SLACK:
-        raise ContractionError(f"matrix norm {norm!r} exceeds 1 + {NORM_SLACK}")
+    if not np.all(np.isfinite(x)):
+        raise ContractionError("matrix has a non-finite entry")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves no finite factor
+        gap = (1.0 + NORM_SLACK) ** 2 * np.eye(x.shape[-1]) - _adjoint(x) @ x
+    try:
+        bounded = bool(np.all(np.isfinite(np.linalg.cholesky(gap))))
+    except np.linalg.LinAlgError:
+        bounded = False
+    if not bounded:
+        norm = float(np.max(np.linalg.norm(x, 2, axis=(-2, -1))))
+        if norm > 1.0 + NORM_SLACK:
+            raise ContractionError(f"matrix norm {norm!r} exceeds 1 + {NORM_SLACK}")
     h1 = (x + _adjoint(x)) / 2.0
     h2 = (x - _adjoint(x)) / 2j
     v1, v2 = _hermitian_unitary_pair(h1)

@@ -432,6 +432,19 @@ class TestValidityMeasurement:
         assert peaks[0] <= peaks[1]
 
 
+def einsum_bound_check(a, k, i, j, haar, side):
+    """Reference for `coefficient_bound_check`: an einsum over the (conjugated)
+    column of the level-k stack."""
+    stack = haar.irrep_stack(k)
+    row_norm = float(np.linalg.norm(a[i, :]))
+    if side == "upper":
+        actual = float(np.max(np.abs(np.einsum("m,gm->g", a[i, :], stack[:, :, j].conj()))))
+        return classical_eval.BoundCheck(side, row_norm, actual, row_norm - actual)
+    vals = np.einsum("m,gm->g", a[i, :], stack[:, :, j])
+    actual = float(np.sum(haar.weights * np.abs(vals)))
+    return classical_eval.BoundCheck(side, row_norm / (k + 1), actual, actual - row_norm / (k + 1))
+
+
 class TestCoefficientBounds:
     def test_matrix_unit_upper(self, su2_quad):
         k = 2
@@ -452,6 +465,18 @@ class TestCoefficientBounds:
             i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
             res = coefficient_bound_check(a, k, i, j, su2_quad, side)
             assert res.margin >= -1e-6
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_agrees_with_einsum_form(self, su2_quad, side):
+        # the column matvec gives the einsum's values bit for bit
+        rng = RngSeed(169).generator()
+        for k in range(6):
+            n = k + 1
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for i in range(n):
+                for j in range(n):
+                    res = coefficient_bound_check(a, k, i, j, su2_quad, side)
+                    assert res == einsum_bound_check(a, k, i, j, su2_quad, side)
 
     def test_rejects_level_beyond_measured_rule(self, su2_quad):
         k = su2_quad.kmax_valid + 1
@@ -551,6 +576,19 @@ def einsum_series_l1(haar, f, trials, seed, draw):
         yield np.abs(vals) @ haar.weights
 
 
+def stacked_series_l1(haar, f, trials, seed, draw):
+    """Reference for `_series_l1`: X f as a stack of `take` n x n products."""
+    for index, take in iter_chunks(trials, MC_CHUNK):
+        rng = seed.chunk_generator(index)
+        vals = np.zeros((take, len(haar.weights)), dtype=complex)
+        for label, m in f.support.items():
+            scale, x = draw(rng, m.shape[0])
+            stack = haar.irrep_stack(label)
+            xm_t = np.swapaxes(x[:take] @ m, 1, 2).reshape(take, -1)
+            vals += scale * (xm_t @ stack.reshape(len(stack), -1).T)
+        yield np.abs(vals) @ haar.weights
+
+
 SERIES_DRAWS = {
     "gaussian": lambda rng, n: (np.sqrt(n), rng.standard_normal((MC_CHUNK, n, n))),
     "unitary": lambda rng, n: (n, haar_unitary_stack(n, MC_CHUNK, rng)),
@@ -573,6 +611,37 @@ def test_series_l1_agrees_with_einsum(rule, trials, draw, request):
     ref = list(einsum_series_l1(haar, f, trials, RngSeed(271), SERIES_DRAWS[draw]))
     assert [len(l1) for l1 in got] == [len(l1) for l1 in ref]
     np.testing.assert_allclose(np.concatenate(got), np.concatenate(ref), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_flat_product_equals_stacked_products(n):
+    rng = RngSeed(283, n).generator()
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for x in (rng.standard_normal((MC_CHUNK, n, n)), haar_unitary_stack(n, MC_CHUNK, rng)):
+        for take in (MC_CHUNK, 1000):
+            flat = (x[:take].reshape(take * n, n) @ m).reshape(take, n, n)
+            np.testing.assert_array_equal(flat, x[:take] @ m)
+
+
+@pytest.mark.parametrize("draw", SERIES_DRAWS)
+@pytest.mark.parametrize("rule, trials", [("s3_table", 1500), ("z8_table", 1500),
+                                          ("su2_quad", 40)])
+def test_series_l1_equals_stacked_products(rule, trials, draw, request):
+    # one (take n, n) @ (n, n) product gives the stacked products bit for bit,
+    # on real (Gaussian) and complex (Haar) stacks; su2 levels 0..5 are n = 1..6
+    haar = request.getfixturevalue(rule)
+    if rule == "su2_quad":
+        from qgfourier import make_su2_dual
+
+        dual = make_su2_dual(5)
+    else:
+        dual = haar.dual_descriptor()
+    f = random_coeffs(dual, RngSeed(277).generator())
+    got = list(classical_eval._series_l1(haar, f, trials, RngSeed(281), SERIES_DRAWS[draw]))
+    ref = list(stacked_series_l1(haar, f, trials, RngSeed(281), SERIES_DRAWS[draw]))
+    assert len(got) == len(ref)
+    for l1, r in zip(got, ref):
+        np.testing.assert_array_equal(l1, r)
 
 
 class TestRandomizedL1Report:

@@ -302,6 +302,47 @@ def test_nan_from_a_kernel_fails_the_run(argv, kernel, monkeypatch, capsys):
     assert False in [rec["ok"] for rec in doc["records"] if "ok" in rec]
 
 
+@pytest.mark.parametrize("seed", [7, 11])
+def test_four_unitary_defect_is_the_svd_norm(seed, monkeypatch, capsys):
+    # the record reads each defect V^* V - I by eigvalsh; the SVD norm of the
+    # same unitaries is the reference, equal to 1e-17
+    split = cli.four_unitary_decomposition
+    unitaries = []
+
+    def recording(x):
+        vs = split(x)
+        unitaries.extend(vs)
+        return vs
+
+    monkeypatch.setattr(cli, "four_unitary_decomposition", recording)
+    code, doc = execute(["four-unitary", "--seed", str(seed)])
+    capsys.readouterr()
+    assert code == 0 and len(unitaries) == 4 * 16
+    by_svd = max(float(np.max(np.linalg.norm(
+        v.swapaxes(-1, -2).conj() @ v - np.eye(v.shape[-1]), 2, axis=(-2, -1))))
+        for v in unitaries)
+    assert abs(doc["records"][0]["max_unitarity_defect"] - by_svd) <= 1e-17
+
+
+def test_shared_tables_are_built_once_across_all(monkeypatch, capsys):
+    # a run of `all` builds s3, z8 and the SU(2) rule once each, however many
+    # subcommands share them; z2 is helgason-instance's own
+    built = []
+
+    def counting(build):
+        def wrapped(*args):
+            built.append((build.__name__, *args))
+            return build(*args)
+        return wrapped
+
+    for name in ("symmetric_group_s3", "cyclic_group", "make_su2_quadrature"):
+        monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
+    execute(["all", "--seed", "1", "--families", "2", "--trials", "2"])
+    capsys.readouterr()
+    assert sorted(built) == [("cyclic_group", 2), ("cyclic_group", 8),
+                             ("make_su2_quadrature",), ("symmetric_group_s3",)]
+
+
 def test_subcommand_order_is_the_experiment_table():
     assert list(cli.DEFAULTS) == list(cli.EXPERIMENTS)
     assert cli.SUBCOMMANDS == [*cli.EXPERIMENTS, "all"]

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,30 @@ class TestBlockGram:
         g = block_gram(ir)
         np.testing.assert_allclose(g.gram_u[:, 0], (1.0 / ir.q_diag) / ir.d)
         np.testing.assert_allclose(g.gram_ustar[0, :], ir.q_diag / ir.d)
+
+    def test_built_once_per_irrep_and_read_only(self):
+        dual = make_suq2_dual(0.3, 3)
+        g = block_gram(dual.irrep(2))
+        assert block_gram(dual.irrep(2)) is g
+        assert block_gram(dual.irrep(1)) is not g
+        # an equal irrep of another dual gets its own weights
+        assert block_gram(make_suq2_dual(0.3, 3).irrep(2)) is not g
+        for weights in (g.gram_u, g.gram_ustar):
+            with pytest.raises(ValueError, match="read-only"):
+                weights[0, 0] = 1.0
+
+    def test_weights_die_with_their_dual(self):
+        # with the cycle collector off, only reference counting frees them, so
+        # a reference from the weights back to their irrep would keep both
+        dual = make_suq2_dual(0.3, 3)
+        irrep = weakref.ref(dual.irrep(3))
+        weights = weakref.ref(block_gram(dual.irrep(3)).gram_u)
+        gc.disable()
+        try:
+            del dual
+            assert irrep() is None and weights() is None
+        finally:
+            gc.enable()
 
 
 class TestMultiplierBlockNorm:

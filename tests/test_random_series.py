@@ -37,6 +37,8 @@ from qgfourier.random_series import (
     _MAX_PASSES,
     _NEWTON_SWEEPS,
     _TOL_ULPS,
+    NORM_SLACK,
+    UNITARY_TOL,
     MeanAccumulator,
     _above_spectrum,
     _gram_schmidt,
@@ -836,6 +838,66 @@ class TestFourUnitary:
         with pytest.raises(ContractionError):
             four_unitary_decomposition(x)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entry_is_refused(self, bad):
+        # NaN fails no Cholesky factorisation, and the SVD's own failure on it
+        # is a LinAlgError, not a refusal
+        one = 0.5 * np.eye(3, dtype=complex)
+        one[1, 2] = bad
+        with pytest.raises(ContractionError, match="non-finite"):
+            four_unitary_decomposition(one)
+        stack = np.stack([0.5 * np.eye(3), 0.25 * np.eye(3), one])
+        with pytest.raises(ContractionError, match="non-finite"):
+            four_unitary_decomposition(stack)
+
+    def test_guard_edges(self):
+        # the guard accepts up to 1 + NORM_SLACK and refuses past it, with the
+        # largest singular value in the message
+        four_unitary_decomposition((1 + 0.5 * NORM_SLACK) * np.eye(3))
+        four_unitary_decomposition(haar_unitary_stack(5, 4, RngSeed(89).generator()))
+        x = np.diag([0.5, 1 + 2 * NORM_SLACK, 0.25])
+        norm = float(np.linalg.norm(x, 2))
+        with pytest.raises(ContractionError) as raised:
+            four_unitary_decomposition(np.stack([0.5 * np.eye(3), x]))
+        assert str(raised.value) == f"matrix norm {norm!r} exceeds 1 + {NORM_SLACK}"
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_guard_agrees_with_svd_norm(self, n):
+        # the Cholesky guard refuses exactly the stacks whose SVD norm exceeds
+        # 1 + NORM_SLACK, away from rounding distance of the edge
+        rng = RngSeed(97, n).generator()
+        x = rng.standard_normal((64, n, n)) + 1j * rng.standard_normal((64, n, n))
+        x /= np.linalg.norm(x, 2, axis=(-2, -1))[:, None, None]
+        for scale in (0.5, 1.0, 1 + 0.5 * NORM_SLACK, 1 + 2 * NORM_SLACK, 1.5, 1e200):
+            refused = float(np.max(np.linalg.norm(scale * x, 2, axis=(-2, -1)))) > 1 + NORM_SLACK
+            for stack in (scale * x, scale * x[:1]):
+                if refused:
+                    with pytest.raises(ContractionError, match="matrix norm"):
+                        four_unitary_decomposition(stack)
+                else:
+                    four_unitary_decomposition(stack)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+    def test_eigvalsh_defect_is_the_svd_norm(self, n):
+        # V^* V - I is Hermitian, so its largest |eigenvalue| is its 2-norm;
+        # `four-unitary` reads the defect that way.  The computed defect D is
+        # Hermitian only to rounding, and eigvalsh reads its lower triangle,
+        # i.e. the Hermitian H built from it: per matrix the two norms differ
+        # by at most ||H - D||_2 plus the rounding of either route, and their
+        # maxima by at most 1e-17
+        rng = RngSeed(101, n).generator()
+        x = rng.standard_normal((50, n, n)) + 1j * rng.standard_normal((50, n, n))
+        x = x / np.linalg.norm(x, 2, axis=(-2, -1))[:, None, None] * rng.uniform(0, 1, (50, 1, 1))
+        v = np.concatenate(four_unitary_decomposition(x))
+        defect = v.swapaxes(-1, -2).conj() @ v - np.eye(n)
+        by_svd = np.linalg.norm(defect, 2, axis=(-2, -1))
+        by_eig = np.max(np.abs(np.linalg.eigvalsh(defect)), axis=-1)
+        lower = np.tril(defect, -1)
+        read = lower + lower.swapaxes(-1, -2).conj() + np.real(np.tril(np.triu(defect)))
+        asymmetry = np.linalg.norm(read - defect, 2, axis=(-2, -1))
+        assert np.all(np.abs(by_eig - by_svd) <= asymmetry + 16 * np.finfo(float).eps * by_svd)
+        assert abs(np.max(by_eig) - np.max(by_svd)) <= 1e-17
+
     @settings(max_examples=50, deadline=None)
     @given(
         re=arrays(np.float64, (4, 4), elements=st.floats(-1.0, 1.0)),
@@ -900,3 +962,30 @@ def test_family_unitary_flag():
     assert fam.is_unitary
     bad = MatrixFamily(SUQ2, {0: np.array([[1.0 + 1e-6]])})
     assert not bad.is_unitary
+
+
+def svd_is_unitary(family) -> bool:
+    """Reference for `MatrixFamily.is_unitary`: the SVD norm of every defect."""
+    return all(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]), 2) <= UNITARY_TOL
+               for m in family.entries.values())
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.5, 0.9, 1.0, 1.1, 2.0, 1e6])
+def test_unitary_flag_matches_svd_route(eps):
+    # M = sqrt(1 + eps tol) I_n has defect eps tol I_n: spectral norm eps tol,
+    # Frobenius norm eps tol sqrt(n).  At eps in (1/2, 1] only the SVD accepts
+    dual = make_su2_dual(3)
+    fam = MatrixFamily(dual, {l: np.sqrt(1 + eps * UNITARY_TOL) * np.eye(dual.irrep(l).n)
+                              for l in dual.labels()})
+    assert fam.is_unitary == svd_is_unitary(fam)
+    haar = haar_family(dual, RngSeed(103).generator())
+    assert haar.is_unitary and svd_is_unitary(haar)
+
+
+def test_unitary_flag_takes_the_svd_when_frobenius_cannot_decide():
+    n = 4
+    m = np.sqrt(1 + 0.9 * UNITARY_TOL) * np.eye(n)
+    defect = m.conj().T @ m - np.eye(n)
+    assert np.linalg.norm(defect) > UNITARY_TOL >= np.linalg.norm(defect, 2)
+    dual = make_su2_dual(n - 1)
+    assert MatrixFamily(dual, {n - 1: m}).is_unitary
