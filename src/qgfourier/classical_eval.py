@@ -333,6 +333,25 @@ def _euler_exponents(k: int) -> tuple[np.ndarray, np.ndarray]:
     return k - i - j, j - i
 
 
+def _euler_assemble(rho0, e1, e2, phi1, phi2) -> np.ndarray:
+    """rho0 * (e^{i e1 phi1} e^{i e2 phi2}): irrep entries at Euler-product nodes.
+
+    `rho0` holds polar-stack entries rho_k(g0(xi)), `e1` and `e2` their phase
+    exponents (`_euler_exponents`) and `phi1`, `phi2` the node phases, each
+    shaped by the caller so that the five broadcast to the layout it wants.
+    The stacks, the ties of `_check_stacks` and the two factor routes all
+    multiply here, in this one order, so the ties cover the arithmetic the
+    routes run, and every route's entries are the stack's bit for bit.
+    """
+    return rho0 * (np.exp(1j * (e1 * phi1)) * np.exp(1j * (e2 * phi2)))
+
+
+def _check_level(k) -> int:
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise ClassicalDomainError(f"label {k!r} is not a valid irrep level")
+    return int(k)
+
+
 @dataclass(eq=False)
 class SU2Quadrature(HaarRule):
     """Nodes/weights approximating the Haar integral, with measured validity.
@@ -340,6 +359,9 @@ class SU2Quadrature(HaarRule):
     The nodes form a product grid: polar angles xi, then phases phi1, then
     phases phi2 (node index (r * P + p1) * P + p2 for P phases), the node being
     [[cos xi e^{i phi1}, sin xi e^{i phi2}], [-sin xi e^{-i phi2}, cos xi e^{-i phi1}]].
+    What the rule keeps is that Euler factorisation: the four arrays below,
+    read-only once built, and the (R, k+1, k+1) polar stacks.  Full irrep
+    stacks are made on demand by `irrep_stack`, never by the build.
     """
 
     nodes: np.ndarray            # (M, 2, 2)
@@ -354,8 +376,20 @@ class SU2Quadrature(HaarRule):
         """rho_k(g0(xi)) at the R polar angles, shape (R, k+1, k+1) (see `irrep_stack`)."""
         if k not in self._polar_stacks:
             c, s = np.cos(self.polar), np.sin(self.polar)
-            self._polar_stacks[k] = _su2_entry_stack(k, c, s, -s, c)
+            stack = _su2_entry_stack(k, c, s, -s, c)
+            stack.flags.writeable = False
+            self._polar_stacks[k] = stack
         return self._polar_stacks[k]
+
+    def _assemble(self, k: int, entries=np.s_[...], phi2=None) -> np.ndarray:
+        """The entries of rho_k that `entries` picks from a (k+1, k+1) table (all
+        of them, a column, the diagonal) on the product grid, for the phases
+        phi2 in `phi2` (default: all of `phases`): shape picked + (R, P, P').
+        The picked axes lead, so each product runs over the nodes innermost."""
+        rho0 = np.ascontiguousarray(self._polar_stack(k).transpose(1, 2, 0)[entries])
+        e1, e2 = (e[entries][..., None, None, None] for e in _euler_exponents(k))
+        phi2 = self.phases if phi2 is None else phi2
+        return _euler_assemble(rho0[..., None, None], e1, e2, self.phases[:, None], phi2)
 
     def irrep_stack(self, k: int) -> np.ndarray:
         """rho_k at every node, from the Euler-angle structure of the grid.
@@ -372,17 +406,17 @@ class SU2Quadrature(HaarRule):
         The entry formula runs at the R polar angles only; two (P, k+1, k+1) phase
         tables, broadcast over the grid, give the stack in node order (Vilenkin,
         Special Functions and the Theory of Group Representations, 1968, ch. III).
+        The stack is made on the first call and kept: `coeff_values`, the
+        Monte Carlo series and the tests read it, while the build and the two
+        checks of `all` (`coefficient_bound_check`, `character_l1`) evaluate
+        the factors directly and never make one.
         """
-        if not isinstance(k, (int, np.integer)) or k < 0:
-            raise ClassicalDomainError(f"label {k!r} is not a valid irrep level")
-        k = int(k)
+        k = _check_level(k)
         if k not in self._stacks:
-            rho0 = self._polar_stack(k)                                  # (R, n, n)
-            e1, e2 = _euler_exponents(k)
-            p1 = np.exp(1j * np.multiply.outer(self.phases, e1))          # (P, n, n)
-            p2 = np.exp(1j * np.multiply.outer(self.phases, e2))
-            stack = rho0[:, None, None] * (p1[:, None] * p2[None, :])   # (R, P, P, n, n)
-            self._stacks[k] = stack.reshape(-1, k + 1, k + 1)
+            phi = self.phases
+            stack = _euler_assemble(self._polar_stack(k)[:, None, None], *_euler_exponents(k),
+                                    phi[:, None, None, None], phi[:, None, None])
+            self._stacks[k] = stack.reshape(-1, k + 1, k + 1)     # (R, P, P, n, n) in order
         return self._stacks[k]
 
 
@@ -401,10 +435,13 @@ def make_su2_quadrature(resolution: int = 10, validate_kmax: int = 6) -> SU2Quad
     S(m) = (1/P) sum_p e^{i m phi_p}, taken from the phases themselves (see
     `_level_gram`).  That is exact as long as every node of one polar angle
     has the same weight, which `_measure_valid_kmax` checks.  The build then
-    makes the stacks of levels 0..`kmax_valid` and ties them to the entry
-    formula (`_check_stacks`), which also checks that the nodes are the Euler
-    products the measurement assumed.  A rule valid below level 0, or a stack
-    off the formula, raises ValueError.
+    ties the assembly of levels 0..`kmax_valid` to the entry formula
+    (`_check_stacks`), which also checks that the nodes are the Euler products
+    the measurement assumed, and makes `nodes`, `weights`, `polar` and
+    `phases` read-only, so the premises checked here hold for the rule's
+    life.  It keeps the polar stacks the measurement made, and no full irrep
+    stack.  A rule valid below level 0, or an assembly off the formula,
+    raises ValueError.
     """
     if resolution < 4:
         raise ValueError(f"resolution must be >= 4, got {resolution}")
@@ -429,32 +466,37 @@ def make_su2_quadrature(resolution: int = 10, validate_kmax: int = 6) -> SU2Quad
     quad.kmax_valid = _measure_valid_kmax(quad, validate_kmax)
     if quad.kmax_valid < 0:
         raise ValueError("quadrature fails validation already at level 0")
-    for k in range(quad.kmax_valid + 1):
-        quad.irrep_stack(k)
     _check_stacks(quad)
+    for array in (quad.nodes, quad.weights, quad.polar, quad.phases):
+        array.flags.writeable = False
     return quad
 
 
 def _check_stacks(quad: SU2Quadrature) -> None:
-    """Raise ValueError unless the assembled stacks agree with the entry formula.
+    """Raise ValueError unless the Euler assembly agrees with the entry formula.
 
     The Gram validation cannot see an assembly fault: a relabelled or re-phased
-    orthonormal set is still orthonormal.  So level 1 must reproduce the nodes
-    at every node, and every stack built so far must match `_su2_entry_stack`
+    orthonormal set is still orthonormal.  So the level-1 assembly must
+    reproduce the nodes at every node (made here and dropped, not kept), and
+    the assembly of every level 0..`kmax_valid` must match `_su2_entry_stack`
     to STACK_TIE_TOL on one ring of nodes per polar angle.  On the ring at the
     r-th polar angle, phi1 runs over every phase and phi2 runs r + 1 steps
-    ahead of it, so the two phase axes cannot trade places unseen.
+    ahead of it, so the two phase axes cannot trade places unseen.  Both ties
+    run `_euler_assemble`, the product every stack and factor route runs.
     """
-    err = float(np.max(np.abs(quad.irrep_stack(1) - quad.nodes)))
+    level1 = quad._assemble(1).reshape(2, 2, -1)
+    err = float(np.max(np.abs(level1 - np.moveaxis(quad.nodes, 0, -1))))
     if not err <= STACK_TIE_TOL:
         raise ValueError(f"level 1 stack differs from the nodes by {err!r}")
     n_polar, n_phase = len(quad.polar), len(quad.phases)
     r, p = np.indices((n_polar, n_phase))
-    ring = ((r * n_phase + p) * n_phase + (p + r + 1) % n_phase).reshape(-1)
-    g = quad.nodes[ring]
-    for k, stack in quad._stacks.items():
-        formula = _su2_entry_stack(k, g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1])
-        err = float(np.max(np.abs(stack[ring] - formula)))
+    q = (p + r + 1) % n_phase
+    g = quad.nodes[(r * n_phase + p) * n_phase + q]                     # (R, P, 2, 2)
+    phi1, phi2 = quad.phases[p][..., None, None], quad.phases[q][..., None, None]
+    for k in range(quad.kmax_valid + 1):
+        ring = _euler_assemble(quad._polar_stack(k)[:, None], *_euler_exponents(k), phi1, phi2)
+        formula = _su2_entry_stack(k, g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1])
+        err = float(np.max(np.abs(ring - formula)))                    # (R, P, n, n)
         if not err <= STACK_TIE_TOL:
             raise ValueError(f"level {k} stack differs from the entry formula by {err!r}")
 
@@ -599,6 +641,13 @@ def coefficient_bound_check(
     signed so that nonnegative means the bound holds; quadrature error is
     allowed to push them slightly negative.  Levels above `haar.kmax_valid`
     are refused: the rule is not measured there.
+
+    The column u_{.,j} is assembled at every node from the Euler factors
+    (`SU2Quadrature._assemble`), in the product order of the stack, and the
+    row is summed against it in sequence, as a matvec on the stack's column
+    would: the values are the stack route's bit for bit, with no stack made.
+    A GEMM of the polar column against the two phase tables would regroup
+    the products and move last bits.
     """
     if k > haar.kmax_valid:
         raise ValueError(f"level {k} exceeds the quadrature's measured validity level "
@@ -609,21 +658,21 @@ def coefficient_bound_check(
         raise ValueError(f"matrix shape {a.shape}, expected ({n}, {n})")
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"indices ({i}, {j}) out of range for dimension {n}")
-    column = haar.irrep_stack(k)[:, :, j]  # u_{m,j} at each node
+    if side not in ("upper", "lower"):
+        raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
+    column = haar._assemble(k, np.s_[:, j]).reshape(n, -1)  # u_{m,j} at each node
     row_norm = float(np.linalg.norm(a[i, :]))
     if side == "upper":
         # |sum_m A_{i,m} conj(u_{m,j})| = |sum_m conj(A_{i,m}) u_{m,j}|
-        vals = column @ a[i, :].conj()
+        vals = np.einsum("mg,m->g", column, a[i, :].conj())
         actual = float(np.max(np.abs(vals)))
         bound = row_norm
         margin = bound - actual
-    elif side == "lower":
-        vals = column @ a[i, :]
+    else:
+        vals = np.einsum("mg,m->g", column, a[i, :])
         actual = float(np.sum(haar.weights * np.abs(vals)))
         bound = row_norm / n
         margin = actual - bound
-    else:
-        raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
     return BoundCheck(side=side, bound=bound, actual=actual, margin=margin)
 
 
@@ -649,10 +698,20 @@ def weyl_character_l1(k: int) -> float:
 
 
 def character_l1(k: int, haar: SU2Quadrature) -> float:
-    """Haar integral of |chi_k|; 3D quadrature while it is valid, 1D beyond."""
+    """Haar integral of |chi_k|; 3D quadrature while it is valid, 1D beyond.
+
+    On the diagonal the phi2 exponent j - i is 0, so chi_k depends on (xi, phi1)
+    only: the (R, P) traces are taken from the assembly at the first phi2 (the
+    factor e^{0i} is exactly 1, so they are the traces at every phi2 bit for
+    bit), broadcast over phi2 and summed against `weights` in node order, as
+    the trace of the full stack would be.
+    """
+    k = _check_level(k)
     if k <= haar.kmax_valid:
-        tr = np.einsum("gii->g", haar.irrep_stack(k))
-        return float(np.sum(haar.weights * np.abs(tr)))
+        diagonal = haar._assemble(k, np.diag_indices(k + 1), phi2=haar.phases[:1])
+        tr = np.einsum("i...->...", diagonal)                                # (R, P, 1)
+        tr = np.broadcast_to(np.abs(tr), tr.shape[:2] + (len(haar.phases),))
+        return float(np.sum(haar.weights * tr.reshape(-1)))
     return weyl_character_l1(k)
 
 

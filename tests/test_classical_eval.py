@@ -27,6 +27,7 @@ from qgfourier.classical_eval import (
     GroupIrrep,
     make_su2_quadrature,
 )
+from qgfourier.cli import execute
 from qgfourier.random_series import haar_unitary_stack, iter_chunks
 
 
@@ -91,16 +92,27 @@ def einsum_level_gram(quad, k) -> np.ndarray:
                      np.concatenate(ys, axis=1), optimize=True)
 
 
-def einsum_valid_kmax(quad, cap) -> int:
-    """Oracle for _measure_valid_kmax: one three-operand einsum over all
-    nodes for each pair of levels, stopping at the first failing level."""
+def einsum_pair_gram(yk, w, yp) -> np.ndarray:
+    """sum_g w_g conj(yk[g, i]) yp[g, j] as one unoptimised three-operand einsum,
+    which sums the nodes in sequence."""
+    return np.einsum("gi,g,gj->ij", yk.conj(), w, yp)
+
+
+def gemm_pair_gram(yk, w, yp) -> np.ndarray:
+    """sum_g w_g conj(yk[g, i]) yp[g, j] as one weighted GEMM, (w * yk)^H yp."""
+    return (yk.conj() * w[:, None]).T @ yp
+
+
+def einsum_valid_kmax(quad, cap, pair_gram=einsum_pair_gram) -> int:
+    """Oracle for _measure_valid_kmax: a node sum over all nodes for each pair
+    of levels, with no polar regrouping, stopping at the first failing level."""
     valid = -1
     flat = []
     for k in range(cap + 1):
         stack = quad.irrep_stack(k)
         yk = stack.reshape(stack.shape[0], -1)
         for kp, yp in enumerate(flat + [yk]):
-            gram = np.einsum("gi,g,gj->ij", yk.conj(), quad.weights, yp)
+            gram = pair_gram(yk, quad.weights, yp)
             if kp == k:
                 expected = np.eye(yk.shape[1]) / (k + 1)
             else:
@@ -327,17 +339,66 @@ class TestEulerStacks:
             assert float(np.max(np.abs(quad.irrep_stack(k) - formula))) <= 1e-13
             quad._stacks.pop(k)  # one level held at a time
 
-    @pytest.mark.parametrize("resolution, cap, levels", [(10, 6, 7), (10, 0, 2), (4, 9, 8)])
-    def test_build_makes_stacks_through_kmax_valid(self, resolution, cap, levels):
-        # level 1 is always made: the tie of level 1 to the nodes needs it
+    @pytest.mark.parametrize("resolution, cap, level", [(10, 6, 6), (10, 0, 0), (4, 9, 7)])
+    def test_build_keeps_no_stack_and_ties_every_valid_level(self, resolution, cap, level,
+                                                              monkeypatch):
+        # the ring tie is the entry formula at R x P nodes; the polar stacks
+        # call it at the R polar angles alone
+        formula = classical_eval._su2_entry_stack
+        calls = []
+
+        def spy(k, g00, g01, g10, g11):
+            calls.append((k, np.shape(g00)))
+            return formula(k, g00, g01, g10, g11)
+
+        monkeypatch.setattr(classical_eval, "_su2_entry_stack", spy)
         quad = make_su2_quadrature(resolution, cap)
-        assert sorted(quad._stacks) == list(range(levels))
+        ring = (len(quad.polar), len(quad.phases))
+        assert quad.kmax_valid == level
+        assert quad._stacks == {}
+        assert [k for k, shape in calls if shape == ring] == list(range(level + 1))
+
+    def test_all_runs_without_an_irrep_stack(self, monkeypatch, capsys):
+        # `all` reads the rule through its Euler factors alone, with the same records
+        def refuse(self, k):
+            raise AssertionError(f"the level-{k} stack was made")
+
+        monkeypatch.setattr(classical_eval.SU2Quadrature, "irrep_stack", refuse)
+        code, doc = execute(["all", "--seed", "7"])
+        capsys.readouterr()
+        assert code == 0
+        assert doc["content_hash"].startswith("36ce25e3634a266b")
+
+    def test_build_memory_is_the_arrays_it_keeps(self):
+        # the rule keeps its four arrays and the polar stacks; the build's
+        # transients are the level-1 tie's assembly, its difference from the
+        # nodes and its modulus, and the node columns, each at most the size
+        # of the nodes.  The stacks of levels 0..6 alone would be 35 times that.
+        make_su2_quadrature(10, 6)  # numpy's lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            quad = make_su2_quadrature(10, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in (quad.nodes, quad.weights, quad.polar, quad.phases))
+        kept += sum(stack.nbytes for stack in quad._polar_stacks.values())
+        assert peak <= kept + 4 * quad.nodes.nbytes
+
+    def test_rule_is_read_only(self):
+        # the premises checked at build time (the node tie, equal weights on each
+        # ring, kmax_valid) cannot be edited away afterwards
+        quad = make_su2_quadrature(4, 0)
+        for array in (quad.nodes, quad.weights, quad.polar, quad.phases, quad._polar_stack(3)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
     def test_level_one_is_the_nodes(self, su2_quad):
         assert float(np.max(np.abs(su2_quad.irrep_stack(1) - su2_quad.nodes))) <= 1e-15
 
     def test_nan_node_raises(self):
         quad = make_su2_quadrature(10, 6)
+        quad.nodes = quad.nodes.copy()  # the built rule's nodes are read-only
         quad.nodes[17, 0, 1] = np.nan
         with pytest.raises(ValueError, match="level 1 stack differs"):
             classical_eval._check_stacks(quad)
@@ -364,9 +425,11 @@ class TestValidityMeasurement:
     @pytest.mark.parametrize("resolution, cap, level",
                              [(4, 9, 7), (5, 10, 8), (6, 10, 9), (8, 12, 11), (10, 6, 6)])
     def test_agrees_with_einsum_route(self, resolution, cap, level):
+        # the level decisions against a weighted GEMM per pair of levels, still
+        # a sum over every node; the rows against the contracted einsum at 1e-14
         quad = make_su2_quadrature(resolution, 0)
         assert classical_eval._measure_valid_kmax(quad, cap) == level
-        assert einsum_valid_kmax(quad, cap) == level
+        assert einsum_valid_kmax(quad, cap, gemm_pair_gram) == level
         for k in range(min(level + 1, cap) + 1):
             gram = classical_eval._level_gram(quad, k)
             assert float(np.max(np.abs(gram - einsum_level_gram(quad, k)))) <= 1e-14
@@ -420,7 +483,8 @@ class TestValidityMeasurement:
         assert levels == [-1]
 
     def test_peak_memory_not_above_einsum_route(self, su2_quad):
-        su2_quad.irrep_stack(6)  # stacks cached before tracing, as after a build
+        for k in range(7):  # the einsum route's stacks, made before tracing
+            su2_quad.irrep_stack(k)
         peaks = []
         for route in (classical_eval._measure_valid_kmax, einsum_valid_kmax):
             tracemalloc.start()
@@ -430,6 +494,9 @@ class TestValidityMeasurement:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= peaks[1]
+
+
+SU2_RULES = [(4, 9), (5, 10), (10, 6)]  # (resolution, validate_kmax): kmax_valid 7, 8, 6
 
 
 def einsum_bound_check(a, k, i, j, haar, side):
@@ -467,16 +534,21 @@ class TestCoefficientBounds:
             assert res.margin >= -1e-6
 
     @pytest.mark.parametrize("side", ["upper", "lower"])
-    def test_agrees_with_einsum_form(self, su2_quad, side):
-        # the column matvec gives the einsum's values bit for bit
+    def test_agrees_with_einsum_form(self, side):
+        # the column from the Euler factors gives the einsum's values over the
+        # node stack bit for bit, at every valid level and every (i, j) of three
+        # rules; one stack is held at a time
         rng = RngSeed(169).generator()
-        for k in range(6):
-            n = k + 1
-            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            for i in range(n):
-                for j in range(n):
-                    res = coefficient_bound_check(a, k, i, j, su2_quad, side)
-                    assert res == einsum_bound_check(a, k, i, j, su2_quad, side)
+        for resolution, cap in SU2_RULES:
+            quad = make_su2_quadrature(resolution, cap)
+            for k in range(quad.kmax_valid + 1):
+                n = k + 1
+                a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                for i in range(n):
+                    for j in range(n):
+                        res = coefficient_bound_check(a, k, i, j, quad, side)
+                        assert res == einsum_bound_check(a, k, i, j, quad, side)
+                quad._stacks.pop(k)
 
     def test_rejects_level_beyond_measured_rule(self, su2_quad):
         k = su2_quad.kmax_valid + 1
@@ -491,6 +563,20 @@ class TestCoefficientBounds:
 class TestCharacterL1:
     def test_level_zero(self, su2_quad):
         assert character_l1(0, su2_quad) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("resolution, cap", SU2_RULES)
+    def test_euler_route_equals_stack_trace(self, resolution, cap):
+        # the (R, P) traces broadcast over phi2 give the node-stack integral bit for bit
+        quad = make_su2_quadrature(resolution, cap)
+        for k in range(quad.kmax_valid + 1):
+            tr = np.einsum("gii->g", quad.irrep_stack(k))
+            assert character_l1(k, quad) == float(np.sum(quad.weights * np.abs(tr)))
+            quad._stacks.pop(k)
+
+    @pytest.mark.parametrize("level", [-1, 2.5, 20.5, "1"])
+    def test_bad_level_is_a_domain_error(self, su2_quad, level):
+        with pytest.raises(ClassicalDomainError):
+            character_l1(level, su2_quad)
 
     def test_level_one_regression_value(self):
         # frozen from the one-dimensional oracle: (2/pi) * 4/3
