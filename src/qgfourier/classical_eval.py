@@ -369,7 +369,6 @@ class SU2Quadrature(HaarRule):
     polar: np.ndarray            # (R,) the angles xi
     phases: np.ndarray           # (P,) the angles phi1 and phi2 both run over
     kmax_valid: int
-    _stacks: dict = field(default_factory=dict, repr=False)
     _polar_stacks: dict = field(default_factory=dict, repr=False)
 
     def _polar_stack(self, k: int) -> np.ndarray:
@@ -406,18 +405,16 @@ class SU2Quadrature(HaarRule):
         The entry formula runs at the R polar angles only; two (P, k+1, k+1) phase
         tables, broadcast over the grid, give the stack in node order (Vilenkin,
         Special Functions and the Theory of Group Representations, 1968, ch. III).
-        The stack is made on the first call and kept: `coeff_values`, the
-        Monte Carlo series and the tests read it, while the build and the two
-        checks of `all` (`coefficient_bound_check`, `character_l1`) evaluate
-        the factors directly and never make one.
+        Each call makes a fresh stack and the rule keeps none: `coeff_values`,
+        the Monte Carlo series and the tests read it, while the build and the
+        two checks of `all` (`coefficient_bound_check`, `character_l1`)
+        evaluate the factors directly and never make one.
         """
         k = _check_level(k)
-        if k not in self._stacks:
-            phi = self.phases
-            stack = _euler_assemble(self._polar_stack(k)[:, None, None], *_euler_exponents(k),
-                                    phi[:, None, None, None], phi[:, None, None])
-            self._stacks[k] = stack.reshape(-1, k + 1, k + 1)     # (R, P, P, n, n) in order
-        return self._stacks[k]
+        phi = self.phases
+        stack = _euler_assemble(self._polar_stack(k)[:, None, None], *_euler_exponents(k),
+                                phi[:, None, None, None], phi[:, None, None])
+        return stack.reshape(-1, k + 1, k + 1)     # (R, P, P, n, n) in node order
 
 
 def make_su2_quadrature(resolution: int = 10, validate_kmax: int = 6) -> SU2Quadrature:
@@ -583,18 +580,19 @@ def _series_l1(haar: HaarRule, f: FourierCoeffs, trials: int, seed: RngSeed, dra
     tr(X f pi(g)) = sum_{m,i} (X f)^T_{mi} pi(g)_{mi}: per label, X f for the
     chunk as one (take n, n) @ (n, n) product, then one product of its
     transposes, flattened to (take, n^2), against the stack flattened to
-    (nodes, n^2).
+    (nodes, n^2).  Each label's stack is made once per call, before the chunks.
     """
+    stacks = {label: haar.irrep_stack(label).reshape(len(haar.weights), -1)
+              for label in f.support}
     for index, take in iter_chunks(trials, MC_CHUNK):
         rng = seed.chunk_generator(index)
         vals = np.zeros((take, len(haar.weights)), dtype=complex)
         for label, m in f.support.items():
             n = m.shape[0]
             scale, x = draw(rng, n)
-            stack = haar.irrep_stack(label)
             xm = (x[:take].reshape(take * n, n) @ m).reshape(take, n, n)
             xm_t = np.swapaxes(xm, 1, 2).reshape(take, -1)
-            vals += scale * (xm_t @ stack.reshape(len(stack), -1).T)
+            vals += scale * (xm_t @ stacks[label].T)
         yield np.abs(vals) @ haar.weights
 
 

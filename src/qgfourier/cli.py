@@ -61,9 +61,6 @@ from .random_series import (
     randomize_ball,
 )
 
-#: Deterministic runs need no seed; everything else requires one.
-DETERMINISTIC = {"growth", "characters"}
-
 VOLATILE_KEYS = {"elapsed_ms", "content_hash"}
 
 #: Families whose coefficient traces corollary-suq2 draws and checks at once.
@@ -501,7 +498,6 @@ def run_corollary_suq2(cfg, ctx):
     records = []
     for q in (0.3, 0.5, 0.9):
         dual = make_suq2_dual(q, cfg["kmax"])
-        growth_report(dual, q=q)  # raises if the d_k >= q^{-k} bound ever fails
         # the chain reads each block only through t_k, so the traces are drawn
         # from their law and no coefficient matrix is formed; the draws are
         # family-major, so chunks of families draw what one call would
@@ -589,64 +585,53 @@ def run_cotype2(cfg, ctx):
     return records
 
 
-EXPERIMENTS = {
-    "plancherel": run_plancherel,
-    "pairing": run_pairing,
-    "convolve-check": run_convolve_check,
-    "randomize-l2": run_randomize_l2,
-    "four-unitary": run_four_unitary,
-    "ball-decomposition": run_ball_decomposition,
-    "gaussian-norms": run_gaussian_norms,
-    "helgason-gaussian": run_helgason_gaussian,
-    "helgason-instance": run_helgason_instance,
-    "lemma35": run_lemma35,
-    "tb-contraction": run_tb_contraction,
-    "hx-identity": run_hx_identity,
-    "trace-duality": run_trace_duality,
-    "central-sum": run_central_sum,
-    "corollary-suq2": run_corollary_suq2,
-    "growth": run_growth,
-    "characters": run_characters,
-    "cotype2": run_cotype2,
+#: The experiments, in the order `all` runs them.  Each entry holds the run
+#: function, whether it draws random numbers (and so needs --seed), and the
+#: flags it reads with their defaults; its subcommand's parser takes exactly
+#: those flags, and --q wherever --dual is read.
+TABLE = {
+    "plancherel": (run_plancherel, True, {"dual": "suq2", "kmax": 4, "families": 50}),
+    "pairing": (run_pairing, True, {"dual": "suq2", "kmax": 4, "families": 50}),
+    "convolve-check": (run_convolve_check, True, {"families": 50}),
+    "randomize-l2": (run_randomize_l2, True, {"dual": "suq2", "kmax": 5, "families": 100}),
+    "four-unitary": (run_four_unitary, True, {"trials": 1000}),
+    "ball-decomposition": (run_ball_decomposition, True,
+                           {"dual": "suq2", "kmax": 4, "families": 20}),
+    "gaussian-norms": (run_gaussian_norms, True, {"nmax": 256, "trials": 1000}),
+    "helgason-gaussian": (run_helgason_gaussian, True, {"trials": 10_000}),
+    "helgason-instance": (run_helgason_instance, True, {"trials": 1000}),
+    "lemma35": (run_lemma35, True, {"kmax": 4, "families": 100}),
+    "tb-contraction": (run_tb_contraction, True, {"families": 100}),
+    "hx-identity": (run_hx_identity, True, {"dual": "suq2", "kmax": 4, "families": 100}),
+    "trace-duality": (run_trace_duality, True, {"trials": 100_000, "families": 3}),
+    "central-sum": (run_central_sum, True, {"families": 100}),
+    "corollary-suq2": (run_corollary_suq2, True, {"kmax": 60, "families": 50}),
+    "growth": (run_growth, False, {"dual": "suq2", "kmax": 40}),
+    "characters": (run_characters, False, {"kmax": 200}),
+    "cotype2": (run_cotype2, True, {"trials": 10_000}),
 }
+
+#: Subcommand -> run function: `run_one` dispatches through this dict, so a
+#: test or the benchmark's tracer can rebind a run here.
+EXPERIMENTS = {name: run for name, (run, _, _) in TABLE.items()}
 
 #: The subcommands, in the order `all` runs them.
 SUBCOMMANDS = [*EXPERIMENTS, "all"]
 
-#: Per-subcommand RNG stream bases, from the order of EXPERIMENTS, so every draw
+#: Per-subcommand RNG stream bases, from the order of the table, so every draw
 #: moves if that order does; case i inside a subcommand uses base+i.
 STREAM_BASE = {name: 1000 * (k + 1) for k, name in enumerate(EXPERIMENTS)}
-
-#: Per-subcommand defaults for flags the user left unset.
-DEFAULTS = {
-    "plancherel": {"dual": "suq2", "kmax": 4, "families": 50},
-    "pairing": {"dual": "suq2", "kmax": 4, "families": 50},
-    "convolve-check": {"families": 50},
-    "randomize-l2": {"dual": "suq2", "kmax": 5, "families": 100},
-    "four-unitary": {"trials": 1000},
-    "ball-decomposition": {"dual": "suq2", "kmax": 4, "families": 20},
-    "gaussian-norms": {"nmax": 256, "trials": 1000},
-    "helgason-gaussian": {"trials": 10_000},
-    "helgason-instance": {"trials": 1000},
-    "lemma35": {"kmax": 4, "families": 100},
-    "tb-contraction": {"families": 100},
-    "hx-identity": {"dual": "suq2", "kmax": 4, "families": 100},
-    "trace-duality": {"trials": 100_000, "families": 3},
-    "central-sum": {"families": 100},
-    "corollary-suq2": {"kmax": 60, "families": 50},
-    "growth": {"dual": "suq2", "kmax": 40},
-    "characters": {"kmax": 200},
-    "cotype2": {"trials": 10_000},
-}
 
 
 def resolve_config(name: str, args: argparse.Namespace, ctx: Context) -> dict:
     """The subcommand's config; a ValueError for flags the run could not honour."""
-    cfg = {"q": args.q if args.q is not None else 0.5, "seed": args.seed}
-    for key, default in DEFAULTS[name].items():
+    q = getattr(args, "q", None)
+    cfg = {"q": 0.5 if q is None else q, "seed": args.seed}
+    _, _, flags = TABLE[name]
+    for key, default in flags.items():
         supplied = getattr(args, key)
         cfg[key] = default if supplied is None else supplied
-    if args.q is not None and "dual" in cfg and cfg["dual"] != "suq2":
+    if q is not None and cfg.get("dual", "suq2") != "suq2":
         raise ValueError(f"argument --q: only the suq2 dual is deformed; {name} "
                          f"runs on --dual {cfg['dual']}")
     if "dual" in cfg:
@@ -767,27 +752,32 @@ def build_parser() -> argparse.ArgumentParser:
             return value
         return count
 
+    options = {
+        "trials": dict(type=at_least(2), help="Monte Carlo trials (at least 2)"),
+        "families": dict(type=at_least(1), help="number of random families/cases"),
+        "q": dict(type=float, help="deformation parameter of suq2, in (0,1); default 0.5"),
+        "kmax": dict(type=at_least(0), help="dual truncation level"),
+        "nmax": dict(type=at_least(1), help="largest matrix size"),
+        "dual": dict(type=str, help="dual to use: trivial, zN, s3, su2, suq2, oNplus"),
+    }
     parser = argparse.ArgumentParser(
         prog="qgfourier",
         description="Seeded verification experiments for the dual-side Fourier calculus.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:
+        entries = TABLE.values() if name == "all" else [TABLE[name]]
+        reads = set().union(*(flags for _, _, flags in entries))
+        if "dual" in reads:
+            reads.add("q")
         p = sub.add_parser(name, help=f"run the {name} experiment" if name != "all" else "run every experiment")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (required for stochastic subcommands)")
-        p.add_argument("--trials", type=at_least(2), default=None,
-                       help="Monte Carlo trials (at least 2)")
-        p.add_argument("--families", type=at_least(1), default=None,
-                       help="number of random families/cases")
+        p.add_argument("--seed", type=int, default=0, required=any(draws for _, draws, _ in entries),
+                       help="RNG seed (required where the run draws random numbers)")
         p.add_argument("--out", type=str, default=None, help="write the full document to this path")
         p.add_argument("--format", choices=("json", "csv"), default="json", help="output format for --out")
-        p.add_argument("--q", type=float, default=None, help="deformation parameter in (0,1); default 0.5")
-        p.add_argument("--kmax", type=at_least(0), default=None, help="dual truncation level")
-        p.add_argument("--nmax", type=at_least(1), default=None,
-                       help="largest matrix size (gaussian-norms)")
-        p.add_argument("--dual", type=str, default=None,
-                       help="dual to use: trivial, zN, s3, su2, suq2, oNplus")
+        for key, option in options.items():
+            if key in reads:
+                p.add_argument(f"--{key}", default=None, **option)
     return parser
 
 
@@ -799,20 +789,8 @@ def execute(argv=None) -> tuple[int, dict | None]:
         return int(exc.code or 0), None
     name = args.subcommand
     targets = list(EXPERIMENTS) if name == "all" else [name]
-    needs_seed = any(t not in DETERMINISTIC for t in targets)
-    if needs_seed and args.seed is None:
-        parser.print_usage(sys.stderr)
-        print(f"{parser.prog}: error: --seed is required for {name!r}", file=sys.stderr)
-        return 2, None
-    if args.seed is None:
-        args.seed = 0
     ctx = Context()
     try:
-        for flag in ("q", "dual", "kmax", "families", "trials", "nmax"):
-            key = "dual" if flag == "q" else flag  # --q is read wherever --dual is
-            if getattr(args, flag) is not None and not any(key in DEFAULTS[t] for t in targets):
-                raise ValueError(f"argument --{flag}: {name} does not read it, "
-                                 "so nothing would use it")
         if name == "all" and args.out and args.format == "csv":
             raise ValueError("argument --format: csv output is only available for single "
                              "subcommands")

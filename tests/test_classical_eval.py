@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -103,13 +104,14 @@ def gemm_pair_gram(yk, w, yp) -> np.ndarray:
     return (yk.conj() * w[:, None]).T @ yp
 
 
-def einsum_valid_kmax(quad, cap, pair_gram=einsum_pair_gram) -> int:
+def einsum_valid_kmax(quad, cap, pair_gram=einsum_pair_gram, stacks=None) -> int:
     """Oracle for _measure_valid_kmax: a node sum over all nodes for each pair
-    of levels, with no polar regrouping, stopping at the first failing level."""
+    of levels, with no polar regrouping, stopping at the first failing level.
+    `stacks`, if given, holds the level stacks 0..cap, made by the caller."""
     valid = -1
     flat = []
     for k in range(cap + 1):
-        stack = quad.irrep_stack(k)
+        stack = quad.irrep_stack(k) if stacks is None else stacks[k]
         yk = stack.reshape(stack.shape[0], -1)
         for kp, yp in enumerate(flat + [yk]):
             gram = pair_gram(yk, quad.weights, yp)
@@ -337,7 +339,6 @@ class TestEulerStacks:
             formula = classical_eval._su2_entry_stack(
                 k, g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1])
             assert float(np.max(np.abs(quad.irrep_stack(k) - formula))) <= 1e-13
-            quad._stacks.pop(k)  # one level held at a time
 
     @pytest.mark.parametrize("resolution, cap, level", [(10, 6, 6), (10, 0, 0), (4, 9, 7)])
     def test_build_keeps_no_stack_and_ties_every_valid_level(self, resolution, cap, level,
@@ -355,8 +356,9 @@ class TestEulerStacks:
         quad = make_su2_quadrature(resolution, cap)
         ring = (len(quad.polar), len(quad.phases))
         assert quad.kmax_valid == level
-        assert quad._stacks == {}
         assert [k for k, shape in calls if shape == ring] == list(range(level + 1))
+        stack = weakref.ref(quad.irrep_stack(level))
+        assert stack() is None  # the rule keeps no stack it returns
 
     def test_all_runs_without_an_irrep_stack(self, monkeypatch, capsys):
         # `all` reads the rule through its Euler factors alone, with the same records
@@ -483,10 +485,11 @@ class TestValidityMeasurement:
         assert levels == [-1]
 
     def test_peak_memory_not_above_einsum_route(self, su2_quad):
-        for k in range(7):  # the einsum route's stacks, made before tracing
-            su2_quad.irrep_stack(k)
+        # the einsum route's stacks, made before tracing
+        stacks = [su2_quad.irrep_stack(k) for k in range(7)]
         peaks = []
-        for route in (classical_eval._measure_valid_kmax, einsum_valid_kmax):
+        for route in (classical_eval._measure_valid_kmax,
+                      lambda quad, cap: einsum_valid_kmax(quad, cap, stacks=stacks)):
             tracemalloc.start()
             try:
                 assert route(su2_quad, 6) == 6
@@ -499,10 +502,10 @@ class TestValidityMeasurement:
 SU2_RULES = [(4, 9), (5, 10), (10, 6)]  # (resolution, validate_kmax): kmax_valid 7, 8, 6
 
 
-def einsum_bound_check(a, k, i, j, haar, side):
+def einsum_bound_check(a, stack, i, j, haar, side):
     """Reference for `coefficient_bound_check`: an einsum over the (conjugated)
-    column of the level-k stack."""
-    stack = haar.irrep_stack(k)
+    column of `stack`, the level-k stack of `haar`."""
+    k = stack.shape[-1] - 1
     row_norm = float(np.linalg.norm(a[i, :]))
     if side == "upper":
         actual = float(np.max(np.abs(np.einsum("m,gm->g", a[i, :], stack[:, :, j].conj()))))
@@ -544,11 +547,11 @@ class TestCoefficientBounds:
             for k in range(quad.kmax_valid + 1):
                 n = k + 1
                 a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                stack = quad.irrep_stack(k)
                 for i in range(n):
                     for j in range(n):
                         res = coefficient_bound_check(a, k, i, j, quad, side)
-                        assert res == einsum_bound_check(a, k, i, j, quad, side)
-                quad._stacks.pop(k)
+                        assert res == einsum_bound_check(a, stack, i, j, quad, side)
 
     def test_rejects_level_beyond_measured_rule(self, su2_quad):
         k = su2_quad.kmax_valid + 1
@@ -571,7 +574,6 @@ class TestCharacterL1:
         for k in range(quad.kmax_valid + 1):
             tr = np.einsum("gii->g", quad.irrep_stack(k))
             assert character_l1(k, quad) == float(np.sum(quad.weights * np.abs(tr)))
-            quad._stacks.pop(k)
 
     @pytest.mark.parametrize("level", [-1, 2.5, 20.5, "1"])
     def test_bad_level_is_a_domain_error(self, su2_quad, level):

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import itertools
 import json
@@ -61,24 +62,27 @@ CONFIG_REFUSALS = [
     # built to tell, and this was refused only after nine subcommands ran
     (["all", "--seed", "1", "--kmax", "7"], "argument --kmax", True),
     # neither runs on a --dual: four-unitary ignored --q, corollary-suq2 ran its own q values
-    (["four-unitary", "--seed", "1", "--q", "0.3", "--trials", "10"], "argument --q", False),
-    (["corollary-suq2", "--seed", "1", "--q", "0.3"], "argument --q", False),
+    (["four-unitary", "--seed", "1", "--q", "0.3", "--trials", "10"],
+     "unrecognized arguments: --q", False),
+    (["corollary-suq2", "--seed", "1", "--q", "0.3"], "unrecognized arguments: --q", False),
     # neither runs on a --dual; both ignored it and passed
-    (["four-unitary", "--seed", "1", "--dual", "bogus", "--trials", "2"], "argument --dual", False),
+    (["four-unitary", "--seed", "1", "--dual", "bogus", "--trials", "2"],
+     "unrecognized arguments: --dual", False),
     (["corollary-suq2", "--seed", "1", "--dual", "su2", "--families", "1", "--kmax", "2"],
-     "argument --dual", False),
+     "unrecognized arguments: --dual", False),
     # each run's dual is built with its config, so a bad spec stops `all` up front
     (["all", "--seed", "1", "--dual", "bogus"], "unknown dual", False),
     (["plancherel", "--seed", "1", "--dual", "z0"], "order must be >= 1", False),
     # a csv file holds one table; this ran the whole suite before failing in write_output
     (["all", "--seed", "1", "--out", "x.csv", "--format", "csv"], "argument --format", False),
     # a flag no subcommand of the run reads was ignored, yet written into its config
-    (["plancherel", "--seed", "1", "--trials", "5"], "argument --trials", False),
-    (["plancherel", "--seed", "1", "--nmax", "3"], "argument --nmax", False),
-    (["four-unitary", "--seed", "1", "--kmax", "3"], "argument --kmax", False),
-    (["four-unitary", "--seed", "1", "--families", "9"], "argument --families", False),
-    (["characters", "--families", "2"], "argument --families", False),
-    (["growth", "--trials", "3"], "argument --trials", False),
+    (["plancherel", "--seed", "1", "--trials", "5"], "unrecognized arguments: --trials", False),
+    (["plancherel", "--seed", "1", "--nmax", "3"], "unrecognized arguments: --nmax", False),
+    (["four-unitary", "--seed", "1", "--kmax", "3"], "unrecognized arguments: --kmax", False),
+    (["four-unitary", "--seed", "1", "--families", "9"], "unrecognized arguments: --families",
+     False),
+    (["characters", "--families", "2"], "unrecognized arguments: --families", False),
+    (["growth", "--trials", "3"], "unrecognized arguments: --trials", False),
 ]
 
 
@@ -343,9 +347,15 @@ def test_shared_tables_are_built_once_across_all(monkeypatch, capsys):
                              ("make_su2_quadrature",), ("symmetric_group_s3",)]
 
 
+def subparsers() -> dict:
+    action = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
 def test_subcommand_order_is_the_experiment_table():
-    assert list(cli.DEFAULTS) == list(cli.EXPERIMENTS)
     assert cli.SUBCOMMANDS == [*cli.EXPERIMENTS, "all"]
+    assert list(subparsers()) == cli.SUBCOMMANDS
     # the stream bases fix every draw, so they are pinned
     assert cli.STREAM_BASE == {
         "plancherel": 1000, "pairing": 2000, "convolve-check": 3000, "randomize-l2": 4000,
@@ -355,6 +365,30 @@ def test_subcommand_order_is_the_experiment_table():
         "central-sum": 14000, "corollary-suq2": 15000, "growth": 16000,
         "characters": 17000, "cotype2": 18000,
     }
+
+
+@pytest.mark.parametrize("name", cli.SUBCOMMANDS)
+def test_parser_takes_exactly_the_flags_of_the_table(name, capsys):
+    entries = cli.TABLE.values() if name == "all" else [cli.TABLE[name]]
+    reads = {f"--{key}" for _, _, flags in entries for key in flags}
+    if "--dual" in reads:
+        reads.add("--q")
+    parser = subparsers()[name]
+    options = {opt for action in parser._actions for opt in action.option_strings}
+    assert options == reads | {"--seed", "--out", "--format", "-h", "--help"}
+    # --seed is required exactly where the run draws random numbers
+    if name in ("growth", "characters"):
+        assert parser.parse_args([]).seed == 0
+    else:
+        with pytest.raises(SystemExit):
+            parser.parse_args([])
+        assert "the following arguments are required: --seed" in capsys.readouterr().err
+
+
+def test_help_names_only_the_flags_read():
+    text = subparsers()["four-unitary"].format_help()
+    assert "--trials" in text
+    assert not any(flag in text for flag in ("--dual", "--q", "--kmax"))
 
 
 RAISED = [ContractionError("matrix norm 2.0 exceeds 1 + 1e-09"),

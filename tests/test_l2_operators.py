@@ -132,8 +132,10 @@ class TestMultiplierBlockNorm:
         b = rng.standard_normal((4, 5, 3, 3)) + 1j * rng.standard_normal((4, 5, 3, 3))
         norms = multiplier_block_norm(b, SUQ2.irrep(2))
         assert norms.shape == (4, 5)
-        np.testing.assert_array_equal(
-            norms, [[multiplier_block_norm(m, SUQ2.irrep(2)) for m in row] for row in b])
+        np.testing.assert_array_equal(norms, [[np.linalg.norm(m, 2) for m in row] for row in b])
+        # one block comes back as a float, the single-matrix norm bit for bit
+        one = multiplier_block_norm(b[1, 2], SUQ2.irrep(2))
+        assert isinstance(one, float) and one == float(np.linalg.norm(b[1, 2], 2))
 
     @pytest.mark.parametrize("dual", [
         make_su2_dual(6), make_suq2_dual(0.5, 8), make_suq2_dual(0.5, 16), make_suq2_dual(0.3, 12),

@@ -137,6 +137,14 @@ class TestChainTable:
         _, _, termwise_ok = suq2_chain_table(0.5, EPSILONS, dual.irreps, np.vstack([t, -t, t]))
         assert termwise_ok.tolist() == [[True, False, True]] * 3
 
+    def test_growth_bound_is_checked_per_level(self):
+        # d_k >= q^{-k} is folded into termwise_ok: the d_k of suq2(0.9) lie
+        # below 0.3^{-k} from k = 1 on, so every row fails at q = 0.3
+        dual = make_suq2_dual(0.9, 8)
+        t = trace_table([random_coeffs(dual, RngSeed(283).generator()) for _ in range(2)])
+        assert suq2_chain_table(0.9, EPSILONS, dual.irreps, t)[2].all()
+        assert not suq2_chain_table(0.3, EPSILONS, dual.irreps, t)[2].any()
+
     def test_table_must_match_the_levels(self):
         dual = make_suq2_dual(0.5, 8)
         with pytest.raises(ValueError, match="table of traces"):
