@@ -354,22 +354,28 @@ def _check_level(k) -> int:
 
 @dataclass(eq=False)
 class SU2Quadrature(HaarRule):
-    """Nodes/weights approximating the Haar integral, with measured validity.
+    """Product Haar rule with measured validity, stored as its Euler factors.
 
     The nodes form a product grid: polar angles xi, then phases phi1, then
     phases phi2 (node index (r * P + p1) * P + p2 for P phases), the node being
     [[cos xi e^{i phi1}, sin xi e^{i phi2}], [-sin xi e^{-i phi2}, cos xi e^{-i phi1}]].
-    What the rule keeps is that Euler factorisation: the four arrays below,
-    read-only once built, and the (R, k+1, k+1) polar stacks.  Full irrep
-    stacks are made on demand by `irrep_stack`, never by the build.
+    The rule keeps the angles and one weight per polar angle, never the nodes:
+    each of the P^2 nodes at the r-th polar angle weighs `ring_weights[r]`, and
+    `weights`, the node weights in node order, is derived from those once.
+    All four arrays are read-only once built; so are the (R, k+1, k+1) polar
+    stacks.  Full irrep stacks are made on demand by `irrep_stack`, never by
+    the build.
     """
 
-    nodes: np.ndarray            # (M, 2, 2)
-    weights: np.ndarray          # (M,)
     polar: np.ndarray            # (R,) the angles xi
+    ring_weights: np.ndarray     # (R,) the weight of each node at one polar angle
     phases: np.ndarray           # (P,) the angles phi1 and phi2 both run over
     kmax_valid: int
+    weights: np.ndarray = field(init=False, repr=False)   # (R P^2,) in node order
     _polar_stacks: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        self.weights = np.repeat(self.ring_weights, len(self.phases) ** 2)
 
     def _polar_stack(self, k: int) -> np.ndarray:
         """rho_k(g0(xi)) at the R polar angles, shape (R, k+1, k+1) (see `irrep_stack`)."""
@@ -430,41 +436,27 @@ def make_su2_quadrature(resolution: int = 10, validate_kmax: int = 6) -> SU2Quad
     D(alpha) g0(xi_r) D(beta), so the Gram of the irrep coefficients over the
     R P^2 nodes is a sum over r of polar-angle products times two phase sums
     S(m) = (1/P) sum_p e^{i m phi_p}, taken from the phases themselves (see
-    `_level_gram`).  That is exact as long as every node of one polar angle
-    has the same weight, which `_measure_valid_kmax` checks.  The build then
-    ties the assembly of levels 0..`kmax_valid` to the entry formula
-    (`_check_stacks`), which also checks that the nodes are the Euler products
-    the measurement assumed, and makes `nodes`, `weights`, `polar` and
-    `phases` read-only, so the premises checked here hold for the rule's
-    life.  It keeps the polar stacks the measurement made, and no full irrep
-    stack.  A rule valid below level 0, or an assembly off the formula,
+    `_level_gram`).  That is exact because the rule stores one weight per
+    polar angle.  The build then ties the assembly of levels 0..`kmax_valid`
+    to the entry formula (`_check_stacks`) and makes `polar`, `ring_weights`,
+    `phases` and `weights` read-only, so what was checked here holds for the
+    rule's life.  It keeps the polar stacks the measurement made, and no full
+    irrep stack.  A rule valid below level 0, or an assembly off the formula,
     raises ValueError.
     """
     if resolution < 4:
         raise ValueError(f"resolution must be >= 4, got {resolution}")
+    if validate_kmax < 0:
+        raise ValueError(f"validate_kmax must be >= 0, got {validate_kmax}")
     t, v = np.polynomial.legendre.leggauss(resolution)
-    xi = 0.5 * np.arccos(t)
     n_phase = 2 * resolution + 8
-    phi = 2.0 * np.pi * np.arange(n_phase) / n_phase
-    a = np.cos(xi)[:, None, None] * np.exp(1j * phi)[None, :, None]
-    b = np.sin(xi)[:, None, None] * np.exp(1j * phi)[None, None, :]
-    a = np.broadcast_to(a, (resolution, n_phase, n_phase)).reshape(-1)
-    b = np.broadcast_to(b, (resolution, n_phase, n_phase)).reshape(-1)
-    nodes = np.empty((a.size, 2, 2), dtype=complex)
-    nodes[:, 0, 0] = a
-    nodes[:, 0, 1] = b
-    nodes[:, 1, 0] = -b.conj()
-    nodes[:, 1, 1] = a.conj()
-    weights = np.broadcast_to(
-        (v / (2.0 * n_phase * n_phase))[:, None, None], (resolution, n_phase, n_phase)
-    ).reshape(-1)
-    quad = SU2Quadrature(nodes=nodes, weights=weights.copy(), polar=xi, phases=phi,
-                         kmax_valid=-1)
+    quad = SU2Quadrature(polar=0.5 * np.arccos(t), ring_weights=v / (2.0 * n_phase * n_phase),
+                         phases=2.0 * np.pi * np.arange(n_phase) / n_phase, kmax_valid=-1)
     quad.kmax_valid = _measure_valid_kmax(quad, validate_kmax)
     if quad.kmax_valid < 0:
         raise ValueError("quadrature fails validation already at level 0")
     _check_stacks(quad)
-    for array in (quad.nodes, quad.weights, quad.polar, quad.phases):
+    for array in (quad.polar, quad.ring_weights, quad.phases, quad.weights):
         array.flags.writeable = False
     return quad
 
@@ -473,26 +465,23 @@ def _check_stacks(quad: SU2Quadrature) -> None:
     """Raise ValueError unless the Euler assembly agrees with the entry formula.
 
     The Gram validation cannot see an assembly fault: a relabelled or re-phased
-    orthonormal set is still orthonormal.  So the level-1 assembly must
-    reproduce the nodes at every node (made here and dropped, not kept), and
-    the assembly of every level 0..`kmax_valid` must match `_su2_entry_stack`
-    to STACK_TIE_TOL on one ring of nodes per polar angle.  On the ring at the
-    r-th polar angle, phi1 runs over every phase and phi2 runs r + 1 steps
-    ahead of it, so the two phase axes cannot trade places unseen.  Both ties
-    run `_euler_assemble`, the product every stack and factor route runs.
+    orthonormal set is still orthonormal.  So the assembly of every level
+    0..`kmax_valid` must match `_su2_entry_stack` to STACK_TIE_TOL on one ring
+    of nodes per polar angle, the group elements taken from the angles.  On
+    the ring at the r-th polar angle, phi1 runs over every phase and phi2 runs
+    r + 1 steps ahead of it, so the two phase axes cannot trade places unseen.
+    The tie runs `_euler_assemble`, the product every stack and factor route
+    runs.
     """
-    level1 = quad._assemble(1).reshape(2, 2, -1)
-    err = float(np.max(np.abs(level1 - np.moveaxis(quad.nodes, 0, -1))))
-    if not err <= STACK_TIE_TOL:
-        raise ValueError(f"level 1 stack differs from the nodes by {err!r}")
     n_polar, n_phase = len(quad.polar), len(quad.phases)
     r, p = np.indices((n_polar, n_phase))
-    q = (p + r + 1) % n_phase
-    g = quad.nodes[(r * n_phase + p) * n_phase + q]                     # (R, P, 2, 2)
-    phi1, phi2 = quad.phases[p][..., None, None], quad.phases[q][..., None, None]
+    phi1, phi2 = quad.phases[p], quad.phases[(p + r + 1) % n_phase]       # (R, P)
+    a = np.cos(quad.polar)[:, None] * np.exp(1j * phi1)
+    b = np.sin(quad.polar)[:, None] * np.exp(1j * phi2)
     for k in range(quad.kmax_valid + 1):
-        ring = _euler_assemble(quad._polar_stack(k)[:, None], *_euler_exponents(k), phi1, phi2)
-        formula = _su2_entry_stack(k, g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1])
+        ring = _euler_assemble(quad._polar_stack(k)[:, None], *_euler_exponents(k),
+                               phi1[..., None, None], phi2[..., None, None])
+        formula = _su2_entry_stack(k, a, b, -b.conj(), a.conj())
         err = float(np.max(np.abs(ring - formula)))                    # (R, P, n, n)
         if not err <= STACK_TIE_TOL:
             raise ValueError(f"level {k} stack differs from the entry formula by {err!r}")
@@ -503,8 +492,9 @@ def _level_gram(quad: SU2Quadrature, k: int) -> np.ndarray:
 
     Entry ((i, j), (l, s, t)) is sum_g w_g conj(rho_k(g)_{ij}) rho_l(g)_{st}.
     At node (r, p1, p2), rho_k(g)_{ij} = e^{i a phi1} e^{i b phi2} rho_k(g0(xi_r))_{ij}
-    with a = k-i-j and b = j-i (`SU2Quadrature.irrep_stack`).  If the weight is
-    w_r on all P^2 nodes of the r-th polar angle, the two phase sums split off:
+    with a = k-i-j and b = j-i (`SU2Quadrature.irrep_stack`).  Every node of the
+    r-th polar angle weighs w_r = `quad.ring_weights[r]`, so the two phase sums
+    split off:
 
         G = sum_r P^2 w_r conj(rho_k(g0(xi_r))_{ij}) rho_l(g0(xi_r))_{st}
                 * S(a' - a) * S(b' - b),      S(m) = (1/P) sum_p e^{i m phi_p},
@@ -512,11 +502,10 @@ def _level_gram(quad: SU2Quadrature, k: int) -> np.ndarray:
     (a', b') being the exponents of (l, s, t).  This is the node sum regrouped,
     not an approximation: S is summed from `quad.phases`, so a phase grid too
     coarse for level k shows as S(m) != 0 at some m != 0, just as a polar rule
-    too coarse for it shows in the R-term sum.  The weight premise is the
-    caller's to check.
+    too coarse for it shows in the R-term sum.
     """
     n_polar, n_phase = len(quad.polar), len(quad.phases)
-    ring_weights = quad.weights[:: n_phase * n_phase] * (n_phase * n_phase)
+    ring_weights = quad.ring_weights * (n_phase * n_phase)
     polar = [quad._polar_stack(l).reshape(n_polar, -1) for l in range(k + 1)]
     gram = (polar[-1].conj() * ring_weights[:, None]).T @ np.concatenate(polar, axis=1)
     m = np.arange(-2 * k, 2 * k + 1)                        # every a' - a and b' - b
@@ -534,24 +523,18 @@ def _measure_valid_kmax(quad: SU2Quadrature, cap: int) -> int:
 
     Level k is one product over the R polar angles and two gathers from a
     phase-sum table (`_level_gram`), equal to the Gram over all R P^2 nodes up
-    to rounding.  That regrouping needs every node of one polar angle to carry
-    the same weight; the weights are checked for it exactly, and a rule that
-    breaks it measures -1, so its build fails.  The node premise, that the
-    nodes are the Euler products of `polar` and `phases`, is the level-1 tie
-    of `_check_stacks`.  The measurement reads the angles and the weights,
-    never an irrep stack; beyond R x (k+1)^2 polar tables its memory is the
-    Gram rows of level k.  It stops at the first failing level.
+    to rounding; the rule's one weight per polar angle makes that regrouping
+    exact.  The measurement reads the angles and the ring weights, never an
+    irrep stack; beyond R x (k+1)^2 polar tables its memory is the Gram rows
+    of level k.  It stops at the first failing level.
     """
-    rings = quad.weights.reshape(len(quad.polar), len(quad.phases) ** 2)
-    if not np.all(rings == rings[:, :1]):
-        return -1
     for k in range(cap + 1):
         gram = _level_gram(quad, k)
         nk = (k + 1) ** 2
         gram[:, -nk:] -= np.eye(nk) / (k + 1)  # the expected blocks: I/(k+1), else 0
         if not float(np.max(np.abs(gram))) <= SCHUR_QUAD_TOL:
             return k - 1
-    return max(cap, -1)
+    return cap
 
 
 # ---------------------------------------------------------------------------

@@ -740,7 +740,8 @@ def _round_floats(value):
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name."""
     def at_least(floor: int):
         # a run that does no work would pass vacuously; two trials are the
         # fewest for which every Monte Carlo driver has a standard error;
@@ -765,12 +766,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Seeded verification experiments for the dual-side Fourier calculus.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    subparsers = {}
     for name in SUBCOMMANDS:
         entries = TABLE.values() if name == "all" else [TABLE[name]]
         reads = set().union(*(flags for _, _, flags in entries))
         if "dual" in reads:
             reads.add("q")
-        p = sub.add_parser(name, help=f"run the {name} experiment" if name != "all" else "run every experiment")
+        p = subparsers[name] = sub.add_parser(name, help=f"run the {name} experiment" if name != "all" else "run every experiment")
         p.add_argument("--seed", type=int, default=0, required=any(draws for _, draws, _ in entries),
                        help="RNG seed (required where the run draws random numbers)")
         p.add_argument("--out", type=str, default=None, help="write the full document to this path")
@@ -778,13 +780,15 @@ def build_parser() -> argparse.ArgumentParser:
         for key, option in options.items():
             if key in reads:
                 p.add_argument(f"--{key}", default=None, **option)
-    return parser
+    return parser, subparsers
 
 
 def execute(argv=None) -> tuple[int, dict | None]:
-    parser = build_parser()
+    parser, subparsers = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:  # refused with the usage of the subcommand that did not read them
+            subparsers[args.subcommand].error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return int(exc.code or 0), None
     name = args.subcommand

@@ -78,6 +78,32 @@ def linfty_norm_classical(f: FourierCoeffs, haar) -> float:
     return float(np.max(np.abs(haar.coeff_values(f))))
 
 
+def euler_nodes(quad) -> np.ndarray:
+    """Reference: the rule's nodes [[a, b], [-conj(b), conj(a)]] in node order,
+    a = cos xi e^{i phi1} and b = sin xi e^{i phi2}, made from its angles."""
+    shape = (len(quad.polar), len(quad.phases), len(quad.phases))
+    a = np.cos(quad.polar)[:, None, None] * np.exp(1j * quad.phases)[None, :, None]
+    b = np.sin(quad.polar)[:, None, None] * np.exp(1j * quad.phases)[None, None, :]
+    a = np.broadcast_to(a, shape).reshape(-1)
+    b = np.broadcast_to(b, shape).reshape(-1)
+    nodes = np.empty((a.size, 2, 2), dtype=complex)
+    nodes[:, 0, 0] = a
+    nodes[:, 0, 1] = b
+    nodes[:, 1, 0] = -b.conj()
+    nodes[:, 1, 1] = a.conj()
+    return nodes
+
+
+def flat_weights(resolution: int) -> np.ndarray:
+    """Reference: the node weights v_r / (2 P^2), broadcast over each ring and
+    flattened to node order."""
+    t, v = np.polynomial.legendre.leggauss(resolution)
+    n_phase = 2 * resolution + 8
+    return np.broadcast_to(
+        (v / (2.0 * n_phase * n_phase))[:, None, None], (resolution, n_phase, n_phase)
+    ).reshape(-1).copy()
+
+
 def random_su2(rng):
     u = haar_unitary_stack(2, 1, rng)[0]
     return u / np.sqrt(np.linalg.det(u))
@@ -259,8 +285,15 @@ class TestQuadrature:
     def test_weights_normalized(self, su2_quad):
         assert abs(np.sum(su2_quad.weights) - 1.0) <= 1e-14
 
+    @pytest.mark.parametrize("resolution, cap, level",
+                             [(10, 6, 6), (4, 9, 7), (5, 10, 8), (8, 12, 11), (10, 20, 13)])
+    def test_weights_are_the_flat_construction(self, resolution, cap, level):
+        quad = make_su2_quadrature(resolution, cap)
+        assert quad.kmax_valid == level
+        np.testing.assert_array_equal(quad.weights, flat_weights(resolution))
+
     def test_nodes_are_special_unitary(self, su2_quad):
-        g = su2_quad.nodes
+        g = euler_nodes(su2_quad)
         prod = np.einsum("gji,gjk->gik", g.conj(), g)
         assert np.max(np.abs(prod - np.eye(2))) <= 1e-12
         assert np.max(np.abs(np.linalg.det(g) - 1.0)) <= 1e-12
@@ -302,12 +335,15 @@ class TestQuadrature:
         dual = make_su2_dual(3)
         f = random_coeffs(dual, RngSeed(163).generator())
         vals = su2_quad.coeff_values(f)
+        nodes = euler_nodes(su2_quad)
         for idx in (0, 17, 101):
-            assert evaluate_su2(f, su2_quad.nodes[idx]) == pytest.approx(vals[idx], rel=1e-10)
+            assert evaluate_su2(f, nodes[idx]) == pytest.approx(vals[idx], rel=1e-10)
 
     def test_resolution_precondition(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="resolution must be >= 4"):
             make_su2_quadrature(3)
+        with pytest.raises(ValueError, match="validate_kmax must be >= 0"):
+            make_su2_quadrature(10, -1)
 
 
 def mutant_exponents(phi1, phi2, from_level=0):
@@ -334,7 +370,7 @@ class TestEulerStacks:
     @pytest.mark.parametrize("resolution", [4, 5, 10])
     def test_stacks_match_entry_formula_at_every_node(self, resolution):
         quad = make_su2_quadrature(resolution, 0)
-        g = quad.nodes
+        g = euler_nodes(quad)
         for k in range(15):
             formula = classical_eval._su2_entry_stack(
                 k, g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1])
@@ -372,10 +408,14 @@ class TestEulerStacks:
         assert doc["content_hash"].startswith("36ce25e3634a266b")
 
     def test_build_memory_is_the_arrays_it_keeps(self):
-        # the rule keeps its four arrays and the polar stacks; the build's
-        # transients are the level-1 tie's assembly, its difference from the
-        # nodes and its modulus, and the node columns, each at most the size
-        # of the nodes.  The stacks of levels 0..6 alone would be 35 times that.
+        # the rule keeps its four arrays and the polar stacks.  The largest
+        # transients are the ring tie's at level K = kmax_valid, in units of
+        # one (R, P, K+1, K+1) complex ring: while level K is assembled, level
+        # K-1's assembly and formula (under 2) and the assembly's two phase
+        # factors with the second one's argument (3) are live, under 5 in all;
+        # after it, the formula's power tables and output come to under 3 next
+        # to the assembly, and the difference and its modulus to 1.5.  The
+        # stacks of levels 0..6 alone would be 7 times the ring.
         make_su2_quadrature(10, 6)  # numpy's lazy set-up outside the trace
         tracemalloc.start()
         try:
@@ -383,27 +423,48 @@ class TestEulerStacks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = sum(a.nbytes for a in (quad.nodes, quad.weights, quad.polar, quad.phases))
+        kept = sum(a.nbytes for a in (quad.polar, quad.ring_weights, quad.phases, quad.weights))
         kept += sum(stack.nbytes for stack in quad._polar_stacks.values())
-        assert peak <= kept + 4 * quad.nodes.nbytes
+        n = quad.kmax_valid + 1
+        ring = len(quad.polar) * len(quad.phases) * n * n * np.dtype(complex).itemsize
+        assert peak <= kept + 5 * ring
+
+    def test_rule_keeps_no_node_array_but_weights(self):
+        # the rule stores its Euler factors: no nodes, and no array of R P^2
+        # entries or more except the node weights derived from `ring_weights`
+        quad = make_su2_quadrature(10, 6)
+        assert not hasattr(quad, "nodes")
+        n_nodes = len(quad.polar) * len(quad.phases) ** 2
+        arrays = [v for v in vars(quad).values() if isinstance(v, np.ndarray)]
+        arrays += list(quad._polar_stacks.values())
+        assert [a.size >= n_nodes for a in arrays] == [a is quad.weights for a in arrays]
 
     def test_rule_is_read_only(self):
-        # the premises checked at build time (the node tie, equal weights on each
-        # ring, kmax_valid) cannot be edited away afterwards
+        # the premises checked at build time (the ring tie, the ring weights
+        # the Gram was measured with, kmax_valid) cannot be edited away afterwards
         quad = make_su2_quadrature(4, 0)
-        for array in (quad.nodes, quad.weights, quad.polar, quad.phases, quad._polar_stack(3)):
+        for array in (quad.ring_weights, quad.weights, quad.polar, quad.phases,
+                      quad._polar_stack(3)):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
     def test_level_one_is_the_nodes(self, su2_quad):
-        assert float(np.max(np.abs(su2_quad.irrep_stack(1) - su2_quad.nodes))) <= 1e-15
+        # level 1 at every node, against the nodes made from the angles
+        assert float(np.max(np.abs(su2_quad.irrep_stack(1) - euler_nodes(su2_quad)))) <= 1e-15
 
-    def test_nan_node_raises(self):
-        quad = make_su2_quadrature(10, 6)
-        quad.nodes = quad.nodes.copy()  # the built rule's nodes are read-only
-        quad.nodes[17, 0, 1] = np.nan
-        with pytest.raises(ValueError, match="level 1 stack differs"):
-            classical_eval._check_stacks(quad)
+    @pytest.mark.parametrize("angles", ["polar", "phases"])
+    def test_nan_angle_raises(self, angles, monkeypatch):
+        # planted after the measurement, so only the ring tie can see it
+        measure = classical_eval._measure_valid_kmax
+
+        def planted(quad, cap):
+            level = measure(quad, cap)
+            getattr(quad, angles)[3] = np.nan
+            return level
+
+        monkeypatch.setattr(classical_eval, "_measure_valid_kmax", planted)
+        with pytest.raises(ValueError, match="differs from the entry formula by nan"):
+            make_su2_quadrature(10, 6)
 
     @pytest.mark.parametrize("name", ASSEMBLY_MUTANTS)
     def test_assembly_fault_raises_at_build(self, name, monkeypatch):
@@ -448,41 +509,28 @@ class TestValidityMeasurement:
     def test_default_rule_is_exact_to_level_13(self):
         assert make_su2_quadrature(10, 20).kmax_valid == 13
 
-    # one node's weight breaks the per-ring premise; a whole ring scaled keeps
-    # it, so only the polar Gram can see the wrong Legendre weight
-    @pytest.mark.parametrize("whole_ring", [False, True], ids=["one node", "whole ring"])
-    def test_perturbed_weight_fails_at_level_zero(self, whole_ring, monkeypatch):
+    def test_perturbed_weight_fails_at_level_zero(self, monkeypatch):
+        # the first ring's weight scaled by 1 + 1e-6: the polar Gram and the
+        # node sum over every node both see the wrong Legendre weight
+        leggauss = np.polynomial.legendre.leggauss
+
+        def perturbed(n):
+            t, v = leggauss(n)
+            v[0] *= 1 + 1e-6
+            return t, v
+
         measure = classical_eval._measure_valid_kmax
         levels = []
 
-        def perturbed(quad, cap):
-            if whole_ring:
-                quad.weights[:len(quad.phases) ** 2] *= 1 + 1e-6
-            else:
-                quad.weights[17] += 1e-6
+        def spy(quad, cap):
             levels.extend([measure(quad, cap), einsum_valid_kmax(quad, cap)])
             return levels[0]
 
-        monkeypatch.setattr(classical_eval, "_measure_valid_kmax", perturbed)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", perturbed)
+        monkeypatch.setattr(classical_eval, "_measure_valid_kmax", spy)
         with pytest.raises(ValueError, match="level 0"):
             make_su2_quadrature()
         assert levels == [-1, -1]
-
-    def test_uneven_ring_weights_fail_closed(self, monkeypatch):
-        # too small for the Gram to see, but the polar product would not be exact
-        measure = classical_eval._measure_valid_kmax
-        levels = []
-
-        def uneven(quad, cap):
-            quad.weights[17] += 1e-12  # nodes 17 and 18 share the first polar angle
-            quad.weights[18] -= 1e-12
-            levels.append(measure(quad, cap))
-            return levels[0]
-
-        monkeypatch.setattr(classical_eval, "_measure_valid_kmax", uneven)
-        with pytest.raises(ValueError, match="level 0"):
-            make_su2_quadrature()
-        assert levels == [-1]
 
     def test_peak_memory_not_above_einsum_route(self, su2_quad):
         # the einsum route's stacks, made before tracing

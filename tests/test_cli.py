@@ -1,4 +1,3 @@
-import argparse
 import dataclasses
 import itertools
 import json
@@ -348,9 +347,7 @@ def test_shared_tables_are_built_once_across_all(monkeypatch, capsys):
 
 
 def subparsers() -> dict:
-    action = next(a for a in cli.build_parser()._actions
-                  if isinstance(a, argparse._SubParsersAction))
-    return action.choices
+    return cli.build_parser()[1]
 
 
 def test_subcommand_order_is_the_experiment_table():
@@ -389,6 +386,18 @@ def test_help_names_only_the_flags_read():
     text = subparsers()["four-unitary"].format_help()
     assert "--trials" in text
     assert not any(flag in text for flag in ("--dual", "--q", "--kmax"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["four-unitary", "--seed", "1", "--q", "0.3"], "unrecognized arguments: --q 0.3"),
+    (["four-unitary", "--seed", "1", "--trials", "1"], "argument --trials: must be >= 2, got 1"),
+], ids=["unread flag", "bad value"])
+def test_subcommand_reports_its_own_usage(argv, message, capsys):
+    # an unread flag is refused by the subcommand's parser, as a bad value is
+    assert execute(argv) == (2, None)
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("usage: qgfourier four-unitary [-h] --seed SEED")
+    assert lines[-1] == f"qgfourier four-unitary: error: {message}"
 
 
 RAISED = [ContractionError("matrix norm 2.0 exceeds 1 + 1e-09"),
