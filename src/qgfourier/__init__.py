@@ -28,7 +28,6 @@ from .random_series import (
     BallDecomposition,
     ContractionError,
     FamilyError,
-    MatrixFamily,
     RngSeed,
     expected_operator_norm,
     four_unitary_decomposition,

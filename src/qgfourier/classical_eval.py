@@ -91,6 +91,7 @@ class FiniteGroupTable(HaarRule):
     irreps: tuple[GroupIrrep, ...]
     identity: int = field(init=False)
     inverse: np.ndarray = field(init=False)
+    weights: np.ndarray = field(init=False, repr=False)   # the uniform 1/order, read-only
 
     def __post_init__(self):
         mult = np.asarray(self.mult, dtype=int)
@@ -104,6 +105,9 @@ class FiniteGroupTable(HaarRule):
             self, "_by_label", {ir.label: ir for ir in self.irreps}
         )
         object.__setattr__(self, "_dual", self._build_dual())
+        weights = np.full(self.order, 1.0 / self.order)
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)  # `coeff_values` reads it in the round trip
         self._validate_round_trip()
 
     # -- structure ---------------------------------------------------------
@@ -204,10 +208,6 @@ class FiniteGroupTable(HaarRule):
             raise ClassicalDomainError(
                 f"group {self.name!r} has no irrep labeled {label!r}"
             ) from None
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.full(self.order, 1.0 / self.order)
 
     def irrep_stack(self, label) -> np.ndarray:
         return self.irrep(label).matrices
@@ -441,8 +441,8 @@ def make_su2_quadrature(resolution: int = 10, validate_kmax: int = 6) -> SU2Quad
     to the entry formula (`_check_stacks`) and makes `polar`, `ring_weights`,
     `phases` and `weights` read-only, so what was checked here holds for the
     rule's life.  It keeps the polar stacks the measurement made, and no full
-    irrep stack.  A rule valid below level 0, or an assembly off the formula,
-    raises ValueError.
+    irrep stack.  A non-finite polar angle or ring weight, a rule valid below
+    level 0, or an assembly off the formula raises ValueError.
     """
     if resolution < 4:
         raise ValueError(f"resolution must be >= 4, got {resolution}")
@@ -452,6 +452,11 @@ def make_su2_quadrature(resolution: int = 10, validate_kmax: int = 6) -> SU2Quad
     n_phase = 2 * resolution + 8
     quad = SU2Quadrature(polar=0.5 * np.arccos(t), ring_weights=v / (2.0 * n_phase * n_phase),
                          phases=2.0 * np.pi * np.arange(n_phase) / n_phase, kmax_valid=-1)
+    # the measurement stops at the first failing level, and the ring tie at
+    # level 0 reads no angle, so a NaN here could leave a rule that reads NaN
+    for name in ("polar", "ring_weights"):
+        if not np.all(np.isfinite(getattr(quad, name))):
+            raise ValueError(f"quadrature {name} has a non-finite entry")
     quad.kmax_valid = _measure_valid_kmax(quad, validate_kmax)
     if quad.kmax_valid < 0:
         raise ValueError("quadrature fails validation already at level 0")

@@ -49,7 +49,6 @@ from .l2_operators import (
 )
 from .quantum_examples import growth_report, suq2_chain_table
 from .random_series import (
-    MatrixFamily,
     RngSeed,
     coefficient_traces,
     expected_operator_norm,
@@ -226,7 +225,7 @@ def run_convolve_check(cfg, ctx):
         max_assoc = _fold(max, max_assoc, *(
             float(np.max(np.abs(left.block(l) - right.block(l)))) for l in dual.labels()
         ))
-    delta = FourierCoeffs(dual, {l: np.eye(dual.irrep(l).n) for l in dual.labels()})
+    delta = identity_family(dual)
     f = random_coeffs(dual, rng)
     delta_err = _fold(max, *(
         float(np.max(np.abs(convolve(f, delta).block(l) - f.block(l))))
@@ -249,7 +248,7 @@ def run_randomize_l2(cfg, ctx):
         max_rel = _fold(max, max_rel, l2_invariance_check(f, fam) / ell2_norm(f))
     f = random_coeffs(dual, rng)
     ident_dev = l2_invariance_check(f, identity_family(dual))
-    phases = MatrixFamily(dual, {
+    phases = FourierCoeffs(dual, {
         l: np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=dual.irrep(l).n)))
         for l in dual.labels()
     })
@@ -298,15 +297,15 @@ def run_ball_decomposition(cfg, ctx):
             n = dual.irrep(l).n
             b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             entries[l] = b / max(1e-12, np.linalg.norm(b, 2)) * rng.uniform(0.0, 1.0)
-        result = randomize_ball(f, MatrixFamily(dual, entries))
+        result = randomize_ball(f, FourierCoeffs(dual, entries))
         max_dev = _fold(max, max_dev, result.max_deviation)
     f = random_coeffs(dual, rng)
     unitary_dev = randomize_ball(f, haar_family(dual, rng)).max_deviation
-    zero = randomize_ball(f, MatrixFamily(dual, {
+    zero = randomize_ball(f, FourierCoeffs(dual, {
         l: np.zeros((dual.irrep(l).n,) * 2) for l in dual.labels()
     }))
     zero_norm = ell2_norm(zero.randomized)
-    half = randomize_ball(f, MatrixFamily(dual, {
+    half = randomize_ball(f, FourierCoeffs(dual, {
         l: 0.5 * np.eye(dual.irrep(l).n) for l in dual.labels()
     }))
     half_err = _fold(max, *(
@@ -453,7 +452,7 @@ def run_hx_identity(cfg, ctx):
     max_rel = 0.0
     for _ in range(cfg["families"]):
         f = random_coeffs(dual, rng)
-        fam = MatrixFamily(dual, {
+        fam = FourierCoeffs(dual, {
             l: rng.standard_normal((dual.irrep(l).n,) * 2) + 1j * rng.standard_normal((dual.irrep(l).n,) * 2)
             for l in dual.labels()
         })

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dual_data import DualDescriptor, IrrepData, block_gram
 from .fourier_core import FourierCoeffs, _require_same_dual, ell2_norm
-from .random_series import MatrixFamily, RngSeed, haar_unitary_stack, iter_chunks, matrices_per_chunk
+from .random_series import RngSeed, haar_unitary_stack, iter_chunks, matrices_per_chunk
 
 
 def multiplier_block_norm(b, irrep: IrrepData) -> float:
@@ -47,7 +47,7 @@ class PairingIdentity:
     deviation: float
 
 
-def haar_state_pairing_check(f: FourierCoeffs, family: MatrixFamily) -> PairingIdentity:
+def haar_state_pairing_check(f: FourierCoeffs, family: FourierCoeffs) -> PairingIdentity:
     """Two-route evaluation of h(x) for x = sum d (XQ)_{i,j} (Q^{-1})_{k,k} B_{p,i}
     u_{j,k} (u_{p,k})^*.
 
@@ -60,11 +60,11 @@ def haar_state_pairing_check(f: FourierCoeffs, family: MatrixFamily) -> PairingI
     lhs = 0j
     rhs = 0j
     for label, x in f.support.items():
-        if label not in family.entries:
+        if label not in family.support:
             continue
         irrep = f.dual.irrep(label)
         q = irrep.q_diag
-        bm = family.entries[label]
+        bm = family.support[label]
         xq = x * q
         # h(u_{j,k} (u_{p,k})^*) = delta_{j,p} gram_ustar[p, k]: fold p into j
         gram_ustar = block_gram(irrep).gram_ustar

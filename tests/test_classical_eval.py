@@ -202,6 +202,13 @@ class TestFiniteGroups:
         with pytest.raises(GroupTableError, match="round trip"):
             cyclic_group(3)
 
+    @pytest.mark.parametrize("table", ["z8_table", "s3_table"])
+    def test_weights_are_stored_once_and_read_only(self, table, request):
+        t = request.getfixturevalue(table)
+        assert t.weights is t.weights
+        assert not t.weights.flags.writeable
+        np.testing.assert_array_equal(t.weights, np.full(t.order, 1 / t.order))
+
     def test_rejects_wrong_peter_weyl(self):
         z2 = cyclic_group(2)
         with pytest.raises(GroupTableError):
@@ -464,6 +471,26 @@ class TestEulerStacks:
 
         monkeypatch.setattr(classical_eval, "_measure_valid_kmax", planted)
         with pytest.raises(ValueError, match="differs from the entry formula by nan"):
+            make_su2_quadrature(10, 6)
+
+    @pytest.mark.parametrize("array, slot", [("polar", 0), ("ring_weights", 1)])
+    def test_non_finite_rule_input_raises_before_the_measurement(self, array, slot, monkeypatch):
+        # a NaN polar angle would pass the measurement (it stops at level 1) and
+        # the ring tie at level 0, which reads no angle; a NaN weight would fail
+        # at level 0 under the wrong message.  Both are refused by name first.
+        leggauss = np.polynomial.legendre.leggauss
+
+        def poisoned(n):
+            nodes = list(leggauss(n))
+            nodes[slot][3] = np.nan
+            return tuple(nodes)
+
+        def unreached(quad, cap):
+            raise AssertionError("the measurement ran")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", poisoned)
+        monkeypatch.setattr(classical_eval, "_measure_valid_kmax", unreached)
+        with pytest.raises(ValueError, match=f"quadrature {array} has a non-finite entry"):
             make_su2_quadrature(10, 6)
 
     @pytest.mark.parametrize("name", ASSEMBLY_MUTANTS)

@@ -367,12 +367,12 @@ def test_subcommand_order_is_the_experiment_table():
 @pytest.mark.parametrize("name", cli.SUBCOMMANDS)
 def test_parser_takes_exactly_the_flags_of_the_table(name, capsys):
     entries = cli.TABLE.values() if name == "all" else [cli.TABLE[name]]
-    reads = {f"--{key}" for _, _, flags in entries for key in flags}
-    if "--dual" in reads:
-        reads.add("--q")
+    reads = {key for _, _, flags in entries for key in flags}
+    if "dual" in reads:
+        reads.add("q")
     parser = subparsers()[name]
-    options = {opt for action in parser._actions for opt in action.option_strings}
-    assert options == reads | {"--seed", "--out", "--format", "-h", "--help"}
+    options = set(vars(parser.parse_args(["--seed", "1"])))
+    assert options == reads | {"seed", "out", "format"}
     # --seed is required exactly where the run draws random numbers
     if name in ("growth", "characters"):
         assert parser.parse_args([]).seed == 0

@@ -8,7 +8,6 @@ from qgfourier import (
     DualMismatchError,
     FourierCoeffs,
     IrrepData,
-    MatrixFamily,
     RngSeed,
     block_gram,
     central_coeffs,
@@ -152,7 +151,7 @@ class TestMultiplierBlockNorm:
 class TestPairingIdentity:
     def test_trivial_dual(self):
         f = FourierCoeffs(TRIVIAL, {0: np.array([[2.0 + 1.0j]])})
-        fam = MatrixFamily(TRIVIAL, {0: np.array([[0.5 - 0.25j]])})
+        fam = FourierCoeffs(TRIVIAL, {0: np.array([[0.5 - 0.25j]])})
         res = haar_state_pairing_check(f, fam)
         assert res.lhs == pytest.approx((2 + 1j) * (0.5 - 0.25j))
         assert res.rhs == pytest.approx(res.lhs)
@@ -162,7 +161,7 @@ class TestPairingIdentity:
         rng = RngSeed(97).generator()
         for _ in range(20):
             f = random_coeffs(SUQ2, rng)
-            fam = MatrixFamily(SUQ2, {
+            fam = FourierCoeffs(SUQ2, {
                 l: rng.standard_normal((SUQ2.irrep(l).n,) * 2)
                 + 1j * rng.standard_normal((SUQ2.irrep(l).n,) * 2)
                 for l in SUQ2.labels()
@@ -172,13 +171,13 @@ class TestPairingIdentity:
 
     def test_zero_multiplier(self):
         f = random_coeffs(SUQ2, RngSeed(101).generator())
-        fam = MatrixFamily(SUQ2, {l: np.zeros((SUQ2.irrep(l).n,) * 2) for l in SUQ2.labels()})
+        fam = FourierCoeffs(SUQ2, {l: np.zeros((SUQ2.irrep(l).n,) * 2) for l in SUQ2.labels()})
         res = haar_state_pairing_check(f, fam)
         assert res.lhs == 0.0 and res.rhs == 0.0
 
     def test_dual_mismatch(self):
         f = random_coeffs(SUQ2, RngSeed(139).generator())
-        fam = MatrixFamily(KAC, {l: np.eye(KAC.irrep(l).n) for l in KAC.labels()})
+        fam = FourierCoeffs(KAC, {l: np.eye(KAC.irrep(l).n) for l in KAC.labels()})
         with pytest.raises(DualMismatchError):
             haar_state_pairing_check(f, fam)
 
@@ -212,13 +211,13 @@ def loop_pairing_lhs(x, b, irrep) -> complex:
 def test_oracle_contractions_equal_term_by_term_sums(dual):
     rng = RngSeed(151).generator()
     f = random_coeffs(dual, rng)
-    fam = MatrixFamily(dual, {
+    fam = FourierCoeffs(dual, {
         l: rng.standard_normal((dual.irrep(l).n,) * 2)
         + 1j * rng.standard_normal((dual.irrep(l).n,) * 2)
         for l in dual.labels()
     })
     norm = np.sqrt(sum(loop_gram_norm_sq(x, dual.irrep(l)) for l, x in f.support.items()))
-    lhs = sum(loop_pairing_lhs(x, fam.entries[l], dual.irrep(l)) for l, x in f.support.items())
+    lhs = sum(loop_pairing_lhs(x, fam.support[l], dual.irrep(l)) for l, x in f.support.items())
     assert abs(plancherel_gram_norm(f) - norm) <= 1e-12 * norm
     assert abs(haar_state_pairing_check(f, fam).lhs - lhs) <= 1e-12 * abs(lhs)
 
@@ -228,13 +227,13 @@ def test_oracle_routes_stand_alone(monkeypatch):
     dual = make_suq2_dual(0.5, 6)
     rng = RngSeed(149).generator()
     f = random_coeffs(dual, rng)
-    fam = MatrixFamily(dual, {
+    fam = FourierCoeffs(dual, {
         l: rng.standard_normal((dual.irrep(l).n,) * 2)
         + 1j * rng.standard_normal((dual.irrep(l).n,) * 2)
         for l in dual.labels()
     })
     norm = fourier_core.ell2_norm(f)
-    closed = sum(dual.irrep(l).n * np.trace((x * dual.irrep(l).q_diag) @ fam.entries[l])
+    closed = sum(dual.irrep(l).n * np.trace((x * dual.irrep(l).q_diag) @ fam.support[l])
                  for l, x in f.support.items())
 
     def forbidden(*args, **kwargs):

@@ -13,7 +13,6 @@ from qgfourier import (
     DualMismatchError,
     FamilyError,
     FourierCoeffs,
-    MatrixFamily,
     RngSeed,
     cyclic_group,
     ell2_norm,
@@ -48,6 +47,7 @@ from qgfourier.random_series import (
     coefficient_traces,
     gaussian_bidiagonal_stack,
     haar_unitary_stack,
+    is_unitary,
     iter_chunks,
     matrices_per_chunk,
 )
@@ -175,7 +175,7 @@ class TestSamplerReferences:
         for label in dual.labels():
             reference = qr_haar_stack(dual.irrep(label).n, 1, b)[0]
             assert np.max(np.abs(fam[label] - reference)) <= 1e-12
-        assert list(fam.entries) == dual.labels()
+        assert list(fam.support) == dual.labels()
         assert next_draws_equal(a, b)
 
     def test_unitarity_defect_of_nearly_dependent_columns(self):
@@ -186,7 +186,7 @@ class TestSamplerReferences:
 
     def test_haar_family_unitarity_defect(self):
         fam = haar_family(make_su2_dual(15), RngSeed(239).generator())
-        assert max(float(unitarity_defects(m)) for m in fam.entries.values()) <= 1e-14
+        assert max(float(unitarity_defects(m)) for m in fam.support.values()) <= 1e-14
 
     @pytest.mark.parametrize("count", [1, 256])
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 16])
@@ -749,13 +749,13 @@ class TestRandomize:
         dual = make_trivial_dual()
         f = FourierCoeffs(dual, {0: np.array([[2.0 - 1.0j]])})
         theta = 0.7
-        fam = MatrixFamily(dual, {0: np.array([[np.exp(1j * theta)]])})
+        fam = FourierCoeffs(dual, {0: np.array([[np.exp(1j * theta)]])})
         assert randomize(f, fam).block(0)[0, 0] == pytest.approx(np.exp(1j * theta) * (2 - 1j))
 
     def test_missing_entry(self):
         rng = RngSeed(41).generator()
         f = random_coeffs(SUQ2, rng)
-        partial = MatrixFamily(SUQ2, {0: np.eye(1)})
+        partial = FourierCoeffs(SUQ2, {0: np.eye(1)})
         with pytest.raises(FamilyError):
             randomize(f, partial)
 
@@ -770,7 +770,7 @@ class TestRandomize:
         u = haar_family(SUQ2, rng)
         v = haar_family(SUQ2, rng)
         twice = randomize(randomize(f, u), v)
-        product = MatrixFamily(SUQ2, {l: v[l] @ u[l] for l in SUQ2.labels()})
+        product = FourierCoeffs(SUQ2, {l: v[l] @ u[l] for l in SUQ2.labels()})
         once = randomize(f, product)
         for l in f.labels():
             np.testing.assert_allclose(twice.block(l), once.block(l), atol=1e-12)
@@ -791,7 +791,7 @@ class TestL2Invariance:
     def test_diagonal_phases(self):
         rng = RngSeed(59).generator()
         f = random_coeffs(SUQ2, rng)
-        fam = MatrixFamily(SUQ2, {
+        fam = FourierCoeffs(SUQ2, {
             l: np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, SUQ2.irrep(l).n)))
             for l in SUQ2.labels()
         })
@@ -799,7 +799,7 @@ class TestL2Invariance:
 
     def test_rejects_non_unitary(self):
         f = random_coeffs(SUQ2, RngSeed(61).generator())
-        fam = MatrixFamily(SUQ2, {l: 2.0 * np.eye(SUQ2.irrep(l).n) for l in SUQ2.labels()})
+        fam = FourierCoeffs(SUQ2, {l: 2.0 * np.eye(SUQ2.irrep(l).n) for l in SUQ2.labels()})
         with pytest.raises(FamilyError):
             l2_invariance_check(f, fam)
 
@@ -919,18 +919,18 @@ class TestRandomizeBall:
         res = randomize_ball(f, haar_family(SUQ2, rng))
         assert res.max_deviation <= 1e-9
         for fam in res.families:
-            assert fam.is_unitary
+            assert is_unitary(fam)
 
     def test_zero_family(self):
         f = random_coeffs(SUQ2, RngSeed(71).generator())
-        zero = MatrixFamily(SUQ2, {l: np.zeros((SUQ2.irrep(l).n,) * 2) for l in SUQ2.labels()})
+        zero = FourierCoeffs(SUQ2, {l: np.zeros((SUQ2.irrep(l).n,) * 2) for l in SUQ2.labels()})
         res = randomize_ball(f, zero)
         assert ell2_norm(res.randomized) == 0.0
         assert res.max_deviation <= 1e-9
 
     def test_half_identity(self):
         f = random_coeffs(SUQ2, RngSeed(73).generator())
-        half = MatrixFamily(SUQ2, {l: 0.5 * np.eye(SUQ2.irrep(l).n) for l in SUQ2.labels()})
+        half = FourierCoeffs(SUQ2, {l: 0.5 * np.eye(SUQ2.irrep(l).n) for l in SUQ2.labels()})
         res = randomize_ball(f, half)
         for l in f.labels():
             np.testing.assert_allclose(res.randomized.block(l), 0.5 * f.block(l), atol=1e-12)
@@ -952,22 +952,32 @@ class TestRandomizeBall:
 
     def test_rejects_out_of_ball(self):
         f = random_coeffs(SUQ2, RngSeed(79).generator())
-        big = MatrixFamily(SUQ2, {l: 1.1 * np.eye(SUQ2.irrep(l).n) for l in SUQ2.labels()})
+        big = FourierCoeffs(SUQ2, {l: 1.1 * np.eye(SUQ2.irrep(l).n) for l in SUQ2.labels()})
         with pytest.raises(ContractionError):
             randomize_ball(f, big)
+        # every block of the family is split, also one at a label f does not hold
+        low = random_coeffs(SUQ2, RngSeed(79).generator(), labels=[0, 1])
+        outside = {l: 0.5 * np.eye(SUQ2.irrep(l).n) for l in SUQ2.labels()}
+        outside[4] = 1.1 * np.eye(SUQ2.irrep(4).n)
+        with pytest.raises(ContractionError, match="matrix norm"):
+            randomize_ball(low, FourierCoeffs(SUQ2, outside))
+        poisoned = {l: 0.5 * np.eye(SUQ2.irrep(l).n) for l in SUQ2.labels()}
+        poisoned[2] = np.full((SUQ2.irrep(2).n,) * 2, np.nan)
+        with pytest.raises(ContractionError, match="non-finite"):
+            randomize_ball(f, FourierCoeffs(SUQ2, poisoned))
 
 
 def test_family_unitary_flag():
     fam = identity_family(SUQ2)
-    assert fam.is_unitary
-    bad = MatrixFamily(SUQ2, {0: np.array([[1.0 + 1e-6]])})
-    assert not bad.is_unitary
+    assert is_unitary(fam)
+    bad = FourierCoeffs(SUQ2, {0: np.array([[1.0 + 1e-6]])})
+    assert not is_unitary(bad)
 
 
 def svd_is_unitary(family) -> bool:
-    """Reference for `MatrixFamily.is_unitary`: the SVD norm of every defect."""
+    """Reference for `is_unitary`: the SVD norm of every defect."""
     return all(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]), 2) <= UNITARY_TOL
-               for m in family.entries.values())
+               for m in family.support.values())
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.5, 0.9, 1.0, 1.1, 2.0, 1e6])
@@ -975,11 +985,11 @@ def test_unitary_flag_matches_svd_route(eps):
     # M = sqrt(1 + eps tol) I_n has defect eps tol I_n: spectral norm eps tol,
     # Frobenius norm eps tol sqrt(n).  At eps in (1/2, 1] only the SVD accepts
     dual = make_su2_dual(3)
-    fam = MatrixFamily(dual, {l: np.sqrt(1 + eps * UNITARY_TOL) * np.eye(dual.irrep(l).n)
+    fam = FourierCoeffs(dual, {l: np.sqrt(1 + eps * UNITARY_TOL) * np.eye(dual.irrep(l).n)
                               for l in dual.labels()})
-    assert fam.is_unitary == svd_is_unitary(fam)
+    assert is_unitary(fam) == svd_is_unitary(fam)
     haar = haar_family(dual, RngSeed(103).generator())
-    assert haar.is_unitary and svd_is_unitary(haar)
+    assert is_unitary(haar) and svd_is_unitary(haar)
 
 
 def test_unitary_flag_takes_the_svd_when_frobenius_cannot_decide():
@@ -988,4 +998,4 @@ def test_unitary_flag_takes_the_svd_when_frobenius_cannot_decide():
     defect = m.conj().T @ m - np.eye(n)
     assert np.linalg.norm(defect) > UNITARY_TOL >= np.linalg.norm(defect, 2)
     dual = make_su2_dual(n - 1)
-    assert MatrixFamily(dual, {n - 1: m}).is_unitary
+    assert is_unitary(FourierCoeffs(dual, {n - 1: m}))
