@@ -295,35 +295,34 @@ def _su2_entry_stack(k: int, g00, g01, g10, g11) -> np.ndarray:
     Realized on homogeneous polynomials of degree k in two variables with the
     orthonormalized monomial basis; entries come from binomial expansion of
     the substituted linear forms.  Shapes: inputs (...), output (..., k+1, k+1).
+
+    Entry (i, j) is sqrt((k-i)! i! / ((k-j)! j!)) times the sum over l of C(k-j, m) C(j, l)
+    g00^m g10^(k-j-m) g01^l g11^(j-l), m = k-i-l.  Row i's terms are made together, multiplied
+    in that order and summed by ascending l: numpy's complex products round by operand order.
     """
-    g00, g01, g10, g11 = np.broadcast_arrays(
-        np.asarray(g00, complex), np.asarray(g01, complex),
-        np.asarray(g10, complex), np.asarray(g11, complex),
-    )
-    base = g00.shape
+    g = np.array(np.broadcast_arrays(g00, g01, g10, g11), dtype=complex)
+    base = g.shape[1:]
     if k == 0:
         return np.ones(base + (1, 1), dtype=complex)
-    pow00 = np.stack([g00 ** m for m in range(k + 1)])
-    pow01 = np.stack([g01 ** m for m in range(k + 1)])
-    pow10 = np.stack([g10 ** m for m in range(k + 1)])
-    pow11 = np.stack([g11 ** m for m in range(k + 1)])
-    wt = [math.factorial(k - i) * math.factorial(i) for i in range(k + 1)]
-    out = np.zeros(base + (k + 1, k + 1), dtype=complex)
-    for j in range(k + 1):
-        for i in range(k + 1):
-            lo, hi = max(0, j - i), min(j, k - i)
-            if lo > hi:
-                continue
-            acc = np.zeros(base, dtype=complex)
-            for l in range(lo, hi + 1):
-                m = k - i - l
-                acc = acc + (
-                    math.comb(k - j, m)
-                    * math.comb(j, l)
-                    * pow00[m] * pow10[(k - j) - m] * pow01[l] * pow11[j - l]
-                )
-            out[..., i, j] = acc * math.sqrt(wt[i] / wt[j])
-    return out
+    n = k + 1
+    g = g.reshape(4, 1, -1)
+    a, b, c, d = np.concatenate([g ** m for m in range(n)], axis=1)   # (k+1, elements) each
+    c = c[::-1].copy()                  # c[k - t] = g10^t: each row reads one block
+    coef = np.array([math.comb(k - l - t, k - i - l) * math.comb(l + t, l) for i in range(n)
+                     for l in range(n - i) for t in range(i + 1)], dtype=complex)
+    out = np.zeros((n, n, g.shape[-1]), dtype=complex)
+    for i in range(n):
+        size = (n - i) * (i + 1)
+        term = coef[:size].reshape(n - i, i + 1, 1) * a[k - i::-1, None]
+        coef = coef[size:]
+        term *= c[k - i:]               # term[l, t] is the term (i, j = l + t)
+        term *= b[:n - i, None]
+        term *= d[:i + 1]
+        for l in range(n - i):
+            out[i, l:l + i + 1] += term[l]
+    wt = [math.factorial(k - x) * math.factorial(x) for x in range(n)]
+    out *= np.array([[math.sqrt(wt[x] / wt[y]) for y in range(n)] for x in range(n)])[..., None]
+    return np.ascontiguousarray(out.reshape(n * n, -1).T).reshape(base + (n, n))
 
 
 def _euler_exponents(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -333,17 +332,20 @@ def _euler_exponents(k: int) -> tuple[np.ndarray, np.ndarray]:
     return k - i - j, j - i
 
 
-def _euler_assemble(rho0, e1, e2, phi1, phi2) -> np.ndarray:
+def _euler_assemble(rho0, e1, e2, phases, p1, p2) -> np.ndarray:
     """rho0 * (e^{i e1 phi1} e^{i e2 phi2}): irrep entries at Euler-product nodes.
 
     `rho0` holds polar-stack entries rho_k(g0(xi)), `e1` and `e2` their phase
-    exponents (`_euler_exponents`) and `phi1`, `phi2` the node phases, each
-    shaped by the caller so that the five broadcast to the layout it wants.
-    The stacks, the ties of `_check_stacks` and the two factor routes all
-    multiply here, in this one order, so the ties cover the arithmetic the
-    routes run, and every route's entries are the stack's bit for bit.
+    exponents (`_euler_exponents`) and `p1`, `p2` the indices of phi1, phi2 in
+    `phases`, each shaped by the caller so that the five broadcast to the layout
+    it wants; both factors are gathered from one table of e^{i e phi}.  The
+    stacks, the ties of `_check_stacks` and the two factor routes all multiply
+    here, in this one order, so the ties cover the arithmetic the routes run,
+    and every route's entries are the stack's bit for bit.
     """
-    return rho0 * (np.exp(1j * (e1 * phi1)) * np.exp(1j * (e2 * phi2)))
+    lo = min(e1.min(), e2.min())
+    table = np.exp(1j * np.multiply.outer(np.arange(lo, max(e1.max(), e2.max()) + 1), phases))
+    return rho0 * (table[e1 - lo, p1] * table[e2 - lo, p2])
 
 
 def _check_level(k) -> int:
@@ -386,15 +388,20 @@ class SU2Quadrature(HaarRule):
             self._polar_stacks[k] = stack
         return self._polar_stacks[k]
 
-    def _assemble(self, k: int, entries=np.s_[...], phi2=None) -> np.ndarray:
+    def _assemble(self, k: int, entries=np.s_[...], p2=None) -> np.ndarray:
         """The entries of rho_k that `entries` picks from a (k+1, k+1) table (all
-        of them, a column, the diagonal) on the product grid, for the phases
-        phi2 in `phi2` (default: all of `phases`): shape picked + (R, P, P').
+        of them, a column, the diagonal) on the product grid, for the phases at
+        the indices `p2` (default: all of `phases`): shape picked + (R, P, P').
         The picked axes lead, so each product runs over the nodes innermost."""
         rho0 = np.ascontiguousarray(self._polar_stack(k).transpose(1, 2, 0)[entries])
         e1, e2 = (e[entries][..., None, None, None] for e in _euler_exponents(k))
-        phi2 = self.phases if phi2 is None else phi2
-        return _euler_assemble(rho0[..., None, None], e1, e2, self.phases[:, None], phi2)
+        p = np.arange(len(self.phases))
+        return _euler_assemble(rho0[..., None, None], e1, e2, self.phases, p[:, None],
+                               p if p2 is None else p2)
+
+    def column(self, k: int, j: int) -> np.ndarray:
+        """rho_k(g)_{mj} at (m, g) for every node g in node order, from the Euler factors."""
+        return self._assemble(k, np.s_[:, j]).reshape(k + 1, -1)
 
     def irrep_stack(self, k: int) -> np.ndarray:
         """rho_k at every node, from the Euler-angle structure of the grid.
@@ -417,9 +424,9 @@ class SU2Quadrature(HaarRule):
         evaluate the factors directly and never make one.
         """
         k = _check_level(k)
-        phi = self.phases
+        p = np.arange(len(self.phases))
         stack = _euler_assemble(self._polar_stack(k)[:, None, None], *_euler_exponents(k),
-                                phi[:, None, None, None], phi[:, None, None])
+                                self.phases, p[:, None, None, None], p[:, None, None])
         return stack.reshape(-1, k + 1, k + 1)     # (R, P, P, n, n) in node order
 
 
@@ -436,7 +443,7 @@ def make_su2_quadrature(resolution: int = 10, validate_kmax: int = 6) -> SU2Quad
     D(alpha) g0(xi_r) D(beta), so the Gram of the irrep coefficients over the
     R P^2 nodes is a sum over r of polar-angle products times two phase sums
     S(m) = (1/P) sum_p e^{i m phi_p}, taken from the phases themselves (see
-    `_level_gram`).  That is exact because the rule stores one weight per
+    `_level_grams`).  That is exact because the rule stores one weight per
     polar angle.  The build then ties the assembly of levels 0..`kmax_valid`
     to the entry formula (`_check_stacks`) and makes `polar`, `ring_weights`,
     `phases` and `weights` read-only, so what was checked here holds for the
@@ -479,21 +486,21 @@ def _check_stacks(quad: SU2Quadrature) -> None:
     runs.
     """
     n_polar, n_phase = len(quad.polar), len(quad.phases)
-    r, p = np.indices((n_polar, n_phase))
-    phi1, phi2 = quad.phases[p], quad.phases[(p + r + 1) % n_phase]       # (R, P)
-    a = np.cos(quad.polar)[:, None] * np.exp(1j * phi1)
-    b = np.sin(quad.polar)[:, None] * np.exp(1j * phi2)
-    for k in range(quad.kmax_valid + 1):
+    r, p1 = np.indices((n_polar, n_phase))
+    p2 = (p1 + r + 1) % n_phase                                          # (R, P)
+    a = np.cos(quad.polar)[:, None] * np.exp(1j * quad.phases[p1])
+    b = np.sin(quad.polar)[:, None] * np.exp(1j * quad.phases[p2])
+    for k in range(quad.kmax_valid + 1):    # phi1's factor is the same on every ring
         ring = _euler_assemble(quad._polar_stack(k)[:, None], *_euler_exponents(k),
-                               phi1[..., None, None], phi2[..., None, None])
-        formula = _su2_entry_stack(k, a, b, -b.conj(), a.conj())
-        err = float(np.max(np.abs(ring - formula)))                    # (R, P, n, n)
+                               quad.phases, p1[0, :, None, None], p2[..., None, None])
+        err = float(np.max(np.abs(ring - _su2_entry_stack(k, a, b, -b.conj(), a.conj()))))
         if not err <= STACK_TIE_TOL:
             raise ValueError(f"level {k} stack differs from the entry formula by {err!r}")
 
 
-def _level_gram(quad: SU2Quadrature, k: int) -> np.ndarray:
-    """Gram rows of level k against levels 0..k side by side, over every node.
+def _level_grams(quad: SU2Quadrature, cap: int):
+    """For k = 0..cap in turn, the Gram rows of level k against levels 0..k side
+    by side, over every node.
 
     Entry ((i, j), (l, s, t)) is sum_g w_g conj(rho_k(g)_{ij}) rho_l(g)_{st}.
     At node (r, p1, p2), rho_k(g)_{ij} = e^{i a phi1} e^{i b phi2} rho_k(g0(xi_r))_{ij}
@@ -511,30 +518,32 @@ def _level_gram(quad: SU2Quadrature, k: int) -> np.ndarray:
     """
     n_polar, n_phase = len(quad.polar), len(quad.phases)
     ring_weights = quad.ring_weights * (n_phase * n_phase)
-    polar = [quad._polar_stack(l).reshape(n_polar, -1) for l in range(k + 1)]
-    gram = (polar[-1].conj() * ring_weights[:, None]).T @ np.concatenate(polar, axis=1)
-    m = np.arange(-2 * k, 2 * k + 1)                        # every a' - a and b' - b
+    m = np.arange(-2 * cap, 2 * cap + 1)                    # every a' - a and b' - b
     s_table = np.exp(1j * np.multiply.outer(m, quad.phases)).mean(axis=1)
-    exponents = [_euler_exponents(l) for l in range(k + 1)]
-    for axis in (0, 1):
-        cols = np.concatenate([e[axis].reshape(-1) for e in exponents])
-        rows = exponents[-1][axis].reshape(-1, 1)
-        gram *= s_table[cols - rows + 2 * k]
-    return gram
+    polar = np.empty((n_polar, 0), dtype=complex)
+    exponents = np.empty((2, 0), dtype=int)
+    for k in range(cap + 1):
+        rows = quad._polar_stack(k).reshape(n_polar, -1)
+        polar = np.concatenate([polar, rows], axis=1)
+        level = np.reshape(_euler_exponents(k), (2, -1))
+        exponents = np.concatenate([exponents, level], axis=1)
+        gram = (rows.conj() * ring_weights[:, None]).T @ polar
+        for axis in (0, 1):
+            gram *= s_table[exponents[axis] - level[axis][:, None] + 2 * cap]
+        yield gram
 
 
 def _measure_valid_kmax(quad: SU2Quadrature, cap: int) -> int:
     """Largest k <= cap whose coefficient Gram (against all levels <= k) is exact to 1e-8.
 
     Level k is one product over the R polar angles and two gathers from a
-    phase-sum table (`_level_gram`), equal to the Gram over all R P^2 nodes up
+    phase-sum table (`_level_grams`), equal to the Gram over all R P^2 nodes up
     to rounding; the rule's one weight per polar angle makes that regrouping
     exact.  The measurement reads the angles and the ring weights, never an
     irrep stack; beyond R x (k+1)^2 polar tables its memory is the Gram rows
     of level k.  It stops at the first failing level.
     """
-    for k in range(cap + 1):
-        gram = _level_gram(quad, k)
+    for k, gram in enumerate(_level_grams(quad, cap)):
         nk = (k + 1) ** 2
         gram[:, -nk:] -= np.eye(nk) / (k + 1)  # the expected blocks: I/(k+1), else 0
         if not float(np.max(np.abs(gram))) <= SCHUR_QUAD_TOL:
@@ -617,7 +626,7 @@ class BoundCheck:
 
 
 def coefficient_bound_check(
-    matrix, k: int, i: int, j: int, haar: SU2Quadrature, side: str
+    matrix, k: int, i: int, j: int, haar: SU2Quadrature, side: str, column=None
 ) -> BoundCheck:
     """Row-norm bounds for coefficient combinations on the classical group (Q = I).
 
@@ -629,11 +638,12 @@ def coefficient_bound_check(
     are refused: the rule is not measured there.
 
     The column u_{.,j} is assembled at every node from the Euler factors
-    (`SU2Quadrature._assemble`), in the product order of the stack, and the
+    (`SU2Quadrature.column`), in the product order of the stack, and the
     row is summed against it in sequence, as a matvec on the stack's column
     would: the values are the stack route's bit for bit, with no stack made.
     A GEMM of the polar column against the two phase tables would regroup
-    the products and move last bits.
+    the products and move last bits.  A caller checking several cases of one
+    (k, j) may assemble `haar.column(k, j)` once and pass it as `column`.
     """
     if k > haar.kmax_valid:
         raise ValueError(f"level {k} exceeds the quadrature's measured validity level "
@@ -646,7 +656,9 @@ def coefficient_bound_check(
         raise IndexError(f"indices ({i}, {j}) out of range for dimension {n}")
     if side not in ("upper", "lower"):
         raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
-    column = haar._assemble(k, np.s_[:, j]).reshape(n, -1)  # u_{m,j} at each node
+    column = haar.column(k, j) if column is None else column  # u_{m,j} at each node
+    if column.shape != (n, len(haar.weights)):
+        raise ValueError(f"column shape {column.shape}, expected ({n}, {len(haar.weights)})")
     row_norm = float(np.linalg.norm(a[i, :]))
     if side == "upper":
         # |sum_m A_{i,m} conj(u_{m,j})| = |sum_m conj(A_{i,m}) u_{m,j}|
@@ -694,7 +706,7 @@ def character_l1(k: int, haar: SU2Quadrature) -> float:
     """
     k = _check_level(k)
     if k <= haar.kmax_valid:
-        diagonal = haar._assemble(k, np.diag_indices(k + 1), phi2=haar.phases[:1])
+        diagonal = haar._assemble(k, np.diag_indices(k + 1), p2=np.arange(1))
         tr = np.einsum("i...->...", diagonal)                                # (R, P, 1)
         tr = np.broadcast_to(np.abs(tr), tr.shape[:2] + (len(haar.phases),))
         return float(np.sum(haar.weights * tr.reshape(-1)))

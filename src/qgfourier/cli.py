@@ -408,15 +408,19 @@ def run_lemma35(cfg, ctx):
     allowance = -1e-6
     records = []
     for side in ("upper", "lower"):
-        min_margin = np.inf
+        cases = {}      # (k, j) -> [(a, i)]: one column per pair, shared by its cases
         for _ in range(cfg["families"]):
             k = int(rng.integers(1, cfg["kmax"] + 1))
             n = k + 1
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            i = int(rng.integers(0, n))
-            j = int(rng.integers(0, n))
-            res = coefficient_bound_check(a, k, i, j, quad, side)
-            min_margin = _fold(min, min_margin, res.margin)
+            i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
+            cases.setdefault((k, j), []).append((a, i))
+        min_margin = np.inf
+        for (k, j), group in cases.items():
+            column = quad.column(k, j)
+            for a, i in group:
+                res = coefficient_bound_check(a, k, i, j, quad, side, column)
+                min_margin = _fold(min, min_margin, res.margin)
         records.append({"side": side, "cases": cfg["families"], "kmax": cfg["kmax"],
                         "min_margin": float(min_margin), "allowance": allowance,
                         "ok": min_margin >= allowance})

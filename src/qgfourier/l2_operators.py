@@ -16,7 +16,7 @@ import numpy as np
 
 from .dual_data import DualDescriptor, IrrepData, block_gram
 from .fourier_core import FourierCoeffs, _require_same_dual, ell2_norm
-from .random_series import RngSeed, haar_unitary_stack, iter_chunks, matrices_per_chunk
+from .random_series import FamilyError, RngSeed, haar_unitary_stack, iter_chunks, matrices_per_chunk
 
 
 def multiplier_block_norm(b, irrep: IrrepData) -> float:
@@ -54,14 +54,16 @@ def haar_state_pairing_check(f: FourierCoeffs, family: FourierCoeffs) -> Pairing
     Route one contracts the terms against the Haar-state Gram weights of
     `block_gram`; route two is the closed form
     sum_alpha n_alpha tr(X_alpha Q_alpha B_alpha).  Pure algebra: the
-    deviation is floating-point noise only.
+    deviation is floating-point noise only.  A label of f missing from `family`
+    raises FamilyError, since both routes would read it as zero and agree.
     """
     _require_same_dual(f, family)
+    missing = [label for label in f.support if label not in family.support]
+    if missing:
+        raise FamilyError(f"family has no entry for labels {missing!r}")
     lhs = 0j
     rhs = 0j
     for label, x in f.support.items():
-        if label not in family.support:
-            continue
         irrep = f.dual.irrep(label)
         q = irrep.q_diag
         bm = family.support[label]

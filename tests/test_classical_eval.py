@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import weakref
 
@@ -109,8 +110,61 @@ def random_su2(rng):
     return u / np.sqrt(np.linalg.det(u))
 
 
+def term_loop_entry_stack(k: int, g00, g01, g10, g11) -> np.ndarray:
+    """Reference for `_su2_entry_stack`: the entry formula one term (i, j, l) at a
+    time, each entry summed over ascending l from zero."""
+    g00, g01, g10, g11 = np.broadcast_arrays(
+        np.asarray(g00, complex), np.asarray(g01, complex),
+        np.asarray(g10, complex), np.asarray(g11, complex),
+    )
+    base = g00.shape
+    if k == 0:
+        return np.ones(base + (1, 1), dtype=complex)
+    pow00 = np.stack([g00 ** m for m in range(k + 1)])
+    pow01 = np.stack([g01 ** m for m in range(k + 1)])
+    pow10 = np.stack([g10 ** m for m in range(k + 1)])
+    pow11 = np.stack([g11 ** m for m in range(k + 1)])
+    wt = [math.factorial(k - i) * math.factorial(i) for i in range(k + 1)]
+    out = np.zeros(base + (k + 1, k + 1), dtype=complex)
+    for j in range(k + 1):
+        for i in range(k + 1):
+            lo, hi = max(0, j - i), min(j, k - i)
+            if lo > hi:
+                continue
+            acc = np.zeros(base, dtype=complex)
+            for l in range(lo, hi + 1):
+                m = k - i - l
+                acc = acc + (
+                    math.comb(k - j, m)
+                    * math.comb(j, l)
+                    * pow00[m] * pow10[(k - j) - m] * pow01[l] * pow11[j - l]
+                )
+            out[..., i, j] = acc * math.sqrt(wt[i] / wt[j])
+    return out
+
+
+def exp_assemble(rho0, e1, e2, phi1, phi2) -> np.ndarray:
+    """Reference for `_euler_assemble`: each phase factor exponentiated where it
+    is used, from the phase values."""
+    return rho0 * (np.exp(1j * (e1 * phi1)) * np.exp(1j * (e2 * phi2)))
+
+
+def exp_assemble_entries(quad, k, entries, phi2) -> np.ndarray:
+    """Reference for `SU2Quadrature._assemble` on `exp_assemble`, for the phase
+    values `phi2`."""
+    rho0 = np.ascontiguousarray(quad._polar_stack(k).transpose(1, 2, 0)[entries])
+    e1, e2 = (e[entries][..., None, None, None] for e in classical_eval._euler_exponents(k))
+    return exp_assemble(rho0[..., None, None], e1, e2, quad.phases[:, None], phi2)
+
+
+def assert_same_bits(actual, expected):
+    """Equal bit for bit, signed zeros included."""
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
 def einsum_level_gram(quad, k) -> np.ndarray:
-    """Oracle for _level_gram: the Gram rows of level k against levels 0..k,
+    """Oracle for _level_grams: the Gram rows of level k against levels 0..k,
     as one einsum over all nodes.  It is contracted by BLAS: unoptimised, the
     einsum sums the nodes in sequence and drifts from a long-double Gram by
     up to 6e-14 on these rules, where the BLAS contraction stays below 6e-15."""
@@ -383,6 +437,52 @@ class TestEulerStacks:
                 k, g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1])
             assert float(np.max(np.abs(quad.irrep_stack(k) - formula))) <= 1e-13
 
+    def test_entry_formula_is_the_term_loop_bit_for_bit(self):
+        # one batch of terms per row, in the term loop's product and sum order,
+        # on the polar angles and on random elements in the three shapes the
+        # rule uses: (R,) polar, (R, P) ring and (nodes,)
+        quad = make_su2_quadrature(10, 0)
+        c, s = np.cos(quad.polar), np.sin(quad.polar)
+        rng = RngSeed(173).generator()
+        n_polar, n_phase = len(quad.polar), len(quad.phases)
+        for shape in [(n_polar,), (n_polar, n_phase), (n_polar * n_phase ** 2,)]:
+            a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "ab")
+            norm = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
+            g = (a / norm, b / norm, -(b / norm).conj(), (a / norm).conj())
+            for k in range(16):
+                assert_same_bits(classical_eval._su2_entry_stack(k, *g), term_loop_entry_stack(k, *g))
+                if shape == (n_polar,):
+                    assert_same_bits(classical_eval._su2_entry_stack(k, c, s, -s, c),
+                                     term_loop_entry_stack(k, c, s, -s, c))
+
+    @pytest.mark.parametrize("resolution", [4, 5, 10])
+    def test_assembly_is_the_exp_route_bit_for_bit(self, resolution):
+        # phase factors gathered from one table of exponentials are the
+        # per-entry exponentials: the stack, a column, the diagonal at the
+        # first phi2 and the ring of the build's tie
+        quad = make_su2_quadrature(resolution, 0)
+        phases = quad.phases
+        n_polar, n_phase = len(quad.polar), len(phases)
+        r, p1 = np.indices((n_polar, n_phase))
+        p2 = (p1 + r + 1) % n_phase
+        for k in range(8):
+            e1, e2 = classical_eval._euler_exponents(k)
+            rho0 = quad._polar_stack(k)
+            assert_same_bits(quad.irrep_stack(k), exp_assemble(
+                rho0[:, None, None], e1, e2, phases[:, None, None, None], phases[:, None, None],
+            ).reshape(-1, k + 1, k + 1))
+            for j in range(k + 1):
+                assert_same_bits(quad._assemble(k, np.s_[:, j]),
+                                 exp_assemble_entries(quad, k, np.s_[:, j], phases))
+            diagonal = np.diag_indices(k + 1)
+            assert_same_bits(quad._assemble(k, diagonal, p2=np.arange(1)),
+                             exp_assemble_entries(quad, k, diagonal, phases[:1]))
+            assert_same_bits(
+                classical_eval._euler_assemble(rho0[:, None], e1, e2, phases,
+                                               p1[..., None, None], p2[..., None, None]),
+                exp_assemble(rho0[:, None], e1, e2, phases[p1][..., None, None],
+                             phases[p2][..., None, None]))
+
     @pytest.mark.parametrize("resolution, cap, level", [(10, 6, 6), (10, 0, 0), (4, 9, 7)])
     def test_build_keeps_no_stack_and_ties_every_valid_level(self, resolution, cap, level,
                                                               monkeypatch):
@@ -520,8 +620,7 @@ class TestValidityMeasurement:
         quad = make_su2_quadrature(resolution, 0)
         assert classical_eval._measure_valid_kmax(quad, cap) == level
         assert einsum_valid_kmax(quad, cap, gemm_pair_gram) == level
-        for k in range(min(level + 1, cap) + 1):
-            gram = classical_eval._level_gram(quad, k)
+        for k, gram in enumerate(classical_eval._level_grams(quad, min(level + 1, cap))):
             assert float(np.max(np.abs(gram - einsum_level_gram(quad, k)))) <= 1e-14
 
     def test_reads_no_irrep_stack(self, monkeypatch):
@@ -627,6 +726,21 @@ class TestCoefficientBounds:
                     for j in range(n):
                         res = coefficient_bound_check(a, k, i, j, quad, side)
                         assert res == einsum_bound_check(a, stack, i, j, quad, side)
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_shared_column_gives_the_same_check(self, su2_quad, side):
+        rng = RngSeed(179).generator()
+        for k in range(1, su2_quad.kmax_valid + 1):
+            n = k + 1
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
+            column = su2_quad.column(k, j)
+            assert (coefficient_bound_check(a, k, i, j, su2_quad, side, column)
+                    == coefficient_bound_check(a, k, i, j, su2_quad, side))
+
+    def test_rejects_a_column_of_another_level(self, su2_quad):
+        with pytest.raises(ValueError, match="column shape"):
+            coefficient_bound_check(np.eye(3), 2, 0, 0, su2_quad, "upper", su2_quad.column(3, 0))
 
     def test_rejects_level_beyond_measured_rule(self, su2_quad):
         k = su2_quad.kmax_valid + 1

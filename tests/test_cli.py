@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qgfourier import FourierCoeffs, cli, cyclic_group, random_series
+from qgfourier import FourierCoeffs, classical_eval, cli, cyclic_group, random_series
 from qgfourier.cli import build_dual, content_hash, execute, main
 from qgfourier.random_series import ContractionError
 
@@ -435,6 +435,23 @@ def test_exception_in_a_run_is_a_failing_record(exc, monkeypatch, capsys):
     assert [name for name, b in blocks.items() if b["verdict"] == "fail"] == ["four-unitary"]
     assert blocks["four-unitary"]["records"] == failing
     assert ran == [name for name in cli.EXPERIMENTS if name != "four-unitary"]
+
+
+def test_lemma35_assembles_each_column_once_per_side(monkeypatch, capsys):
+    # each side's 100 checks at kmax 4 draw from at most 14 (k, j) pairs; each
+    # pair's column is assembled once for the side and shared by its cases
+    column = classical_eval.SU2Quadrature.column
+    calls = []
+
+    def spy(self, k, j):
+        calls.append((k, j))
+        return column(self, k, j)
+
+    monkeypatch.setattr(classical_eval.SU2Quadrature, "column", spy)
+    code, doc = execute(["lemma35", "--seed", "1"])
+    capsys.readouterr()
+    assert code == 0 and [rec["cases"] for rec in doc["records"]] == [100, 100]
+    assert len(calls) <= 28 and max(calls.count(pair) for pair in calls) <= 2
 
 
 def test_lemma35_beyond_measured_rule_is_usage_error(capsys):

@@ -1,8 +1,12 @@
-"""Every name a package module imports is used in that module, and every public
-name it defines has a caller in the package or the benchmark."""
+"""Every name a package module imports is used in that module, every public
+name it defines has a caller in the package or the benchmark, and importing
+the CLI leaves the heavier modules it does not need unloaded."""
 
 import ast
 import io
+import os
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -97,3 +101,19 @@ def test_detector_flags_an_unread_name():
 @pytest.mark.parametrize("path", PACKAGE, ids=[Path(p).stem for p in PACKAGE])
 def test_every_public_name_is_read(path):
     assert unread_names(path, SOURCES) == []
+
+
+#: modules the CLI reaches only lazily: `leggauss` inside the quadrature build,
+#: `traceback` in `run_one`'s handler; scipy is a test extra
+LAZY_MODULES = ("numpy.polynomial", "traceback", "scipy")
+
+
+def test_cli_import_leaves_lazy_modules_unloaded():
+    # a fresh interpreter, since this one has loaded them already; each start
+    # of the CLI pays for what its import pulls in
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = f"import sys, qgfourier.cli; print([m for m in {LAZY_MODULES!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

@@ -6,6 +6,7 @@ import pytest
 
 from qgfourier import (
     DualMismatchError,
+    FamilyError,
     FourierCoeffs,
     IrrepData,
     RngSeed,
@@ -179,6 +180,18 @@ class TestPairingIdentity:
         f = random_coeffs(SUQ2, RngSeed(139).generator())
         fam = FourierCoeffs(KAC, {l: np.eye(KAC.irrep(l).n) for l in KAC.labels()})
         with pytest.raises(DualMismatchError):
+            haar_state_pairing_check(f, fam)
+
+    def test_empty_family_raises(self):
+        # skipping the labels the family lacks would give lhs = rhs = 0 and pass
+        f = random_coeffs(SUQ2, RngSeed(103).generator())
+        with pytest.raises(FamilyError, match=r"labels \[0, 1, 2, 3, 4\]"):
+            haar_state_pairing_check(f, FourierCoeffs(SUQ2, {}))
+
+    def test_family_missing_one_label_raises(self):
+        f = random_coeffs(SUQ2, RngSeed(107).generator())
+        fam = FourierCoeffs(SUQ2, {l: np.eye(SUQ2.irrep(l).n) for l in SUQ2.labels() if l != 2})
+        with pytest.raises(FamilyError, match=r"labels \[2\]"):
             haar_state_pairing_check(f, fam)
 
 
