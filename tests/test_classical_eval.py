@@ -19,6 +19,7 @@ from qgfourier import (
     gaussian_series_l1_mean,
     random_coeffs,
     randomized_l1_report,
+    symmetric_group_s3,
     weyl_character_l1,
 )
 from qgfourier import classical_eval
@@ -232,29 +233,56 @@ class TestFiniteGroups:
 
     def test_rejects_broken_mult_table(self):
         mult = np.array([[0, 1], [1, 1]])  # not a group law
-        irreps = (GroupIrrep(0, 1, np.ones((2, 1, 1))),)
+        irreps = (GroupIrrep(0, np.ones((2, 1, 1))),)
         with pytest.raises(GroupTableError):
-            FiniteGroupTable(name="bad", order=2, mult=mult, irreps=irreps)
+            FiniteGroupTable(name="bad", mult=mult, irreps=irreps)
+
+    def test_non_associative_loop_is_refused(self):
+        # an identity (0) and two-sided inverses, but (1*1)*2 = 2 != 1*(1*2) = 4:
+        # no check of associativity runs, and z5's characters are not homomorphisms
+        mult = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                         [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+        assert mult[mult[1, 1], 2] != mult[1, mult[1, 2]]
+        with pytest.raises(GroupTableError, match="not a homomorphism"):
+            FiniteGroupTable(name="loop", mult=mult, irreps=cyclic_group(5).irreps)
 
     def test_rejects_non_unitary_irrep(self, z8_table):
         irreps = list(z8_table.irreps)
         mats = irreps[3].matrices.copy()
         mats[5] *= 1 + 1e-9
-        irreps[3] = GroupIrrep(3, 1, mats)
+        irreps[3] = GroupIrrep(3, mats)
         with pytest.raises(GroupTableError, match="unitarity defect"):
-            FiniteGroupTable(name="z8", order=8, mult=z8_table.mult, irreps=irreps)
+            FiniteGroupTable(name="z8", mult=z8_table.mult, irreps=irreps)
 
-    def test_nan_round_trip_fails(self, monkeypatch):
-        # a NaN in a later label's block must not drop out of the worst error
-        extract = FiniteGroupTable.fourier_coeffs
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_irrep_is_refused(self, bad, z8_table):
+        # the tolerance checks read `nan > tol` as False, so the irrep refuses it
+        mats = z8_table.irreps[3].matrices.copy()
+        mats[5] = bad
+        with pytest.raises(GroupTableError, match="irrep 3: non-finite"):
+            GroupIrrep(3, mats)
 
-        def poisoned(self, values):
-            f = extract(self, values)
-            last = f.labels()[-1]
-            return FourierCoeffs(f.dual, {**f.support, last: np.full_like(f.support[last], np.nan)})
-        monkeypatch.setattr(FiniteGroupTable, "fourier_coeffs", poisoned)
-        with pytest.raises(GroupTableError, match="round trip"):
-            cyclic_group(3)
+    def test_dimension_is_read_off_the_matrices(self, s3_table):
+        assert s3_table.order == len(s3_table.mult) == 6
+        with pytest.raises(GroupTableError, match="matrices shape"):
+            GroupIrrep("bad", np.ones((6, 2, 3)))
+
+    def test_build_memory_is_a_few_square_arrays(self):
+        # with N = 128 and n = 1, the table keeps its N x N `mult` and N
+        # characters of N values.  The Schur check holds the N x N coefficient
+        # matrix Y, the operands numpy makes for Y^T conj(Y) and the Gram: four
+        # N^2 complex arrays, and the homomorphism check under four; one more
+        # covers the objects.  One N^3 table of int64 would be N / 2 = 64 of them.
+        n = 128
+        cyclic_group(2)  # numpy's lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            table = cyclic_group(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = table.mult.nbytes + sum(ir.matrices.nbytes for ir in table.irreps)
+        assert peak <= kept + 5 * n * n * np.dtype(complex).itemsize
 
     @pytest.mark.parametrize("table", ["z8_table", "s3_table"])
     def test_weights_are_stored_once_and_read_only(self, table, request):
@@ -266,9 +294,7 @@ class TestFiniteGroups:
     def test_rejects_wrong_peter_weyl(self):
         z2 = cyclic_group(2)
         with pytest.raises(GroupTableError):
-            FiniteGroupTable(
-                name="half", order=2, mult=z2.mult, irreps=(z2.irreps[0],)
-            )
+            FiniteGroupTable(name="half", mult=z2.mult, irreps=(z2.irreps[0],))
 
     def test_sign_character_values(self):
         z2 = cyclic_group(2)
@@ -282,10 +308,14 @@ class TestFiniteGroups:
         np.testing.assert_allclose(s3_table.coeff_values(f), [2.0 - 1.0j] * 6, atol=1e-15)
         assert l1_norm_classical(f, s3_table) == pytest.approx(abs(2 - 1j))
 
-    def test_round_trip_extraction(self, s3_table):
+    @pytest.mark.parametrize("build", [symmetric_group_s3, lambda: cyclic_group(8),
+                                       lambda: cyclic_group(2)], ids=["s3", "z8", "z2"])
+    def test_round_trip_extraction(self, build):
+        # Schur orthogonality makes extraction invert evaluation; no build-time check runs it
+        table = build()
         rng = RngSeed(137).generator()
-        f = random_coeffs(s3_table.dual_descriptor(), rng)
-        back = s3_table.fourier_coeffs(s3_table.coeff_values(f))
+        f = random_coeffs(table.dual_descriptor(), rng)
+        back = table.fourier_coeffs(table.coeff_values(f))
         for l in f.labels():
             np.testing.assert_allclose(back.block(l), f.block(l), atol=1e-12)
 
@@ -517,12 +547,14 @@ class TestEulerStacks:
     def test_build_memory_is_the_arrays_it_keeps(self):
         # the rule keeps its four arrays and the polar stacks.  The largest
         # transients are the ring tie's at level K = kmax_valid, in units of
-        # one (R, P, K+1, K+1) complex ring: while level K is assembled, level
-        # K-1's assembly and formula (under 2) and the assembly's two phase
-        # factors with the second one's argument (3) are live, under 5 in all;
-        # after it, the formula's power tables and output come to under 3 next
-        # to the assembly, and the difference and its modulus to 1.5.  The
-        # stacks of levels 0..6 alone would be 7 times the ring.
+        # one (R, P, K+1, K+1) complex ring.  While the entry formula runs at
+        # level K, the tie holds the assembled ring (1) and the formula its
+        # output, a contiguous copy of it and its power tables (about 3.1 at
+        # K = 6).  The assembly before it gathers both phase factors from one
+        # small table and stays under 3.5 with level K-1's ring still live;
+        # after it, the ring, the formula, their difference and its modulus
+        # come to 3.5.  The build peaks at 4.25 rings; the stacks of levels
+        # 0..6 alone would be 7 times the ring.
         make_su2_quadrature(10, 6)  # numpy's lazy set-up outside the trace
         tracemalloc.start()
         try:

@@ -137,10 +137,12 @@ def test_csv_format_without_out_is_accepted_on_all(monkeypatch, capsys):
 
 
 def test_dual_out_of_memory_is_usage_error(monkeypatch, capsys):
-    # z2000 asks numpy for 59.6 GiB while its group law is checked; this ended
-    # in a MemoryError traceback.  Nothing is allocated for real here.
+    # a dual whose build does not fit in memory ended in a MemoryError
+    # traceback: the Schur check's N x N coefficient matrix alone is 149 GiB
+    # at z100000.  The fake build raises for any order, so nothing is
+    # allocated for real here.
     def no_memory(n):
-        raise MemoryError(f"Unable to allocate the {n}^3 associativity table")
+        raise MemoryError(f"Unable to allocate the {n} x {n} coefficient matrix")
 
     monkeypatch.setattr(cli, "cyclic_group", no_memory)
     for name in cli.EXPERIMENTS:
