@@ -136,7 +136,9 @@ class FiniteGroupTable(HaarRule):
         object.__setattr__(
             self, "_by_label", {ir.label: ir for ir in self.irreps}
         )
-        object.__setattr__(self, "_dual", self._build_dual())
+        object.__setattr__(self, "_dual", DualDescriptor(
+            self.name, tuple(IrrepData(label=ir.label, q_diag=np.ones(ir.n)) for ir in self.irreps)
+        ))
         weights = np.full(self.order, 1.0 / self.order)
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
@@ -173,12 +175,6 @@ class FiniteGroupTable(HaarRule):
         gram = (y.T @ y.conj()) / self.order
         if float(np.max(np.abs(gram - np.diag(expected)))) > GROUP_TOL:
             raise GroupTableError("Schur orthogonality failed for the uniform average")
-
-    def _build_dual(self) -> DualDescriptor:
-        return DualDescriptor(
-            self.name,
-            tuple(IrrepData(label=ir.label, n=ir.n, q_diag=np.ones(ir.n)) for ir in self.irreps),
-        )
 
     # -- Haar realization ---------------------------------------------------
 

@@ -14,6 +14,7 @@ elapsed-time fields stripped, so two runs with the same seed hash identically.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -124,24 +125,21 @@ class Context:
     """Lazily built heavy objects shared across subcommands in one run."""
 
     def __init__(self):
-        self._cache = {}
         # subcommand -> the dual `resolve_config` built for it; its run pops it,
         # so the dual is built once and does not outlive its subcommand
         self.duals = {}
 
-    def _get(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
+    @functools.cached_property
     def s3(self):
-        return self._get("s3", symmetric_group_s3)
+        return symmetric_group_s3()
 
+    @functools.cached_property
     def z8(self):
-        return self._get("z8", lambda: cyclic_group(8))
+        return cyclic_group(8)
 
+    @functools.cached_property
     def quad(self):
-        return self._get("quad", make_su2_quadrature)
+        return make_su2_quadrature()
 
 
 def _seed_for(cfg: dict, name: str, case: int = 0) -> RngSeed:
@@ -155,6 +153,27 @@ def _fold(pick, *values):
     if any(math.isnan(v) for v in values):
         return math.nan
     return pick(values)
+
+
+def _gaps(a: FourierCoeffs, b: FourierCoeffs) -> list[float]:
+    """max |a - b| over each block, in label order."""
+    return [float(np.max(np.abs(a.block(l) - b.block(l)))) for l in a.dual.labels()]
+
+
+def _gaussian(rng, n: int) -> np.ndarray:
+    """An n x n complex Gaussian matrix: its real part drawn first."""
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def _contract(x: np.ndarray, scale) -> np.ndarray:
+    """Each matrix of `x` (one matrix or a stack) rescaled to its operator norm in `scale`."""
+    norm = np.maximum(1e-12, np.linalg.norm(x, 2, axis=(-2, -1)))
+    return x / norm[..., None, None] * np.asarray(scale)[..., None, None]
+
+
+def _per_label(dual, block) -> FourierCoeffs:
+    """The family with `block(n)` at each label, called in label order."""
+    return FourierCoeffs(dual, {l: block(dual.irrep(l).n) for l in dual.labels()})
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +218,7 @@ def run_pairing(cfg, ctx):
 
 
 def run_convolve_check(cfg, ctx):
-    table = ctx.s3()
+    table = ctx.s3
     dual = table.dual_descriptor()
     rng = _seed_for(cfg, "convolve-check").generator()
     tol = 1e-12
@@ -216,22 +235,15 @@ def run_convolve_check(cfg, ctx):
             for g in range(table.order)
         ])
         brute = table.fourier_coeffs(brute_vals)
-        max_match = _fold(max, max_match, *(
-            float(np.max(np.abs(brute.support[l] - dual_side.block(l)))) for l in dual.labels()
-        ))
+        max_match = _fold(max, max_match, *_gaps(brute, dual_side))
         f3 = random_coeffs(dual, rng)
         left = convolve(convolve(f1, f2), f3)
         right = convolve(f1, convolve(f2, f3))
-        max_assoc = _fold(max, max_assoc, *(
-            float(np.max(np.abs(left.block(l) - right.block(l)))) for l in dual.labels()
-        ))
+        max_assoc = _fold(max, max_assoc, *_gaps(left, right))
     delta = identity_family(dual)
     f = random_coeffs(dual, rng)
-    delta_err = _fold(max, *(
-        float(np.max(np.abs(convolve(f, delta).block(l) - f.block(l))))
-        + float(np.max(np.abs(convolve(delta, f).block(l) - f.block(l))))
-        for l in dual.labels()
-    ))
+    gaps = zip(_gaps(convolve(f, delta), f), _gaps(convolve(delta, f), f))
+    delta_err = _fold(max, *(a + b for a, b in gaps))  # per label, the two gaps added
     return [{"group": table.name, "pairs": cfg["families"], "max_bruteforce_mismatch": max_match,
              "max_associativity_defect": max_assoc, "identity_element_defect": delta_err,
              "tolerance": tol, "ok": max_match <= tol and max_assoc <= tol and delta_err <= tol}]
@@ -248,10 +260,7 @@ def run_randomize_l2(cfg, ctx):
         max_rel = _fold(max, max_rel, l2_invariance_check(f, fam) / ell2_norm(f))
     f = random_coeffs(dual, rng)
     ident_dev = l2_invariance_check(f, identity_family(dual))
-    phases = FourierCoeffs(dual, {
-        l: np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=dual.irrep(l).n)))
-        for l in dual.labels()
-    })
+    phases = _per_label(dual, lambda n: np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=n))))
     phase_rel = l2_invariance_check(f, phases) / ell2_norm(f)
     return [{"dual": dual.name, "pairs": cfg["families"], "max_rel_deviation": max_rel,
              "identity_deviation": ident_dev, "phase_rel_deviation": phase_rel,
@@ -264,16 +273,14 @@ def run_four_unitary(cfg, ctx):
     draws = {}  # n -> the (matrix, scale) draws of that size, in trial order
     for _ in range(cfg["trials"]):
         n = int(rng.integers(1, 17))
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        draws.setdefault(n, []).append((x, rng.uniform(0.0, 1.0)))
+        draws.setdefault(n, []).append((_gaussian(rng, n), rng.uniform(0.0, 1.0)))
     # each size is normalised and split as one stack; a maximum over the
     # stacks does not depend on the order of the trials
     max_rec = 0.0
     max_unit = 0.0
     for n, group in draws.items():
-        x = np.stack([m for m, _ in group])
-        scale = np.array([u for _, u in group])[:, None, None]
-        x = x / np.maximum(1e-12, np.linalg.norm(x, 2, axis=(-2, -1)))[:, None, None] * scale
+        mats, scales = zip(*group)
+        x = _contract(np.stack(mats), scales)
         vs = four_unitary_decomposition(x)
         max_rec = _fold(max, max_rec, float(np.max(np.abs(sum(vs) / 2.0 - x))))
         # each defect V^* V - I is Hermitian: its 2-norm is its largest |eigenvalue|
@@ -292,26 +299,15 @@ def run_ball_decomposition(cfg, ctx):
     max_dev = 0.0
     for _ in range(cfg["families"]):
         f = random_coeffs(dual, rng)
-        entries = {}
-        for l in dual.labels():
-            n = dual.irrep(l).n
-            b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            entries[l] = b / max(1e-12, np.linalg.norm(b, 2)) * rng.uniform(0.0, 1.0)
-        result = randomize_ball(f, FourierCoeffs(dual, entries))
-        max_dev = _fold(max, max_dev, result.max_deviation)
+        ball = _per_label(dual, lambda n: _contract(_gaussian(rng, n), rng.uniform(0.0, 1.0)))
+        max_dev = _fold(max, max_dev, randomize_ball(f, ball).max_deviation)
     f = random_coeffs(dual, rng)
     unitary_dev = randomize_ball(f, haar_family(dual, rng)).max_deviation
-    zero = randomize_ball(f, FourierCoeffs(dual, {
-        l: np.zeros((dual.irrep(l).n,) * 2) for l in dual.labels()
-    }))
+    zero = randomize_ball(f, _per_label(dual, lambda n: np.zeros((n, n))))
     zero_norm = ell2_norm(zero.randomized)
-    half = randomize_ball(f, FourierCoeffs(dual, {
-        l: 0.5 * np.eye(dual.irrep(l).n) for l in dual.labels()
-    }))
-    half_err = _fold(max, *(
-        float(np.max(np.abs(half.randomized.block(l) - 0.5 * f.block(l))))
-        for l in dual.labels()
-    ))
+    half = randomize_ball(f, _per_label(dual, lambda n: 0.5 * np.eye(n)))
+    half_f = FourierCoeffs(dual, {l: 0.5 * m for l, m in f.support.items()})
+    half_err = _fold(max, *_gaps(half.randomized, half_f))
     ok = (max_dev <= tol and unitary_dev <= tol and zero_norm == 0.0
           and zero.max_deviation <= tol and half_err <= 1e-12)
     return [{"dual": dual.name, "families": cfg["families"], "max_identity_deviation": max_dev,
@@ -321,11 +317,7 @@ def run_ball_decomposition(cfg, ctx):
 
 def run_gaussian_norms(cfg, ctx):
     records = []
-    sizes = [1]
-    n = 2
-    while n <= cfg["nmax"]:
-        sizes.append(n)
-        n *= 2
+    sizes = [1, *(2**e for e in range(1, cfg["nmax"].bit_length()))]  # powers of 2 up to nmax
     for case, n in enumerate(sizes):
         trials = cfg["trials"] if n > 1 else max(cfg["trials"], 10_000)
         start = time.perf_counter()
@@ -347,8 +339,7 @@ def run_gaussian_norms(cfg, ctx):
 def _helgason_corpus(cfg, ctx):
     """20 deterministic cases whose randomized series is a real Gaussian pointwise."""
     rng = _seed_for(cfg, "helgason-gaussian", 999).generator()
-    s3 = ctx.s3()
-    z8 = ctx.z8()
+    s3, z8 = ctx.s3, ctx.z8
     cases = []
     s3_labels = [ir.label for ir in s3.irreps]
     for _ in range(12):
@@ -380,7 +371,7 @@ def run_helgason_gaussian(cfg, ctx):
 
 
 def run_helgason_instance(cfg, ctx):
-    s3 = ctx.s3()
+    s3 = ctx.s3
     dual = s3.dual_descriptor()
     rng = _seed_for(cfg, "helgason-instance", 999).generator()
     f = random_coeffs(dual, rng)
@@ -403,7 +394,7 @@ def run_helgason_instance(cfg, ctx):
 
 
 def run_lemma35(cfg, ctx):
-    quad = ctx.quad()
+    quad = ctx.quad
     rng = _seed_for(cfg, "lemma35").generator()
     allowance = -1e-6
     records = []
@@ -412,7 +403,7 @@ def run_lemma35(cfg, ctx):
         for _ in range(cfg["families"]):
             k = int(rng.integers(1, cfg["kmax"] + 1))
             n = k + 1
-            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            a = _gaussian(rng, n)
             i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
             cases.setdefault((k, j), []).append((a, i))
         min_margin = np.inf
@@ -436,13 +427,9 @@ def run_tb_contraction(cfg, ctx):
         worst = 0.0
         for irrep in dual.irreps:
             n = irrep.n
-            b = np.empty((cases, n, n), dtype=complex)
-            scale = np.empty(cases)
-            for case in range(cases):  # draws in case order: normal, normal, uniform
-                b[case] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                scale[case] = rng.uniform(0.0, 1.0)
-            b /= np.maximum(1e-12, np.linalg.norm(b, 2, axis=(-2, -1)))[:, None, None]
-            b *= scale[:, None, None]
+            # draws in case order: normal, normal, uniform
+            mats, scales = zip(*[(_gaussian(rng, n), rng.uniform(0.0, 1.0)) for _ in range(cases)])
+            b = _contract(np.stack(mats), scales)
             worst = _fold(max, worst, float(np.max(multiplier_block_norm(b, irrep))))
         records.append({"dual": dual.name, "irreps": len(dual.irreps),
                         "cases_per_irrep": cases, "max_block_norm": worst,
@@ -456,11 +443,7 @@ def run_hx_identity(cfg, ctx):
     max_rel = 0.0
     for _ in range(cfg["families"]):
         f = random_coeffs(dual, rng)
-        fam = FourierCoeffs(dual, {
-            l: rng.standard_normal((dual.irrep(l).n,) * 2) + 1j * rng.standard_normal((dual.irrep(l).n,) * 2)
-            for l in dual.labels()
-        })
-        res = haar_state_pairing_check(f, fam)
+        res = haar_state_pairing_check(f, _per_label(dual, lambda n: _gaussian(rng, n)))
         max_rel = _fold(max, max_rel, res.deviation / (1.0 + abs(res.rhs)))
     return [{"dual": dual.name, "pairs": cfg["families"], "max_rel_deviation": max_rel,
              "tolerance": 1e-12, "ok": max_rel <= 1e-12}]
@@ -470,7 +453,7 @@ def run_trace_duality(cfg, ctx):
     rng = _seed_for(cfg, "trace-duality", 999).generator()
     records = []
     for case in range(cfg["families"]):
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        a = _gaussian(rng, 2)
         res = trace_norm_duality(a, cfg["trials"], _seed_for(cfg, "trace-duality", case))
         aligned_ok = abs(res.aligned - res.exact) <= 1e-10
         cap_ok = res.random_sup <= res.exact + 1e-12
@@ -536,7 +519,7 @@ def run_growth(cfg, ctx):
 
 
 def run_characters(cfg, ctx):
-    quad = ctx.quad()
+    quad = ctx.quad
     records = []
     values = []
     for k in range(cfg["kmax"] + 1):
@@ -564,8 +547,7 @@ def run_characters(cfg, ctx):
 
 
 def run_cotype2(cfg, ctx):
-    s3 = ctx.s3()
-    z8 = ctx.z8()
+    s3, z8 = ctx.s3, ctx.z8
     rng = _seed_for(cfg, "cotype2", 999).generator()
     records = []
     floor = 0.2
@@ -647,7 +629,7 @@ def resolve_config(name: str, args: argparse.Namespace, ctx: Context) -> dict:
     if name == "lemma35":
         if cfg["kmax"] < 1:  # its levels are drawn from 1..kmax
             raise ValueError(f"argument --kmax: lemma35 needs >= 1, got {cfg['kmax']}")
-        valid = ctx.quad().kmax_valid
+        valid = ctx.quad.kmax_valid
         if cfg["kmax"] > valid:
             raise ValueError(f"argument --kmax: lemma35 needs <= {valid}, the quadrature's "
                              f"measured validity level, got {cfg['kmax']}")

@@ -1,11 +1,10 @@
 """Discrete-dual descriptors: irreducible-representation data for built-in duals.
 
 A compact quantum group enters this toolkit only through its discrete dual:
-a finite (truncated) list of irreducible-representation entries, each carrying
-
-* a classical dimension ``n``,
-* the diagonal of a positive deformation matrix ``Q`` (stored as ``q_diag``),
-* the quantum dimension ``d = tr(Q) = tr(Q^{-1})``.
+a finite (truncated) list of irreducible-representation entries.  An entry is
+its label and the diagonal of a positive deformation matrix ``Q`` (``q_diag``),
+and two numbers are read off it: the classical dimension ``n``, its length,
+and the quantum dimension ``d = tr(Q) = tr(Q^{-1})``.
 
 The Kac case is ``Q = I`` for every entry, where ``d = n``.  Built-in
 constructors cover the trivial dual, the rank-one special unitary group, its
@@ -30,11 +29,11 @@ class DualValidationError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class IrrepData:
-    """One irreducible representation: label, dimension, deformation diagonal."""
+    """One irreducible representation: its label and Q diagonal, off which `n` and `d` are read."""
 
     label: str | int
-    n: int
     q_diag: np.ndarray
+    n: int = field(init=False)
     d: float = field(init=False)
     # the weights `block_gram` built for this irrep, kept here so that they
     # live exactly as long as the irrep (and its dual) does; they hold no
@@ -45,12 +44,10 @@ class IrrepData:
         q = np.asarray(self.q_diag, dtype=float)
         q.flags.writeable = False
         object.__setattr__(self, "q_diag", q)
-        if self.n < 1:
-            raise DualValidationError(f"irrep {self.label!r}: n must be >= 1, got {self.n}")
-        if q.shape != (self.n,):
-            raise DualValidationError(
-                f"irrep {self.label!r}: q_diag has shape {q.shape}, expected ({self.n},)"
-            )
+        if q.ndim != 1 or q.size < 1:
+            raise DualValidationError(f"irrep {self.label!r}: q_diag has shape {q.shape}, "
+                                      "expected a non-empty vector")
+        object.__setattr__(self, "n", q.size)
         if not np.all(q > 0):
             raise DualValidationError(f"irrep {self.label!r}: q_diag entries must be > 0")
         if not np.all(np.isfinite(q)):
@@ -136,25 +133,20 @@ class DualDescriptor:
         except KeyError:
             raise KeyError(f"dual {self.name!r} has no irrep labeled {label!r}") from None
 
-    def __contains__(self, label) -> bool:
-        return label in self._index
-
     def labels(self) -> list:
         return [ir.label for ir in self.irreps]
 
 
 def make_trivial_dual() -> DualDescriptor:
     """The one-irrep dual: a single trivial representation."""
-    return DualDescriptor("trivial", (IrrepData(label=0, n=1, q_diag=np.ones(1)),))
+    return DualDescriptor("trivial", (IrrepData(label=0, q_diag=np.ones(1)),))
 
 
 def make_su2_dual(kmax: int) -> DualDescriptor:
     """Classical rank-one dual truncated at level `kmax`: n_k = k+1, Q = I."""
     if kmax < 0:
         raise DualValidationError(f"kmax must be >= 0, got {kmax}")
-    irreps = tuple(
-        IrrepData(label=k, n=k + 1, q_diag=np.ones(k + 1)) for k in range(kmax + 1)
-    )
+    irreps = tuple(IrrepData(label=k, q_diag=np.ones(k + 1)) for k in range(kmax + 1))
     return DualDescriptor(f"su2(kmax={kmax})", irreps)
 
 
@@ -172,7 +164,7 @@ def make_suq2_dual(q: float, kmax: int) -> DualDescriptor:
     irreps = []
     for k in range(kmax + 1):
         exponents = k - 2 * np.arange(k + 1)
-        irreps.append(IrrepData(label=k, n=k + 1, q_diag=np.power(q, exponents.astype(float))))
+        irreps.append(IrrepData(label=k, q_diag=np.power(q, exponents.astype(float))))
     return DualDescriptor(f"suq2(q={q!r},kmax={kmax})", tuple(irreps))
 
 
@@ -196,7 +188,5 @@ def onplus_dims(N: int, kmax: int) -> list[int]:
 def make_onplus_dual(N: int, kmax: int) -> DualDescriptor:
     """Free orthogonal dual at parameter N >= 2 (Kac: Q = I, d = n)."""
     dims = onplus_dims(N, kmax)
-    irreps = tuple(
-        IrrepData(label=k, n=nk, q_diag=np.ones(nk)) for k, nk in enumerate(dims)
-    )
+    irreps = tuple(IrrepData(label=k, q_diag=np.ones(nk)) for k, nk in enumerate(dims))
     return DualDescriptor(f"onplus(N={N},kmax={kmax})", irreps)

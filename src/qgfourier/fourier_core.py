@@ -55,9 +55,6 @@ class FourierCoeffs:
     def __post_init__(self):
         object.__setattr__(self, "support", _checked_blocks(self.dual, self.support, "coefficient"))
 
-    def __getitem__(self, label) -> np.ndarray:
-        return self.support[label]
-
     def labels(self) -> list:
         return list(self.support.keys())
 

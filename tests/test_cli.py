@@ -545,6 +545,14 @@ def test_gaussian_norms_small(capsys):
             assert 1.2 <= rec["mean"] <= 2.6
 
 
+@pytest.mark.parametrize("nmax, sizes", [(1, [1]), (3, [1, 2]), (5, [1, 2, 4])])
+def test_gaussian_norms_sizes_are_the_powers_of_two_up_to_nmax(nmax, sizes, capsys):
+    code, doc = execute(["gaussian-norms", "--seed", "1", "--nmax", str(nmax), "--trials", "2"])
+    capsys.readouterr()
+    assert code in (0, 1)  # two trials may miss a window; only the sizes are read
+    assert [rec["n"] for rec in doc["records"]] == sizes
+
+
 def test_build_dual_forms():
     assert build_dual("trivial", 0.5, 3).name == "trivial"
     assert build_dual("z8", 0.5, 3).name == "z8"

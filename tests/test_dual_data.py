@@ -80,7 +80,7 @@ def test_suq2_refuses_an_infinite_quantum_dimension():
                          ids=["inf", "nan", "sum-overflows"])
 def test_irrep_refuses_non_finite_data(q_diag):
     with np.errstate(over="ignore"), pytest.raises(DualValidationError):
-        IrrepData(label=1, n=2, q_diag=np.array(q_diag))
+        IrrepData(label=1, q_diag=np.array(q_diag))
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,17 +155,24 @@ def test_trace_identity_all_builtins(dual):
 
 def test_irrep_validation_errors():
     with pytest.raises(DualValidationError):
-        IrrepData(label=0, n=0, q_diag=np.array([]))
+        IrrepData(label=0, q_diag=np.array([]))
     with pytest.raises(DualValidationError):
-        IrrepData(label=0, n=2, q_diag=np.array([1.0, -1.0]))
+        IrrepData(label=0, q_diag=np.array([1.0, -1.0]))
     with pytest.raises(DualValidationError):
-        IrrepData(label=0, n=2, q_diag=np.array([2.0, 3.0]))  # trace identity fails
+        IrrepData(label=0, q_diag=np.array([2.0, 3.0]))  # trace identity fails
+    with pytest.raises(DualValidationError, match="shape"):
+        IrrepData(label=0, q_diag=np.ones((2, 2)))  # a matrix, not a diagonal
+
+
+def test_irrep_dimension_is_read_off_q_diag():
+    assert IrrepData(label=0, q_diag=np.ones(3)).n == 3
+    assert make_suq2_dual(0.5, 4).irrep(4).n == 5
 
 
 def test_dual_validation_errors():
-    trivial = IrrepData(label="e", n=1, q_diag=np.ones(1))
-    other = IrrepData(label="e", n=2, q_diag=np.ones(2))
+    trivial = IrrepData(label="e", q_diag=np.ones(1))
+    other = IrrepData(label="e", q_diag=np.ones(2))
     with pytest.raises(DualValidationError):
         DualDescriptor("dup", (trivial, other))
     with pytest.raises(DualValidationError):
-        DualDescriptor("notrivial", (IrrepData(label="x", n=2, q_diag=np.ones(2)),))
+        DualDescriptor("notrivial", (IrrepData(label="x", q_diag=np.ones(2)),))

@@ -87,7 +87,7 @@ class TestNorms:
         for label in dual.labels():
             irrep = dual.irrep(label)
             q = np.diag(irrep.q_diag)
-            x, y = f[label], g[label]
+            x, y = f.support[label], g.support[label]
             ell2_sq_f += irrep.d * np.trace(q @ x.conj().T @ x).real
             ell2_sq_g += irrep.d * np.trace(q @ y.conj().T @ y).real
             ell1_f += irrep.d * np.sum(np.linalg.svd(x @ q, compute_uv=False))
