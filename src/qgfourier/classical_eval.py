@@ -32,7 +32,7 @@ import numpy as np
 
 from .dual_data import DualDescriptor, IrrepData
 from .fourier_core import FourierCoeffs, ell2_norm
-from .random_series import MeanAccumulator, RngSeed, haar_unitary_stack, iter_chunks
+from .random_series import RngSeed, haar_unitary_stack, sample_max, sample_mean
 
 GROUP_TOL = 1e-12          # exact-group checks
 SCHUR_QUAD_TOL = 1e-8      # orthogonality reproduction threshold for quadrature
@@ -536,9 +536,10 @@ class GaussianL1:
     predicted: float
 
 
-def _series_l1(haar: HaarRule, f: FourierCoeffs, trials: int, seed: RngSeed, draw):
-    """Per chunk of trials, the L1 norms of sum_pi s_pi tr(X_pi f_pi pi(g)), where
-    `draw(rng, n)` gives (s, a stack of MC_CHUNK random n x n matrices X).
+def _series_l1(haar: HaarRule, f: FourierCoeffs, draw):
+    """The chunk draw `l1(rng, take)` of the L1 norms of `take` series
+    sum_pi s_pi tr(X_pi f_pi pi(g)), where `draw(rng, n)` gives (s, a stack of
+    MC_CHUNK random n x n matrices X) of which the first `take` are used.
 
     tr(X f pi(g)) = sum_{m,i} (X f)^T_{mi} pi(g)_{mi}: per label, X f for the
     chunk as one (take n, n) @ (n, n) product, then one product of its
@@ -547,8 +548,8 @@ def _series_l1(haar: HaarRule, f: FourierCoeffs, trials: int, seed: RngSeed, dra
     """
     stacks = {label: haar.irrep_stack(label).reshape(len(haar.weights), -1)
               for label in f.support}
-    for index, take in iter_chunks(trials, MC_CHUNK):
-        rng = seed.chunk_generator(index)
+
+    def l1(rng: np.random.Generator, take: int) -> np.ndarray:
         vals = np.zeros((take, len(haar.weights)), dtype=complex)
         for label, m in f.support.items():
             n = m.shape[0]
@@ -556,7 +557,8 @@ def _series_l1(haar: HaarRule, f: FourierCoeffs, trials: int, seed: RngSeed, dra
             xm = (x[:take].reshape(take * n, n) @ m).reshape(take, n, n)
             xm_t = np.swapaxes(xm, 1, 2).reshape(take, -1)
             vals += scale * (xm_t @ stacks[label].T)
-        yield np.abs(vals) @ haar.weights
+        return np.abs(vals) @ haar.weights
+    return l1
 
 
 def gaussian_series_l1_mean(
@@ -569,17 +571,11 @@ def gaussian_series_l1_mean(
     coefficient energy root is exact whenever the randomized series is a real
     Gaussian at every group point (real coefficient data in a real-matrix
     realization, or supports whose characters share a common phase pointwise).
+    An empty family has every L1 norm 0, so mean and stderr 0.
     """
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials}")
     predicted = float(np.sqrt(2.0 / np.pi) * np.sqrt(hilbert_schmidt_sq(f)))
-    if not f.support:
-        return GaussianL1(mean=0.0, stderr=0.0, predicted=predicted)
-    acc = MeanAccumulator()
-    for l1 in _series_l1(haar, f, trials, seed,
-                         lambda rng, n: (np.sqrt(n), rng.standard_normal((MC_CHUNK, n, n)))):
-        acc.add(l1)
-    mean, stderr = acc.mean_stderr()
+    mean, stderr = sample_mean(trials, MC_CHUNK, seed, _series_l1(
+        haar, f, lambda rng, n: (np.sqrt(n), rng.standard_normal((MC_CHUNK, n, n)))))
     return GaussianL1(mean=mean, stderr=stderr, predicted=predicted)
 
 
@@ -691,20 +687,14 @@ def cotype2_ratio(
     """E ||sum_j g_j x_j||_{L1} / (sum_j ||x_j||_{L1}^2)^{1/2} against a Haar rule."""
     if not xs:
         raise ValueError("need at least one coefficient family")
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials}")
     values = np.stack([haar.coeff_values(x) for x in xs])  # (J, nodes)
     weights = haar.weights
     l1s = np.abs(values) @ weights
     denom = float(np.sqrt(np.sum(l1s * l1s)))
     if denom == 0.0:
         raise ValueError("all families are zero; the ratio is undefined")
-    j = len(xs)
-    acc = MeanAccumulator()
-    for index, take in iter_chunks(trials, MC_CHUNK):
-        g = seed.chunk_generator(index).standard_normal((MC_CHUNK, j))[:take]
-        acc.add(np.abs(g @ values) @ weights)
-    mean, stderr = acc.mean_stderr()
+    mean, stderr = sample_mean(trials, MC_CHUNK, seed, lambda rng, take: np.abs(
+        rng.standard_normal((MC_CHUNK, len(xs)))[:take] @ values) @ weights)
     return CotypeRatio(ratio=mean / denom, stderr=stderr / denom)
 
 
@@ -718,17 +708,14 @@ class L1Report:
 def randomized_l1_report(
     haar: HaarRule, f: FourierCoeffs, num_unitaries: int, seed: RngSeed
 ) -> L1Report:
-    """Sup over sampled unitary randomizers of ||f_U||_{L1}, with the ell2 norm.
+    """Sup over `num_unitaries` >= 1 sampled unitary randomizers of ||f_U||_{L1},
+    with the ell2 norm.
 
     No inequality between the two is asserted; the pair is reported for
     stability checks.
     """
     ell2 = ell2_norm(f)
-    if not f.support or num_unitaries < 1:
-        return L1Report(sup_l1_over_u=0.0, ell2=ell2, ratio=0.0)
-    best = 0.0
-    for l1 in _series_l1(haar, f, num_unitaries, seed,
-                         lambda rng, n: (n, haar_unitary_stack(n, MC_CHUNK, rng))):
-        best = float(np.maximum(best, np.max(l1)))  # a NaN value is kept
+    best = sample_max(num_unitaries, MC_CHUNK, seed, _series_l1(
+        haar, f, lambda rng, n: (n, haar_unitary_stack(n, MC_CHUNK, rng))))
     ratio = best / ell2 if ell2 > 0 else 0.0
     return L1Report(sup_l1_over_u=best, ell2=ell2, ratio=ratio)

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual_data import DualDescriptor, IrrepData, block_gram
-from .fourier_core import FourierCoeffs, _require_same_dual, ell2_norm
-from .random_series import FamilyError, RngSeed, haar_unitary_stack, iter_chunks, matrices_per_chunk
+from .fourier_core import FourierCoeffs, ell2_norm
+from .random_series import (RngSeed, _require_family, haar_unitary_stack, matrices_per_chunk,
+                            sample_max)
 
 
 def multiplier_block_norm(b, irrep: IrrepData) -> float:
@@ -57,10 +58,7 @@ def haar_state_pairing_check(f: FourierCoeffs, family: FourierCoeffs) -> Pairing
     deviation is floating-point noise only.  A label of f missing from `family`
     raises FamilyError, since both routes would read it as zero and agree.
     """
-    _require_same_dual(f, family)
-    missing = [label for label in f.support if label not in family.support]
-    if missing:
-        raise FamilyError(f"family has no entry for labels {missing!r}")
+    _require_family(f, family)
     lhs = 0j
     rhs = 0j
     for label, x in f.support.items():
@@ -86,7 +84,7 @@ class TraceDuality:
 def trace_norm_duality(a, trials: int, seed: RngSeed) -> TraceDuality:
     """Trace norm of A three ways: singular values, the aligned unitary
     Re tr(U0 A) with U0 = V U^* from the SVD A = U S V^*, and the best of
-    `trials` Haar unitaries.  The random supremum can never exceed tr|A|.
+    `trials` >= 1 Haar unitaries.  The random supremum can never exceed tr|A|.
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[0]
@@ -94,12 +92,9 @@ def trace_norm_duality(a, trials: int, seed: RngSeed) -> TraceDuality:
     exact = float(np.sum(s))
     u0 = vh.conj().T @ u.conj().T  # full SVD factors cover rank-deficient A
     aligned = float(np.trace(u0 @ a).real)
-    best = -np.inf
     chunk = matrices_per_chunk(n)
-    for index, take in iter_chunks(trials, chunk):
-        w = haar_unitary_stack(n, chunk, seed.chunk_generator(index))[:take]
-        vals = np.einsum("tij,ji->t", w, a).real
-        best = float(np.maximum(best, np.max(vals)))  # a NaN value is kept
+    best = sample_max(trials, chunk, seed, lambda rng, take: np.einsum(
+        "tij,ji->t", haar_unitary_stack(n, chunk, rng)[:take], a).real)
     return TraceDuality(exact=exact, aligned=aligned, random_sup=best)
 
 

@@ -1,11 +1,12 @@
 """Random matrix ensembles and randomized coefficient families.
 
 Sampling is reproducible: every stochastic routine is keyed by a
-(`seed`, `stream`) pair, and Monte Carlo drivers consume randomness in
-fixed-size chunks with one child generator per chunk.  Chunking makes the
-draw sequence a stable prefix in the trial count (so suprema are monotone
-under nested seeds) and leaves the reduction order fixed, so results do not
-depend on how chunks would be scheduled.
+(`seed`, `stream`) pair.  Every Monte Carlo driver of the package draws its
+trials through one loop, `_chunks`, reduced by `sample_mean` or
+`sample_max`: fixed-size chunks, one child generator per chunk, reduced in
+chunk order.  So the draw sequence is a stable prefix in the trial count
+(suprema are monotone under nested seeds), results do not depend on how
+chunks would be scheduled, and too few trials are refused before any draw.
 """
 
 from __future__ import annotations
@@ -64,36 +65,43 @@ def bidiagonals_per_chunk(n: int) -> int:
     return max(1, min(1024, 1_048_576 // max(1, n)))
 
 
-def iter_chunks(total: int, chunk: int):
-    """Yield (chunk_index, count) pairs covering `total` in fixed order."""
-    index = 0
-    done = 0
-    while done < total:
-        take = min(chunk, total - done)
-        yield index, take
-        index += 1
-        done += take
+def _chunks(trials: int, chunk: int, seed: RngSeed, draw, least: int):
+    """The values `draw(rng, take)` of each chunk of `trials`, in order: chunk
+    i has `seed.chunk_generator(i)` and `take` = min(chunk, trials left).
+    Fewer than `least` trials raise ValueError before any draw.
+
+    Contract.  A draw reads its own generator only, and a short chunk's values
+    are a prefix of a full chunk's (the draw takes a full chunk and slices it,
+    or its sampler draws a prefix), so the values for fewer trials are a
+    prefix of those for more.
+    """
+    if trials < least:
+        raise ValueError(f"trials must be >= {least}, got {trials}")
+    return (draw(seed.chunk_generator(index), min(chunk, trials - start))
+            for index, start in enumerate(range(0, trials, chunk)))
 
 
-class MeanAccumulator:
-    """Sum and sum of squares of Monte Carlo values, added chunk by chunk in a
-    fixed order; gives the sample mean and its standard error."""
+def sample_mean(trials: int, chunk: int, seed: RngSeed, draw) -> tuple[float, float]:
+    """Sample mean and standard error of the `_chunks` values, from their sum
+    and sum of squares added chunk by chunk in order; at least 2 trials."""
+    count = 0
+    total = 0.0
+    total_sq = 0.0
+    for values in _chunks(trials, chunk, seed, draw, 2):
+        count += len(values)
+        total += float(np.sum(values))
+        total_sq += float(np.sum(values * values))
+    mean = total / count
+    var = float(np.maximum(0.0, (total_sq - count * mean * mean) / (count - 1)))  # NaN stays NaN
+    return mean, float(np.sqrt(var / count))
 
-    def __init__(self):
-        self.count = 0
-        self.total = 0.0
-        self.total_sq = 0.0
 
-    def add(self, values: np.ndarray):
-        self.count += len(values)
-        self.total += float(np.sum(values))
-        self.total_sq += float(np.sum(values * values))
-
-    def mean_stderr(self) -> tuple[float, float]:
-        n = self.count
-        mean = self.total / n
-        var = float(np.maximum(0.0, (self.total_sq - n * mean * mean) / (n - 1)))  # NaN stays NaN
-        return mean, float(np.sqrt(var / n))
+def sample_max(trials: int, chunk: int, seed: RngSeed, draw) -> float:
+    """Largest of the `_chunks` values, a NaN value kept; at least 1 trial."""
+    best = -np.inf
+    for values in _chunks(trials, chunk, seed, draw, 1):
+        best = float(np.maximum(best, np.max(values)))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -387,17 +395,12 @@ def expected_operator_norm(n: int, trials: int, seed: RngSeed) -> NormEstimate:
     the tests hold it to 1e-13 of the dense SVD of B.  A bracket that does not
     close, from a NaN or inf draw, gives a NaN norm and a NaN mean.
 
-    Chunks hold `bidiagonals_per_chunk(n)` samples with one child generator
-    each; a short last chunk draws a prefix of a full one, and each norm
-    depends on its own sample only, so the estimate is prefix-stable in
-    `trials`.  No n x n matrix, Gram product, eigvalsh or SVD is formed.
+    Chunks hold `bidiagonals_per_chunk(n)` samples.  No n x n matrix, Gram
+    product, eigvalsh or SVD is formed.
     """
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials}")
-    acc = MeanAccumulator()
-    for index, take in iter_chunks(trials, bidiagonals_per_chunk(n)):
-        acc.add(bidiagonal_norms(gaussian_bidiagonal_stack(n, take, seed.chunk_generator(index))))
-    mean, stderr = acc.mean_stderr()
+    mean, stderr = sample_mean(
+        trials, bidiagonals_per_chunk(n), seed,
+        lambda rng, take: bidiagonal_norms(gaussian_bidiagonal_stack(n, take, rng)))
     return NormEstimate(mean=mean, stderr=stderr, trials=trials)
 
 
@@ -472,12 +475,18 @@ def coefficient_traces(dual: DualDescriptor, families: int, rng: np.random.Gener
 # randomization
 # ---------------------------------------------------------------------------
 
-def randomize(f: FourierCoeffs, family: FourierCoeffs) -> FourierCoeffs:
-    """Coefficient at alpha becomes U_alpha @ X_alpha; support unchanged."""
+def _require_family(f: FourierCoeffs, family: FourierCoeffs) -> None:
+    """`family` lies over f's dual (else DualMismatchError) and has an entry
+    at every label of f's support (else FamilyError)."""
     _require_same_dual(f, family)
     missing = [l for l in f.support if l not in family.support]
     if missing:
         raise FamilyError(f"family has no entry for labels {missing!r}")
+
+
+def randomize(f: FourierCoeffs, family: FourierCoeffs) -> FourierCoeffs:
+    """Coefficient at alpha becomes U_alpha @ X_alpha; support unchanged."""
+    _require_family(f, family)
     return FourierCoeffs(f.dual, {l: family.support[l] @ m for l, m in f.support.items()})
 
 

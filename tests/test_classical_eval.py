@@ -31,7 +31,7 @@ from qgfourier.classical_eval import (
     make_su2_quadrature,
 )
 from qgfourier.cli import execute
-from qgfourier.random_series import haar_unitary_stack, iter_chunks
+from qgfourier.random_series import _chunks, haar_unitary_stack
 
 
 SU2_INPUT_TOL = 1e-10  # special-unitarity tolerance on the reference's inputs
@@ -874,28 +874,33 @@ class TestCotype:
             cotype2_ratio(s3_table, [zero, zero], 100, RngSeed(229))
 
 
-def einsum_series_l1(haar, f, trials, seed, draw):
-    """Reference for `_series_l1`: one three-operand einsum per label and chunk."""
-    for index, take in iter_chunks(trials, MC_CHUNK):
-        rng = seed.chunk_generator(index)
+def einsum_series_l1(haar, f, draw):
+    """Reference chunk draw for `_series_l1`: one three-operand einsum per label."""
+    def l1(rng, take):
         vals = np.zeros((take, len(haar.weights)), dtype=complex)
         for label, m in f.support.items():
             scale, x = draw(rng, m.shape[0])
             vals += scale * np.einsum("tij,jm,gmi->tg", x[:take], m, haar.irrep_stack(label))
-        yield np.abs(vals) @ haar.weights
+        return np.abs(vals) @ haar.weights
+    return l1
 
 
-def stacked_series_l1(haar, f, trials, seed, draw):
-    """Reference for `_series_l1`: X f as a stack of `take` n x n products."""
-    for index, take in iter_chunks(trials, MC_CHUNK):
-        rng = seed.chunk_generator(index)
+def stacked_series_l1(haar, f, draw):
+    """Reference chunk draw for `_series_l1`: X f as a stack of `take` n x n products."""
+    def l1(rng, take):
         vals = np.zeros((take, len(haar.weights)), dtype=complex)
         for label, m in f.support.items():
             scale, x = draw(rng, m.shape[0])
             stack = haar.irrep_stack(label)
             xm_t = np.swapaxes(x[:take] @ m, 1, 2).reshape(take, -1)
             vals += scale * (xm_t @ stack.reshape(len(stack), -1).T)
-        yield np.abs(vals) @ haar.weights
+        return np.abs(vals) @ haar.weights
+    return l1
+
+
+def series_l1_chunks(series, haar, f, trials, seed, draw):
+    """The L1 norms of each chunk of `trials`, drawn by `series(haar, f, draw)`."""
+    return list(_chunks(trials, MC_CHUNK, seed, series(haar, f, draw), 1))
 
 
 SERIES_DRAWS = {
@@ -916,8 +921,9 @@ def test_series_l1_agrees_with_einsum(rule, trials, draw, request):
     else:
         dual = haar.dual_descriptor()
     f = random_coeffs(dual, RngSeed(269).generator())
-    got = list(classical_eval._series_l1(haar, f, trials, RngSeed(271), SERIES_DRAWS[draw]))
-    ref = list(einsum_series_l1(haar, f, trials, RngSeed(271), SERIES_DRAWS[draw]))
+    got = series_l1_chunks(classical_eval._series_l1, haar, f, trials, RngSeed(271),
+                           SERIES_DRAWS[draw])
+    ref = series_l1_chunks(einsum_series_l1, haar, f, trials, RngSeed(271), SERIES_DRAWS[draw])
     assert [len(l1) for l1 in got] == [len(l1) for l1 in ref]
     np.testing.assert_allclose(np.concatenate(got), np.concatenate(ref), rtol=1e-13, atol=0)
 
@@ -946,8 +952,9 @@ def test_series_l1_equals_stacked_products(rule, trials, draw, request):
     else:
         dual = haar.dual_descriptor()
     f = random_coeffs(dual, RngSeed(277).generator())
-    got = list(classical_eval._series_l1(haar, f, trials, RngSeed(281), SERIES_DRAWS[draw]))
-    ref = list(stacked_series_l1(haar, f, trials, RngSeed(281), SERIES_DRAWS[draw]))
+    got = series_l1_chunks(classical_eval._series_l1, haar, f, trials, RngSeed(281),
+                           SERIES_DRAWS[draw])
+    ref = series_l1_chunks(stacked_series_l1, haar, f, trials, RngSeed(281), SERIES_DRAWS[draw])
     assert len(got) == len(ref)
     for l1, r in zip(got, ref):
         np.testing.assert_array_equal(l1, r)

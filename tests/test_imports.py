@@ -103,6 +103,29 @@ def test_every_public_name_is_read(path):
     assert unread_names(path, SOURCES) == []
 
 
+def chunk_seeders(sources: dict) -> list[str]:
+    """Package modules other than `random_series` whose code names
+    `chunk_generator`: a Monte Carlo driver draws its chunks through
+    `random_series._chunks`, not a seeding loop of its own."""
+    return [p for p in sorted(sources)
+            if p.startswith("src/") and not p.endswith("/random_series.py")
+            and "chunk_generator" in code_names(sources[p])]
+
+
+def test_detector_flags_a_hand_rolled_chunk_loop():
+    sources = {
+        "src/qgfourier/random_series.py": "def _chunks(seed):\n    return seed.chunk_generator(0)\n",
+        "src/qgfourier/a.py": "for i in range(3):\n    rng = seed.chunk_generator(i)\n",
+        "src/qgfourier/b.py": "# seed.chunk_generator(i)\nname = 'chunk_generator'\n",
+        "tests/test_a.py": "rng = seed.chunk_generator(0)\n",
+    }
+    assert chunk_seeders(sources) == ["src/qgfourier/a.py"]
+
+
+def test_only_random_series_seeds_chunks():
+    assert chunk_seeders(SOURCES) == []
+
+
 #: modules the CLI reaches only lazily: `leggauss` inside the quadrature build,
 #: `traceback` in `run_one`'s handler; scipy is a test extra
 LAZY_MODULES = ("numpy.polynomial", "traceback", "scipy")

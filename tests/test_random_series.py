@@ -14,10 +14,12 @@ from qgfourier import (
     FamilyError,
     FourierCoeffs,
     RngSeed,
+    cotype2_ratio,
     cyclic_group,
     ell2_norm,
     expected_operator_norm,
     four_unitary_decomposition,
+    gaussian_series_l1_mean,
     haar_family,
     identity_family,
     l2_invariance_check,
@@ -28,7 +30,9 @@ from qgfourier import (
     random_coeffs,
     randomize,
     randomize_ball,
+    randomized_l1_report,
     symmetric_group_s3,
+    trace_norm_duality,
 )
 from qgfourier import random_series
 from qgfourier.random_series import (
@@ -38,7 +42,6 @@ from qgfourier.random_series import (
     _TOL_ULPS,
     NORM_SLACK,
     UNITARY_TOL,
-    MeanAccumulator,
     _above_spectrum,
     _gram_schmidt,
     _newton_sweep,
@@ -48,8 +51,8 @@ from qgfourier.random_series import (
     gaussian_bidiagonal_stack,
     haar_unitary_stack,
     is_unitary,
-    iter_chunks,
     matrices_per_chunk,
+    sample_mean,
 )
 
 SUQ2 = make_suq2_dual(0.5, 5)
@@ -282,11 +285,8 @@ def svd_operator_norm(n, trials, seed):
     """Reference route: full singular spectrum of every sample, each chunk
     drawn at full size and sliced."""
     chunk = matrices_per_chunk(n)
-    acc = MeanAccumulator()
-    for index, take in iter_chunks(trials, chunk):
-        g = gaussian_matrix_stack(n, chunk, seed.chunk_generator(index))[:take]
-        acc.add(np.linalg.svd(g, compute_uv=False)[:, 0])
-    return acc.mean_stderr()
+    return sample_mean(trials, chunk, seed, lambda rng, take: np.linalg.svd(
+        gaussian_matrix_stack(n, chunk, rng)[:take], compute_uv=False)[:, 0])
 
 
 # Gram matrices are built a few at a time so that their stack stays small next
@@ -310,10 +310,8 @@ def gram_spectral_norms(g):
 def gram_operator_norm(n, trials, seed):
     """Dense reference route: n x n Gaussian samples, each chunk drawn only as
     far as it is used, normed by `gram_spectral_norms`."""
-    acc = MeanAccumulator()
-    for index, take in iter_chunks(trials, matrices_per_chunk(n)):
-        acc.add(gram_spectral_norms(gaussian_matrix_stack(n, take, seed.chunk_generator(index))))
-    return acc.mean_stderr()
+    return sample_mean(trials, matrices_per_chunk(n), seed,
+                       lambda rng, take: gram_spectral_norms(gaussian_matrix_stack(n, take, rng)))
 
 
 class TestGramRoute:
@@ -999,3 +997,26 @@ def test_unitary_flag_takes_the_svd_when_frobenius_cannot_decide():
     assert np.linalg.norm(defect) > UNITARY_TOL >= np.linalg.norm(defect, 2)
     dual = make_su2_dual(n - 1)
     assert is_unitary(FourierCoeffs(dual, {n - 1: m}))
+
+
+#: Each Monte Carlo driver with the fewest trials it takes, run on `t` trials
+#: of an s3 family f: the mean drivers need two for a standard error.
+ZERO_WORK = {
+    "expected_operator_norm": (2, lambda s3, f, t: expected_operator_norm(3, t, RngSeed(5))),
+    "gaussian_series_l1_mean": (2, lambda s3, f, t: gaussian_series_l1_mean(f, t, RngSeed(5), s3)),
+    "cotype2_ratio": (2, lambda s3, f, t: cotype2_ratio(s3, [f], t, RngSeed(5))),
+    "randomized_l1_report": (1, lambda s3, f, t: randomized_l1_report(s3, f, t, RngSeed(5))),
+    "trace_norm_duality": (1, lambda s3, f, t: trace_norm_duality(np.eye(2), t, RngSeed(5))),
+}
+
+
+@pytest.mark.parametrize("driver", ZERO_WORK)
+def test_too_few_trials_are_refused_before_any_draw(driver, s3_table, monkeypatch):
+    least, run = ZERO_WORK[driver]
+    f = random_coeffs(s3_table.dual_descriptor(), RngSeed(3).generator())
+    monkeypatch.setattr(RngSeed, "chunk_generator", raiser("RngSeed.chunk_generator"))
+    for trials in range(least):
+        with pytest.raises(ValueError, match=f"trials must be >= {least}, got {trials}"):
+            run(s3_table, f, trials)
+    monkeypatch.undo()
+    run(s3_table, f, least)
