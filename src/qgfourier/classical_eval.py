@@ -205,12 +205,15 @@ class FiniteGroupTable(HaarRule):
 
 
 def cyclic_group(n: int) -> FiniteGroupTable:
-    """The cyclic group of order n with its n characters."""
+    """The cyclic group of order n with its n characters.  Character j at g is
+    exp(2 pi i (j g mod n) / n): reduced first, the angle stays below 2 pi,
+    where exp rounds to a few ulps, so the homomorphism check holds at any n."""
     if n < 1:
         raise GroupTableError(f"order must be >= 1, got {n}")
-    mult = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+    g = np.arange(n)
+    mult = (g[:, None] + g[None, :]) % n
     irreps = tuple(
-        GroupIrrep(label=j, matrices=np.exp(2j * np.pi * j * np.arange(n) / n).reshape(n, 1, 1))
+        GroupIrrep(label=j, matrices=np.exp(2j * np.pi * (j * g % n) / n).reshape(n, 1, 1))
         for j in range(n)
     )
     return FiniteGroupTable(name=f"z{n}", mult=mult, irreps=irreps)

@@ -217,6 +217,14 @@ class TestFiniteGroups:
                 ir.matrices[:, 0, 0], [root ** (j * g) for g in range(4)], atol=1e-14
             )
 
+    def test_z344_builds(self):
+        # at j g near n^2, exp(2 pi i j g / n) rounds past the homomorphism
+        # tolerance from about n = 344 unless j g is reduced mod n first
+        z344 = cyclic_group(344)
+        assert z344.order == 344 and len(z344.irreps) == 344
+        np.testing.assert_allclose(z344.irrep(339).matrices[343, 0, 0],
+                                   np.exp(-2j * np.pi * 339 / 344), rtol=0, atol=1e-14)
+
     def test_trivial_group(self):
         z1 = cyclic_group(1)
         assert z1.order == 1 and len(z1.irreps) == 1
