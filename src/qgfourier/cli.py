@@ -40,6 +40,7 @@ from .dual_data import (
     make_su2_dual,
     make_suq2_dual,
     make_trivial_dual,
+    suq2_kmax_limit,
 )
 from .fourier_core import FourierCoeffs, convolve, ell2_norm, pairing, plancherel_gram_norm
 from .l2_operators import (
@@ -65,6 +66,7 @@ VOLATILE_KEYS = {"elapsed_ms", "content_hash"}
 
 #: Families whose coefficient traces corollary-suq2 draws and checks at once.
 FAMILY_CHUNK = 256
+CHAIN_QS = (0.3, 0.5, 0.9)  # the q at which corollary-suq2 checks its chain
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +269,18 @@ def run_randomize_l2(cfg, ctx):
              "tolerance": tol, "ok": max_rel <= tol and ident_dev == 0.0 and phase_rel <= 1e-12}]
 
 
+def _four_unitary_errors(group) -> tuple[float, float]:
+    """Reconstruction error and unitarity defect of one size's (matrix, scale) draws, split
+    as one stack; each defect V^* V - I is Hermitian: its 2-norm is its largest |eigenvalue|."""
+    mats, scales = zip(*group)
+    x = _contract(np.stack(mats), scales)
+    vs = four_unitary_decomposition(x)
+    eye = np.eye(x.shape[-1])
+    defects = [float(np.max(np.abs(np.linalg.eigvalsh(v.swapaxes(-1, -2).conj() @ v - eye))))
+               for v in vs]
+    return float(np.max(np.abs(sum(vs) / 2.0 - x))), _fold(max, *defects)
+
+
 def run_four_unitary(cfg, ctx):
     rng = _seed_for(cfg, "four-unitary").generator()
     tol = 1e-9
@@ -274,19 +288,9 @@ def run_four_unitary(cfg, ctx):
     for _ in range(cfg["trials"]):
         n = int(rng.integers(1, 17))
         draws.setdefault(n, []).append((_gaussian(rng, n), rng.uniform(0.0, 1.0)))
-    # each size is normalised and split as one stack; a maximum over the
-    # stacks does not depend on the order of the trials
-    max_rec = 0.0
-    max_unit = 0.0
-    for n, group in draws.items():
-        mats, scales = zip(*group)
-        x = _contract(np.stack(mats), scales)
-        vs = four_unitary_decomposition(x)
-        max_rec = _fold(max, max_rec, float(np.max(np.abs(sum(vs) / 2.0 - x))))
-        # each defect V^* V - I is Hermitian: its 2-norm is its largest |eigenvalue|
-        v = np.concatenate(vs)
-        defects = np.linalg.eigvalsh(v.swapaxes(-1, -2).conj() @ v - np.eye(n))
-        max_unit = _fold(max, max_unit, float(np.max(np.abs(defects))))
+    # one size at a time, its draws dropped once split; each value is per matrix
+    errors = [_four_unitary_errors(draws.pop(n)) for n in list(draws)]
+    max_rec, max_unit = (_fold(max, 0.0, *column) for column in zip(*errors))
     return [{"contractions": cfg["trials"], "max_dim": 16, "max_reconstruction_error": max_rec,
              "max_unitarity_defect": max_unit, "tolerance": tol,
              "ok": max_rec <= tol and max_unit <= tol}]
@@ -482,7 +486,7 @@ def run_corollary_suq2(cfg, ctx):
     rng = _seed_for(cfg, "corollary-suq2").generator()
     epsilons = (0.1, 0.5, 1.0)
     records = []
-    for q in (0.3, 0.5, 0.9):
+    for q in CHAIN_QS:
         dual = make_suq2_dual(q, cfg["kmax"])
         # the chain reads each block only through t_k, so the traces are drawn
         # from their law and no coefficient matrix is formed; the draws are
@@ -626,6 +630,11 @@ def resolve_config(name: str, args: argparse.Namespace, ctx: Context) -> dict:
         except MemoryError as exc:
             raise ValueError(f"argument --dual: {cfg['dual']} does not fit in memory "
                              f"({exc})") from None
+    if name == "corollary-suq2" or (cfg.get("dual") == "suq2" and name != "growth"):
+        q = min(CHAIN_QS) if name == "corollary-suq2" else cfg["q"]  # growth weights nothing
+        if cfg["kmax"] > suq2_kmax_limit(q):
+            raise ValueError(f"argument --kmax: {name} on suq2 at q={q!r} needs <= "
+                             f"{suq2_kmax_limit(q)}, its weights' float range, got {cfg['kmax']}")
     if name == "lemma35":
         if cfg["kmax"] < 1:  # its levels are drawn from 1..kmax
             raise ValueError(f"argument --kmax: lemma35 needs >= 1, got {cfg['kmax']}")

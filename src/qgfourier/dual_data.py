@@ -22,6 +22,9 @@ import numpy as np
 TRACE_TOL = 1e-12
 KAC_TOL = 1e-12
 
+#: Largest squared suq2 weight d_k q^{-k} accepted; 1.8e8 of range left for draws and sums.
+WEIGHT_SQ_LIMIT = 1e300
+
 
 class DualValidationError(ValueError):
     """Raised when irrep or dual data violates a structural invariant."""
@@ -166,6 +169,19 @@ def make_suq2_dual(q: float, kmax: int) -> DualDescriptor:
         exponents = k - 2 * np.arange(k + 1)
         irreps.append(IrrepData(label=k, q_diag=np.power(q, exponents.astype(float))))
     return DualDescriptor(f"suq2(q={q!r},kmax={kmax})", tuple(irreps))
+
+
+def suq2_kmax_limit(q: float) -> int:
+    """Largest kmax at which the routes weighting suq2 coefficients stay in float
+    range at `q`.  An entry x of level k is weighted by d_k q_i, at most
+    w_k = d_k q^{-k} = q^{-2k} (1 - q^{2k+2}) / (1 - q^2) < q^{-2k} / (1 - q^2):
+    `ell2_norm` and `pairing` add d_k q_i |x|^2, the corollary chain d_k t_k / n_k
+    with t_k = sum_i q_i gamma_i, and `plancherel_gram_norm` squares d_k q_i x.
+    So w_k^2 bounds every weight they form, and the limit is the largest k with
+    (q^{-2k} / (1 - q^2))^2 <= `WEIGHT_SQ_LIMIT`: 74, 143, 248 at q = 0.1, 0.3, 0.5."""
+    if not (0.0 < q < 1.0):
+        raise DualValidationError(f"q must lie in (0, 1), got {q}")
+    return int((np.log(WEIGHT_SQ_LIMIT) / 2 + np.log1p(-q * q)) / (-2.0 * np.log(q)))
 
 
 def onplus_dims(N: int, kmax: int) -> list[int]:

@@ -196,6 +196,7 @@ _TOL_ULPS = 4
 #: (sqrt(2) - 1) lo wide, and an ulp of lo is at least eps lo / 2.
 _MAX_PASSES = int(np.ceil(np.log2((np.sqrt(2.0) - 1.0) / (_TOL_ULPS * np.finfo(float).eps / 2))))
 _BRACKET_ROWS = 64  # rows per neighbour-pair sum of the bracket
+_DRAW_BLOCK = 64  # samples per chisquare call of `gaussian_bidiagonal_squares`
 
 #: Bisection passes swept before Newton's method pins each threshold, and the
 #: most Newton sweeps it may take.
@@ -203,20 +204,23 @@ _BISECT_FIRST = 11
 _NEWTON_SWEEPS = 12
 
 
-def gaussian_bidiagonal_stack(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """`count` bidiagonal models of G_n, one per row, each as its Golub-Kahan
-    off-diagonal (a_1, b_1, a_2, ..., b_{n-1}, a_n)/sqrt(n) with independent
-    a_i ~ chi_{n-i+1} and b_i ~ chi_{n-i}.
+def gaussian_bidiagonal_squares(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """`count` bidiagonal models of G_n, one per column of squares of its
+    Golub-Kahan off-diagonal (a_1, b_1, a_2, ..., b_{n-1}, a_n)/sqrt(n) with
+    independent a_i ~ chi_{n-i+1} and b_i ~ chi_{n-i}: the sweep's layout.
 
-    2n - 1 scalars per sample, drawn in row order, so a short draw is a prefix
-    of a long one.
+    Drawn in sample order, `_DRAW_BLOCK` samples at a time, each block divided
+    by n, rooted and squared into its columns: a short draw is a column prefix.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     dof = np.repeat(np.arange(n, 0, -1), 2)[1:]  # n, n-1, n-1, ..., 1, 1
-    e = rng.chisquare(dof, size=(count, 2 * n - 1))
-    e /= n
-    return np.sqrt(e, out=e)
+    e2 = np.empty((2 * n - 1, count))
+    for start in range(0, count, _DRAW_BLOCK):
+        e = rng.chisquare(dof, size=(min(_DRAW_BLOCK, count - start), 2 * n - 1))
+        e /= n
+        np.square(np.sqrt(e, out=e).T, out=e2[:, start:start + len(e)])
+    return e2
 
 
 def _above_spectrum(e2: np.ndarray, x: np.ndarray, pivmin: np.ndarray) -> np.ndarray:
@@ -317,22 +321,22 @@ def _newton_thresholds(e2, pivmin, below, above, todo):
     return below, above
 
 
-def bidiagonal_norms(e: np.ndarray) -> np.ndarray:
-    """Largest singular value of each upper-bidiagonal matrix in a stack, given
-    one per row as its Golub-Kahan off-diagonal (see `expected_operator_norm`).
+def bidiagonal_norms(e2: np.ndarray) -> np.ndarray:
+    """Largest singular value of each upper-bidiagonal matrix in a stack, given one
+    per column as the squares of its Golub-Kahan off-diagonal (see `expected_operator_norm`).
 
-    Each row is bisected on its own; a row that a NaN or inf entry keeps from
-    closing its bracket within `_MAX_PASSES` passes reads NaN.
+    Each column is bisected on its own; a column that a NaN or inf entry keeps
+    from closing its bracket within `_MAX_PASSES` passes reads NaN.
 
-    The first `_BISECT_FIRST` passes sweep every row; Newton sweeps then pin
-    each row's threshold between adjacent doubles (`_newton_thresholds`), and
+    The first `_BISECT_FIRST` passes sweep every column; Newton sweeps then pin
+    each column's threshold between adjacent doubles (`_newton_thresholds`), and
     the remaining passes are replayed by comparison with the tested points,
     sweeping only where a midpoint is still undecided.  The norms are those of
     plain bisection bit for bit.  A Gaussian stack takes 16 to 21 sweeps, a
     Newton sweep costing about two; no stack takes more than `_MAX_PASSES` +
     `_NEWTON_SWEEPS`.
     """
-    e2 = np.square(np.asarray(e, dtype=float).T, order="C")  # a row per position
+    e2 = np.asarray(e2, dtype=float)  # a row per position
     # Neighbour pairs are the rows and columns of B, the two end entries pairing
     # with a zero.  They are summed `_BRACKET_ROWS` rows at a time, so the
     # bracket needs no second array the size of the stack.
@@ -364,7 +368,7 @@ def expected_operator_norm(n: int, trials: int, seed: RngSeed) -> NormEstimate:
     and superdiagonal chi_{n-1}, ..., chi_1, all independent, and the same
     singular values (Silverstein 1985, Ann. Probab. 13; Dumitriu and Edelman
     2002, J. Math. Phys. 43).  So ||G_n|| has the law of ||B||/sqrt(n), drawn
-    with 2n - 1 chi variables (`gaussian_bidiagonal_stack`).
+    with 2n - 1 chi variables (`gaussian_bidiagonal_squares`).
 
     Norm.  The 2n x 2n tridiagonal T with zero diagonal and off-diagonal
     a_1, b_1, a_2, ..., a_n has the eigenvalues +/- sigma_i(B) (Golub and Kahan
@@ -395,12 +399,13 @@ def expected_operator_norm(n: int, trials: int, seed: RngSeed) -> NormEstimate:
     the tests hold it to 1e-13 of the dense SVD of B.  A bracket that does not
     close, from a NaN or inf draw, gives a NaN norm and a NaN mean.
 
-    Chunks hold `bidiagonals_per_chunk(n)` samples.  No n x n matrix, Gram
-    product, eigvalsh or SVD is formed.
+    Chunks hold `bidiagonals_per_chunk(n)` samples, in one (2n - 1, samples)
+    array of squares plus one block of `_DRAW_BLOCK` samples while it is
+    filled.  No n x n matrix, Gram product, eigvalsh or SVD is formed.
     """
     mean, stderr = sample_mean(
         trials, bidiagonals_per_chunk(n), seed,
-        lambda rng, take: bidiagonal_norms(gaussian_bidiagonal_stack(n, take, rng)))
+        lambda rng, take: bidiagonal_norms(gaussian_bidiagonal_squares(n, take, rng)))
     return NormEstimate(mean=mean, stderr=stderr, trials=trials)
 
 

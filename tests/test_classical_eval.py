@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -275,7 +274,7 @@ class TestFiniteGroups:
         with pytest.raises(GroupTableError, match="matrices shape"):
             GroupIrrep("bad", np.ones((6, 2, 3)))
 
-    def test_build_memory_is_a_few_square_arrays(self):
+    def test_build_memory_is_a_few_square_arrays(self, traced_peak):
         # with N = 128 and n = 1, the table keeps its N x N `mult` and N
         # characters of N values.  The Schur check holds the N x N coefficient
         # matrix Y, the operands numpy makes for Y^T conj(Y) and the Gram: four
@@ -283,12 +282,7 @@ class TestFiniteGroups:
         # covers the objects.  One N^3 table of int64 would be N / 2 = 64 of them.
         n = 128
         cyclic_group(2)  # numpy's lazy set-up outside the trace
-        tracemalloc.start()
-        try:
-            table = cyclic_group(n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        table, peak = traced_peak(lambda: cyclic_group(n))
         kept = table.mult.nbytes + sum(ir.matrices.nbytes for ir in table.irreps)
         assert peak <= kept + 5 * n * n * np.dtype(complex).itemsize
 
@@ -552,7 +546,7 @@ class TestEulerStacks:
         assert code == 0
         assert doc["content_hash"].startswith("36ce25e3634a266b")
 
-    def test_build_memory_is_the_arrays_it_keeps(self):
+    def test_build_memory_is_the_arrays_it_keeps(self, traced_peak):
         # the rule keeps its four arrays and the polar stacks.  The largest
         # transients are the ring tie's at level K = kmax_valid, in units of
         # one (R, P, K+1, K+1) complex ring.  While the entry formula runs at
@@ -564,12 +558,7 @@ class TestEulerStacks:
         # come to 3.5.  The build peaks at 4.25 rings; the stacks of levels
         # 0..6 alone would be 7 times the ring.
         make_su2_quadrature(10, 6)  # numpy's lazy set-up outside the trace
-        tracemalloc.start()
-        try:
-            quad = make_su2_quadrature(10, 6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        quad, peak = traced_peak(lambda: make_su2_quadrature(10, 6))
         kept = sum(a.nbytes for a in (quad.polar, quad.ring_weights, quad.phases, quad.weights))
         kept += sum(stack.nbytes for stack in quad._polar_stacks.values())
         n = quad.kmax_valid + 1
@@ -698,18 +687,15 @@ class TestValidityMeasurement:
             make_su2_quadrature()
         assert levels == [-1, -1]
 
-    def test_peak_memory_not_above_einsum_route(self, su2_quad):
+    def test_peak_memory_not_above_einsum_route(self, su2_quad, traced_peak):
         # the einsum route's stacks, made before tracing
         stacks = [su2_quad.irrep_stack(k) for k in range(7)]
         peaks = []
         for route in (classical_eval._measure_valid_kmax,
                       lambda quad, cap: einsum_valid_kmax(quad, cap, stacks=stacks)):
-            tracemalloc.start()
-            try:
-                assert route(su2_quad, 6) == 6
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            level, peak = traced_peak(lambda: route(su2_quad, 6))
+            assert level == 6
+            peaks.append(peak)
         assert peaks[0] <= peaks[1]
 
 

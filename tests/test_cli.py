@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +98,40 @@ def test_config_is_refused_before_any_run(argv, flag, builds_rule, monkeypatch, 
     assert f"error: {flag}" in capsys.readouterr().err
 
 
+SUQ2_FLOAT_RANGE = [
+    # the squared weight (d_k q^{-k})^2 passes 1e300 past these levels:
+    # plancherel exited 1 with an infinite deviation, pairing with NaN
+    # deviations after about 8 s, corollary-suq2 with non-finite q = 0.3 rows
+    (["plancherel", "--seed", "1", "--dual", "suq2", "--q", "0.1", "--kmax", "128",
+      "--families", "3"], 0.1, 74),
+    (["pairing", "--seed", "1", "--dual", "suq2", "--q", "0.3", "--kmax", "400",
+      "--families", "2"], 0.3, 143),
+    (["corollary-suq2", "--seed", "1", "--kmax", "400", "--families", "2"], 0.3, 143),
+]
+
+
+@pytest.mark.parametrize("argv, q, limit", SUQ2_FLOAT_RANGE,
+                         ids=[argv[0] for argv, _, _ in SUQ2_FLOAT_RANGE])
+def test_suq2_float_range_is_refused_before_any_draw(argv, q, limit, monkeypatch, capsys):
+    def no_draw(seed):
+        raise AssertionError("drew before the config was checked")
+
+    monkeypatch.setattr(cli.RngSeed, "generator", no_draw)
+    assert execute(argv) == (2, None)
+    assert (f"error: argument --kmax: {argv[0]} on suq2 at q={q} needs <= {limit},"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["plancherel", "--seed", "1", "--dual", "suq2", "--q", "0.1", "--kmax", "74", "--families", "3"],
+    ["corollary-suq2", "--seed", "1", "--kmax", "143", "--families", "2"],
+], ids=["plancherel", "corollary-suq2"])
+def test_suq2_runs_at_the_float_range_limit(argv, capsys):
+    code, doc = execute(argv)
+    capsys.readouterr()
+    assert code == 0 and doc["verdict"] == "pass"
+
+
 @pytest.mark.parametrize("extra, q", [(["--q", "0.3"], 0.3), ([], 0.5)], ids=["q0.3", "default"])
 def test_q_on_suq2_is_used(extra, q, capsys):
     code, doc = execute(["plancherel", "--seed", "1", "--dual", "suq2", "--families", "2"] + extra)
@@ -158,16 +191,11 @@ def test_infinite_quantum_dimension_is_usage_error(capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
-def test_corollary_suq2_holds_a_bounded_chunk_of_families():
+def test_corollary_suq2_holds_a_bounded_chunk_of_families(traced_peak):
     # 1000 families at kmax 60 are 15.1 MB of Gamma variates; drawn in chunks
     # of FAMILY_CHUNK families the peak stays the same at any family count
     cfg = {"seed": 1, "q": 0.5, "kmax": 60, "families": 1000}
-    tracemalloc.start()
-    try:
-        records = cli.run_corollary_suq2(cfg, cli.Context())
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    records, peak = traced_peak(lambda: cli.run_corollary_suq2(cfg, cli.Context()))
     assert all(rec["ok"] for rec in records)
     assert peak <= 8 * 2**20
 
@@ -203,13 +231,12 @@ def test_corollary_suq2_fails_closed_on_non_finite(lhs, rhs, monkeypatch, capsys
     assert [rec["ok"] for rec in doc["records"]] == [False] * 9
 
 
-def test_corollary_suq2_overflow_at_kmax_400_fails(capsys):
+def test_corollary_suq2_overflow_at_kmax_400_fails():
+    # `resolve_config` refuses this level (see SUQ2_FLOAT_RANGE); run anyway,
     # at q = 0.3 both sides of the chain pass 1e308 (rhs alone at eps = 1);
     # at q = 0.5 and 0.9 they stay finite
-    code, doc = execute(["corollary-suq2", "--seed", "1", "--kmax", "400", "--families", "2"])
-    capsys.readouterr()
-    assert code == 1 and doc["verdict"] == "fail"
-    records = doc["records"]
+    cfg = {"seed": 1, "q": 0.5, "kmax": 400, "families": 2}
+    records = cli.run_corollary_suq2(cfg, cli.Context())
     assert [rec["q"] for rec in records] == [0.3] * 3 + [0.5] * 3 + [0.9] * 3
     for rec in records[:3]:
         assert rec["ok"] is False
@@ -246,14 +273,39 @@ def test_tb_contraction_matches_per_case_loop(seed, families):
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_gaussian_norms_fails_closed_on_non_finite(bad, monkeypatch, capsys):
     def poisoned(n, count, rng):
-        return np.full((count, 2 * n - 1), bad)
+        return np.full((2 * n - 1, count), bad)
 
-    monkeypatch.setattr(random_series, "gaussian_bidiagonal_stack", poisoned)
+    monkeypatch.setattr(random_series, "gaussian_bidiagonal_squares", poisoned)
     code, doc = execute(["gaussian-norms", "--seed", "1", "--nmax", "2", "--trials", "10"])
     capsys.readouterr()
     assert code == 1
     assert doc["verdict"] == "fail"
     assert [rec["ok"] for rec in doc["records"]] == [False, False]
+
+
+def test_four_unitary_holds_one_size_at_a_time(traced_peak):
+    # The draws live until their size is split: their entries, and per draw
+    # an array object, a tuple and a float, under 256 bytes.  One size's split
+    # holds its stack, the contraction and what `four_unitary_decomposition`
+    # makes (x, the Hermitian parts, eigh's vectors, the four unitaries and
+    # their temporaries, 11 stacks at most), then one unitarity defect at a
+    # time: 13 stacks of the largest size.  Every size's stacks at once, or a
+    # concatenation of the four unitaries, reads about 18.
+    cfg = {"seed": 7, "trials": 1000}
+    cli.run_four_unitary({"seed": 7, "trials": 20}, cli.Context())  # numpy's lazy set-up
+    records, peak = traced_peak(lambda: cli.run_four_unitary(cfg, cli.Context()))
+    rng = cli._seed_for(cfg, "four-unitary").generator()
+    sizes = []
+    for _ in range(cfg["trials"]):  # the run's draws, in its order
+        sizes.append(int(rng.integers(1, 17)))
+        cli._gaussian(rng, sizes[-1])
+        rng.uniform(0.0, 1.0)
+    sizes = np.array(sizes)
+    item = np.dtype(complex).itemsize
+    draws = int(np.sum(sizes ** 2)) * item + 256 * cfg["trials"]
+    stack = max(int(np.sum(sizes == n)) * n * n * item for n in range(1, 17))
+    assert records[0]["ok"]
+    assert peak <= draws + 13 * stack
 
 
 def nan_like(value):

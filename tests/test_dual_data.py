@@ -14,7 +14,7 @@ from qgfourier import (
     make_trivial_dual,
     onplus_dims,
 )
-from qgfourier.dual_data import DualDescriptor
+from qgfourier.dual_data import WEIGHT_SQ_LIMIT, DualDescriptor, suq2_kmax_limit
 
 
 def test_trivial_dual():
@@ -74,6 +74,20 @@ def test_suq2_refuses_an_infinite_quantum_dimension():
     with np.errstate(over="ignore"), pytest.raises(DualValidationError, match="finite"):
         make_suq2_dual(0.3, 600)
     assert np.isfinite(make_suq2_dual(0.3, 589).irreps[-1].d)
+
+
+@pytest.mark.parametrize("q", [1e-3, 0.1, 0.3, 0.5, 0.9])
+def test_suq2_kmax_limit_is_the_last_level_in_range(q):
+    # the largest weight d_k q^{-k} of each level, from the dual's own data
+    k = suq2_kmax_limit(q)
+    weights = [irrep.d * irrep.q_diag.max() for irrep in make_suq2_dual(q, k + 1).irreps]
+    assert weights[k] ** 2 <= WEIGHT_SQ_LIMIT < weights[k + 1] ** 2
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, -0.5])
+def test_suq2_kmax_limit_domain(q):
+    with pytest.raises(DualValidationError):
+        suq2_kmax_limit(q)
 
 
 @pytest.mark.parametrize("q_diag", [[np.inf, 0.5], [np.nan, 1.0], [1e308, 1e308]],

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -37,6 +35,7 @@ from qgfourier import (
 from qgfourier import random_series
 from qgfourier.random_series import (
     _BRACKET_ROWS,
+    _DRAW_BLOCK,
     _MAX_PASSES,
     _NEWTON_SWEEPS,
     _TOL_ULPS,
@@ -48,7 +47,7 @@ from qgfourier.random_series import (
     bidiagonal_norms,
     bidiagonals_per_chunk,
     coefficient_traces,
-    gaussian_bidiagonal_stack,
+    gaussian_bidiagonal_squares,
     haar_unitary_stack,
     is_unitary,
     matrices_per_chunk,
@@ -347,15 +346,10 @@ class TestGramRoute:
         mean, _ = gram_operator_norm(17, 300, RngSeed(101))
         assert 1.2 <= mean <= 2.6
 
-    def test_peak_memory_is_one_chunk(self):
+    def test_peak_memory_is_one_chunk(self, traced_peak):
         n = 256
         chunk_bytes = matrices_per_chunk(n) * n * n * 8
-        tracemalloc.start()
-        try:
-            gram_operator_norm(n, 70, RngSeed(103))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: gram_operator_norm(n, 70, RngSeed(103)))
         assert peak <= chunk_bytes + 4 * 2**20
 
 
@@ -367,16 +361,29 @@ def golub_kahan(diag, sup):
     return e
 
 
+def sweep_rows(e):
+    """A stack of Golub-Kahan off-diagonals, one per row, in the layout of
+    `bidiagonal_norms`: their squares, one row per position."""
+    return np.square(np.asarray(e, dtype=float).T, order="C")
+
+
+def golub_kahan_stack(n, count, rng):
+    """Reference for `gaussian_bidiagonal_squares`, one sample per row: the
+    off-diagonals (a_1, b_1, ..., a_n)/sqrt(n) of `count` bidiagonal models
+    of G_n, from one chisquare call."""
+    dof = np.repeat(np.arange(n, 0, -1), 2)[1:]
+    return np.sqrt(rng.chisquare(dof, (count, 2 * n - 1)) / n)
+
+
 def dense_bidiagonal(e):
     """The n x n upper-bidiagonal matrix whose Golub-Kahan off-diagonal is `e`."""
     return np.diag(e[0::2]) + np.diag(e[1::2], 1)
 
 
-def bisection_norms(e):
+def bisection_norms(e2):
     """Reference: `bidiagonal_norms` by plain bisection, each of up to
-    `_MAX_PASSES` passes sweeping every row, from the same bracket to the same
-    stopping rule."""
-    e2 = np.square(np.asarray(e, dtype=float).T, order="C")
+    `_MAX_PASSES` passes sweeping every column, from the same bracket to the
+    same stopping rule."""
     lo2 = np.maximum(e2[0], e2[-1])
     hi = np.sqrt(lo2)
     for start in range(0, len(e2) - 1, _BRACKET_ROWS):
@@ -403,7 +410,7 @@ def bisection_norms(e):
 def sturm_inputs(e):
     """The squared off-diagonal rows and pivmin of a stack, as `bidiagonal_norms`
     hands them to its sweeps."""
-    e2 = np.square(np.asarray(e, dtype=float).T, order="C")
+    e2 = sweep_rows(e)
     return e2, np.finfo(float).tiny * np.maximum(1.0, e2.max(axis=0))
 
 
@@ -465,15 +472,26 @@ class TestBidiagonalRoute:
     def test_short_draw_is_prefix_of_full_chunk(self, n):
         chunk = bidiagonals_per_chunk(n)
         seed = RngSeed(83, 3)
-        full = gaussian_bidiagonal_stack(n, chunk, seed.chunk_generator(1))
-        short = gaussian_bidiagonal_stack(n, chunk // 3 + 1, seed.chunk_generator(1))
-        assert full.shape == (chunk, 2 * n - 1)
-        np.testing.assert_array_equal(short, full[:len(short)])
+        full = gaussian_bidiagonal_squares(n, chunk, seed.chunk_generator(1))
+        short = gaussian_bidiagonal_squares(n, chunk // 3 + 1, seed.chunk_generator(1))
+        assert full.shape == (2 * n - 1, chunk)
+        assert short.shape[1] % _DRAW_BLOCK
+        np.testing.assert_array_equal(short, full[:, :short.shape[1]])
+
+    @pytest.mark.parametrize("count", [1, _DRAW_BLOCK - 1, _DRAW_BLOCK + 1, 3 * _DRAW_BLOCK + 5])
+    @pytest.mark.parametrize("n", [1, 2, 17, 256])
+    def test_blocks_are_the_squares_of_one_draw(self, n, count):
+        a, b = RngSeed(269, n).generator(), RngSeed(269, n).generator()
+        e2 = gaussian_bidiagonal_squares(n, count, a)
+        reference = sweep_rows(golub_kahan_stack(n, count, b))
+        assert e2.shape == (2 * n - 1, count) and e2.flags.c_contiguous
+        assert np.array_equal(e2.view(np.int64), reference.view(np.int64))
+        assert next_draws_equal(a, b)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 256])
     def test_matches_dense_svd_and_tridiagonal_per_matrix(self, n):
-        e = gaussian_bidiagonal_stack(n, 25, RngSeed(89, n).generator())
-        norms = bidiagonal_norms(e)
+        e = golub_kahan_stack(n, 25, RngSeed(89, n).generator())
+        norms = bidiagonal_norms(sweep_rows(e))
         svd = np.array([np.linalg.svd(dense_bidiagonal(row), compute_uv=False)[0] for row in e])
         top = 2 * n - 1
         tridiagonal = np.array([
@@ -487,49 +505,49 @@ class TestBidiagonalRoute:
     def test_hand_built_matrices(self, diag, sup):
         e = golub_kahan(diag, sup)
         expected = np.linalg.svd(dense_bidiagonal(e), compute_uv=False)[0]
-        (norm,) = bidiagonal_norms(e[None, :])
+        (norm,) = bidiagonal_norms(sweep_rows(e[None, :]))
         assert norm == pytest.approx(expected, rel=1e-13, abs=0.0)
-        np.testing.assert_array_equal(norm, bisection_norms(e[None, :]))
+        np.testing.assert_array_equal(norm, bisection_norms(sweep_rows(e[None, :])))
 
     def test_zero_pivots_count_as_negative(self):
         # B = I_2 at x = 1: every other pivot of T - xI is exactly zero and the
         # next squared off-diagonal is zero, so a bare recurrence reads 0/0
-        e2 = np.square(golub_kahan([1.0, 1.0], [0.0]))[:, None]
+        e2 = sweep_rows(golub_kahan([1.0, 1.0], [0.0])[None, :])
         pivmin = np.array([np.finfo(float).tiny])
         assert _above_spectrum(e2, np.array([1.0]), pivmin).tolist() == [True]
         # diag(1, 2) at x = 1: the zero pivot is followed by a positive one
-        e2 = np.square(golub_kahan([1.0, 2.0], [0.0]))[:, None]
+        e2 = sweep_rows(golub_kahan([1.0, 2.0], [0.0])[None, :])
         assert _above_spectrum(e2, np.array([1.0]), pivmin).tolist() == [False]
         # B = 0 at x = 0: every pivot is zero
         e2 = np.zeros((5, 1))
         assert _above_spectrum(e2, np.array([0.0]), pivmin).tolist() == [True]
 
     def test_each_norm_depends_on_its_own_row(self):
-        e = gaussian_bidiagonal_stack(40, 60, RngSeed(113).generator())
-        norms = bidiagonal_norms(e)
-        np.testing.assert_array_equal(norms, bisection_norms(e))
-        np.testing.assert_array_equal(bidiagonal_norms(e[:7]), norms[:7])
-        np.testing.assert_array_equal(bidiagonal_norms(e[::-1]), norms[::-1])
-        np.testing.assert_array_equal(bidiagonal_norms(e[59:]), norms[59:])
-        np.testing.assert_array_equal(bidiagonal_norms(e[::-3]), norms[::-3])
+        e2 = gaussian_bidiagonal_squares(40, 60, RngSeed(113).generator())
+        norms = bidiagonal_norms(e2)
+        np.testing.assert_array_equal(norms, bisection_norms(e2))
+        np.testing.assert_array_equal(bidiagonal_norms(e2[:, :7]), norms[:7])
+        np.testing.assert_array_equal(bidiagonal_norms(e2[:, ::-1]), norms[::-1])
+        np.testing.assert_array_equal(bidiagonal_norms(e2[:, 59:]), norms[59:])
+        np.testing.assert_array_equal(bidiagonal_norms(e2[:, ::-3]), norms[::-3])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_row_reads_nan_alone(self, bad):
-        e = gaussian_bidiagonal_stack(16, 10, RngSeed(127).generator())
-        clean = bidiagonal_norms(e)
+        e = golub_kahan_stack(16, 10, RngSeed(127).generator())
+        clean = bidiagonal_norms(sweep_rows(e))
         e[3, 5] = bad
-        norms = bidiagonal_norms(e)
+        norms = bidiagonal_norms(sweep_rows(e))
         assert np.isnan(norms[3])
         np.testing.assert_array_equal(np.delete(norms, 3), np.delete(clean, 3))
         e[7, 0] = -bad
         e[9] = bad
-        np.testing.assert_array_equal(bidiagonal_norms(e), bisection_norms(e))
+        np.testing.assert_array_equal(bidiagonal_norms(sweep_rows(e)), bisection_norms(sweep_rows(e)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_draw_fails_closed(self, bad, monkeypatch):
         def poisoned(n, count, rng):
-            return np.full((count, 2 * n - 1), bad)
-        monkeypatch.setattr(random_series, "gaussian_bidiagonal_stack", poisoned)
+            return np.full((2 * n - 1, count), bad)
+        monkeypatch.setattr(random_series, "gaussian_bidiagonal_squares", poisoned)
         est = expected_operator_norm(8, 1500, RngSeed(131))
         assert np.isnan(est.mean) and np.isnan(est.stderr)
 
@@ -540,7 +558,7 @@ class TestBidiagonalRoute:
         passes = np.log2((np.sqrt(2.0) - 1.0) * lo / (4 * np.spacing(lo)))
         assert _MAX_PASSES == 50 and _MAX_PASSES - 1 < passes <= _MAX_PASSES
         c = lo / np.sqrt(2.0)
-        (norm,) = bidiagonal_norms(golub_kahan([c, c], [c])[None, :])
+        (norm,) = bidiagonal_norms(sweep_rows(golub_kahan([c, c], [c])[None, :]))
         assert norm == pytest.approx(c * (1.0 + np.sqrt(5.0)) / 2.0, rel=1e-15, abs=0.0)
 
     @settings(max_examples=150, deadline=None)
@@ -549,7 +567,7 @@ class TestBidiagonalRoute:
         # x <= y and above(x) imply above(y): on a grid over the bracket, and on
         # the 16 doubles on each side of the computed norm
         e = e * scale
-        (norm,) = bisection_norms(e[None, :])
+        (norm,) = bisection_norms(sweep_rows(e[None, :]))
         grid = np.linspace(0.0, 2.0 * norm, 101)
         near = [norm]
         for _ in range(16):
@@ -562,11 +580,11 @@ class TestBidiagonalRoute:
     @pytest.mark.parametrize("n", [1, 2, 17, 256])
     def test_newton_sweep_decides_as_the_sturm_test(self, n):
         # Gaussian rows, then the hand-built rows cut or repeated to this length
-        e = gaussian_bidiagonal_stack(n, 200, RngSeed(167, n).generator())
+        e = golub_kahan_stack(n, 200, RngSeed(167, n).generator())
         e = np.concatenate([e, *(np.resize(golub_kahan(d, s), (1, 2 * n - 1))
                                  for d, s in HAND_BUILT)])
         e2, pivmin = sturm_inputs(e)
-        norms = bisection_norms(e)
+        norms = bisection_norms(e2)
         spread = RngSeed(173, n).generator().uniform(0.5, 1.5, len(norms))
         for x in (norms * spread, norms, np.nextafter(norms, 0.0), np.nextafter(norms, np.inf),
                   np.zeros_like(norms)):
@@ -578,9 +596,9 @@ class TestBidiagonalRoute:
         # above the spectrum, G = p'/p = sum_i 1/(x - lambda_i) over the 2n
         # eigenvalues +/- sigma_i of the Golub-Kahan tridiagonal
         n = 17
-        e = gaussian_bidiagonal_stack(n, 20, RngSeed(179).generator())
-        x = 1.1 * bisection_norms(e)
+        e = golub_kahan_stack(n, 20, RngSeed(179).generator())
         e2, pivmin = sturm_inputs(e)
+        x = 1.1 * bisection_norms(e2)
         _, g = _newton_sweep(e2, x, pivmin)
         expected = [np.sum(1.0 / (xi - scipy.linalg.eigvalsh_tridiagonal(np.zeros(2 * n), row)))
                     for xi, row in zip(x, e)]
@@ -588,22 +606,22 @@ class TestBidiagonalRoute:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 256, 1024])
     def test_equals_bisection_on_seeded_stacks(self, n):
-        e = gaussian_bidiagonal_stack(n, 300, RngSeed(181, n).generator())
-        np.testing.assert_array_equal(bidiagonal_norms(e), bisection_norms(e))
+        e2 = gaussian_bidiagonal_squares(n, 300, RngSeed(181, n).generator())
+        np.testing.assert_array_equal(bidiagonal_norms(e2), bisection_norms(e2))
 
     @settings(max_examples=100, deadline=None)
     @given(rows=st.integers(1, 8).flatmap(lambda n: st.lists(
         st.tuples(golub_kahan_rows(n), st.sampled_from(SCALES)), min_size=1, max_size=6)))
     def test_equals_bisection_on_scaled_stacks_with_zeros(self, rows):
-        e = np.stack([r * scale for r, scale in rows])
-        np.testing.assert_array_equal(bidiagonal_norms(e), bisection_norms(e))
+        e2 = sweep_rows(np.stack([r * scale for r, scale in rows]))
+        np.testing.assert_array_equal(bidiagonal_norms(e2), bisection_norms(e2))
 
     @pytest.mark.parametrize("sweeps", [0, 1, 3])
     def test_capped_newton_phase_leaves_the_norms(self, sweeps, monkeypatch):
         # whatever Newton leaves open, the replay sweeps
-        e = gaussian_bidiagonal_stack(64, 200, RngSeed(197).generator())
+        e2 = gaussian_bidiagonal_squares(64, 200, RngSeed(197).generator())
         monkeypatch.setattr(random_series, "_NEWTON_SWEEPS", sweeps)
-        np.testing.assert_array_equal(bidiagonal_norms(e), bisection_norms(e))
+        np.testing.assert_array_equal(bidiagonal_norms(e2), bisection_norms(e2))
 
     @pytest.mark.parametrize("spoil", [np.nan, np.inf, 1e-30, 1e30], ids=["nan", "inf", "tiny", "huge"])
     def test_spoilt_newton_steps_leave_the_norms(self, spoil, monkeypatch):
@@ -612,28 +630,28 @@ class TestBidiagonalRoute:
         def spoilt(e2, x, pivmin):
             up, g = _newton_sweep(e2, x, pivmin)
             return up, g * spoil
-        e = gaussian_bidiagonal_stack(64, 200, RngSeed(199).generator())
+        e2 = gaussian_bidiagonal_squares(64, 200, RngSeed(199).generator())
         monkeypatch.setattr(random_series, "_newton_sweep", spoilt)
-        np.testing.assert_array_equal(bidiagonal_norms(e), bisection_norms(e))
+        np.testing.assert_array_equal(bidiagonal_norms(e2), bisection_norms(e2))
 
     @pytest.mark.parametrize("case", ["seeded-256", "widest", "nan-row"])
     def test_sweep_bound(self, case, monkeypatch):
         # about `_BISECT_FIRST` + 7 sweeps on a Gaussian stack; never more than
         # `_MAX_PASSES` + `_NEWTON_SWEEPS`
         if case == "seeded-256":
-            e, bound = gaussian_bidiagonal_stack(256, 1000, RngSeed(157).generator()), 20
+            e2, bound = gaussian_bidiagonal_squares(256, 1000, RngSeed(157).generator()), 20
         elif case == "widest":
             c = np.nextafter(2.0, 0.0) / np.sqrt(2.0)
-            e, bound = golub_kahan([c, c], [c])[None, :], _MAX_PASSES + _NEWTON_SWEEPS
+            e2, bound = sweep_rows(golub_kahan([c, c], [c])[None, :]), _MAX_PASSES + _NEWTON_SWEEPS
         else:
-            e = gaussian_bidiagonal_stack(16, 50, RngSeed(211).generator())
-            e[7, 3] = np.nan
+            e2 = gaussian_bidiagonal_squares(16, 50, RngSeed(211).generator())
+            e2[3, 7] = np.nan
             bound = _MAX_PASSES + _NEWTON_SWEEPS
-        expected = bisection_norms(e)
+        expected = bisection_norms(e2)
         counts = []
         monkeypatch.setattr(random_series, "_above_spectrum", counting(_above_spectrum, counts))
         monkeypatch.setattr(random_series, "_newton_sweep", counting(_newton_sweep, counts))
-        np.testing.assert_array_equal(bidiagonal_norms(e), expected)
+        np.testing.assert_array_equal(bidiagonal_norms(e2), expected)
         assert 0 < len(counts) <= bound
 
     @pytest.mark.parametrize("n", [2, 16, 64])
@@ -664,18 +682,21 @@ class TestBidiagonalRoute:
         expected_operator_norm(n, trials, RngSeed(151))
         assert sum(g.drawn for g in generators) == trials * (2 * n - 1)
 
-    def test_peak_memory_is_a_few_draws(self):
-        # the draw, its squares, and the bracket's sums over a block of
-        # `_BRACKET_ROWS` rows
+    def test_peak_memory_is_the_sweep_rows_and_one_block(self, traced_peak):
+        # One chunk of 1000 samples at n = 256: its (2n - 1, 1000) array of
+        # squares; one block of `_DRAW_BLOCK` samples while it is filled; the
+        # bracket's row group, the roots of `_BRACKET_ROWS` + 1 rows next to
+        # their neighbour sums or to the group before; and a few vectors of one
+        # value per sample for the sweeps.  A (1000, 2n - 1) draw beside its
+        # squares, as the sampler returned before, would be a second array.
         n, trials = 256, 1000
-        draw_bytes = trials * (2 * n + 1) * 8
-        tracemalloc.start()
-        try:
-            expected_operator_norm(n, trials, RngSeed(157))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * draw_bytes + 2**21
+        rows = (2 * n - 1) * trials * 8
+        block = _DRAW_BLOCK * (2 * n - 1) * 8
+        group = 2 * (_BRACKET_ROWS + 1) * trials * 8
+        vectors = 8 * trials * 8
+        expected_operator_norm(2, 2, RngSeed(157))  # numpy's lazy set-up outside the trace
+        _, peak = traced_peak(lambda: expected_operator_norm(n, trials, RngSeed(157)))
+        assert peak <= rows + block + group + vectors
 
 
 def matrix_route_traces(dual, families, rng):
