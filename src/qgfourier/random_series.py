@@ -205,9 +205,9 @@ _NEWTON_SWEEPS = 12
 
 
 def gaussian_bidiagonal_squares(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """`count` bidiagonal models of G_n, one per column of squares of its
-    Golub-Kahan off-diagonal (a_1, b_1, a_2, ..., b_{n-1}, a_n)/sqrt(n) with
-    independent a_i ~ chi_{n-i+1} and b_i ~ chi_{n-i}: the sweep's layout.
+    """`count` bidiagonal models of G_n in the sweep's layout: column j holds the
+    squares of sample j's Golub-Kahan off-diagonal (a_1, b_1, ..., b_{n-1}, a_n)
+    / sqrt(n), with independent a_i ~ chi_{n-i+1} and b_i ~ chi_{n-i}.
 
     Drawn in sample order, `_DRAW_BLOCK` samples at a time, each block divided
     by n, rooted and squared into its columns: a short draw is a column prefix.
