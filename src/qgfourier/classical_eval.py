@@ -10,13 +10,14 @@ checks:
   matrix coefficients; the group law and the coefficient-extraction round trip
   follow from these.
 * :class:`SU2Quadrature` -- a product rule for the 2x2 special unitary group
-  (Gauss-Legendre in the polar angle, uniform in the two phases) with the
-  degree of validity measured, not assumed: ``kmax_valid`` is the largest
-  irrep level whose orthogonality relations the rule reproduces to 1e-8.
-  Its irrep stacks and its validity Gram both come from the Euler-angle
-  structure of the grid: the entry formula runs at the polar angles only,
-  and the phase sums factor out.  The stacks are tied to the entry formula
-  when the rule is built.
+  (Gauss-Legendre in the polar angle, uniform in the two phases) whose
+  validity level ``kmax_valid``, up to which it reproduces the irrep
+  orthogonality relations, is derived from its sizes; the build checks the
+  two premises of that derivation on the rule's own angles and weights.  Its
+  irrep stacks come from the Euler-angle structure of the grid: the entry
+  formula runs at the polar angles only, and the phase factors are gathered
+  from one table.  The stacks are tied to the entry formula when the rule is
+  built.
 
 On top of these: values of coefficient families at the nodes, the
 Gaussian-randomized L1 mean, the coefficient row-norm bounds, character
@@ -35,7 +36,7 @@ from .fourier_core import FourierCoeffs, ell2_norm
 from .random_series import RngSeed, haar_unitary_stack, sample_max, sample_mean
 
 GROUP_TOL = 1e-12          # exact-group checks
-SCHUR_QUAD_TOL = 1e-8      # orthogonality reproduction threshold for quadrature
+SCHUR_QUAD_TOL = 1e-8      # the quadrature premises: polar moments and phase sums
 STACK_TIE_TOL = 1e-13      # assembled irrep stacks against the entry formula
 MC_CHUNK = 1024
 
@@ -325,7 +326,7 @@ def _check_level(k) -> int:
 
 @dataclass(eq=False)
 class SU2Quadrature(HaarRule):
-    """Product Haar rule with measured validity, stored as its Euler factors.
+    """Product Haar rule with a derived validity level, stored as its Euler factors.
 
     The nodes form a product grid: polar angles xi, then phases phi1, then
     phases phi2 (node index (r * P + p1) * P + p2 for P phases), the node being
@@ -408,17 +409,35 @@ def make_su2_quadrature(resolution: int = 10, validate_kmax: int = 6) -> SU2Quad
     turns the polar factor into a plain Legendre weight, so node (r, p1, p2)
     carries v_r / (2 P^2) for Legendre weight v_r and P phases.
 
-    The build measures `kmax_valid` on the R polar angles alone: every node is
-    D(alpha) g0(xi_r) D(beta), so the Gram of the irrep coefficients over the
-    R P^2 nodes is a sum over r of polar-angle products times two phase sums
-    S(m) = (1/P) sum_p e^{i m phi_p}, taken from the phases themselves (see
-    `_level_grams`).  That is exact because the rule stores one weight per
-    polar angle.  The build then ties the assembly of levels 0..`kmax_valid`
-    to the entry formula (`_check_stacks`) and makes `polar`, `ring_weights`,
+    Exactness level.  With R polar angles and P phases, the rule reproduces
+    the orthogonality relations of every level up to
+
+        K = min(2R - 1, ceil(P/2) - 1),
+
+    and `kmax_valid` is min(K, `validate_kmax`).  Entry (i, j) of
+    rho_k(g0(xi)) is a sum of cos^alpha xi sin^beta xi with alpha + beta = k
+    and beta = i - j + 2l, so beta = i - j (mod 2) (`_su2_entry_stack` at
+    g0(xi)).  A Gram entry conj(rho_k(g)_{ij}) rho_l(g)_{st} carries the
+    phase exponents a' - a and b' - b, with (a, b) = (k-i-j, j-i) and
+    (a', b') = (l-s-t, t-s) (`SU2Quadrature.irrep_stack`).
+    * Where both match, k - l = 2(i - s), and the sine powers add to
+      i - j + s - t = 2(i - j) modulo 2: both total powers are even, so the
+      polar factor is a polynomial in cos^2 xi = (1 + t)/2 and
+      sin^2 xi = (1 - t)/2 of degree (k + l)/2 <= K.  Gauss-Legendre with R
+      nodes integrates it exactly when K <= 2R - 1, and the phase sums are
+      S(0) = 1.
+    * Where one differs, its phase sum S(m) = (1/P) sum_p e^{i m phi_p} has
+      0 < |m| <= k + l <= 2K, and on P uniform phases it vanishes for
+      0 < |m| < P, that is when K <= ceil(P/2) - 1; Haar measure gives 0 too.
+    K is sharp where it was measured: at every R = 4..18 the coefficient Gram
+    first misses Schur orthogonality by more than SCHUR_QUAD_TOL at level K + 1.
+    The build checks both premises on the arrays the rule stores
+    (`_exact_level`), ties the assembly of levels 0..`kmax_valid` to the
+    entry formula (`_check_stacks`) and makes `polar`, `ring_weights`,
     `phases` and `weights` read-only, so what was checked here holds for the
-    rule's life.  It keeps the polar stacks the measurement made, and no full
-    irrep stack.  A non-finite polar angle or ring weight, a rule valid below
-    level 0, or an assembly off the formula raises ValueError.
+    rule's life.  It keeps the polar stacks the tie made, and no full irrep
+    stack.  A non-finite or perturbed angle or ring weight, or an assembly
+    off the formula, raises ValueError.
     """
     if resolution < 4:
         raise ValueError(f"resolution must be >= 4, got {resolution}")
@@ -428,24 +447,45 @@ def make_su2_quadrature(resolution: int = 10, validate_kmax: int = 6) -> SU2Quad
     n_phase = 2 * resolution + 8
     quad = SU2Quadrature(polar=0.5 * np.arccos(t), ring_weights=v / (2.0 * n_phase * n_phase),
                          phases=2.0 * np.pi * np.arange(n_phase) / n_phase, kmax_valid=-1)
-    # the measurement stops at the first failing level, and the ring tie at
-    # level 0 reads no angle, so a NaN here could leave a rule that reads NaN
-    for name in ("polar", "ring_weights"):
-        if not np.all(np.isfinite(getattr(quad, name))):
-            raise ValueError(f"quadrature {name} has a non-finite entry")
-    quad.kmax_valid = _measure_valid_kmax(quad, validate_kmax)
-    if quad.kmax_valid < 0:
-        raise ValueError("quadrature fails validation already at level 0")
+    quad.kmax_valid = _exact_level(quad, validate_kmax)
     _check_stacks(quad)
     for array in (quad.polar, quad.ring_weights, quad.phases, quad.weights):
         array.flags.writeable = False
     return quad
 
 
+def _exact_level(quad: SU2Quadrature, cap: int) -> int:
+    """min(2R - 1, ceil(P/2) - 1, cap), the level `make_su2_quadrature` derives,
+    after checking the two premises of its derivation on the rule's arrays.
+
+    Polar: sum_r v_r t_r^m = int_{-1}^{1} t^m dt for m <= 2R - 1, with
+    t_r = cos(2 `polar[r]`) and v_r = 2 P^2 `ring_weights[r]`.  Phases:
+    S(m) = (1/P) sum_p e^{i m phi_p} is 1 at m = 0 and 0 for 0 < m <= 2K, from
+    `phases` (S(-m) is conj(S(m))).  Each is off by at most SCHUR_QUAD_TOL or
+    raises ValueError; a NaN fails the comparison, so a non-finite angle or
+    weight is refused too.  Cost O(R^2 + P K).
+    """
+    n_polar, n_phase = len(quad.polar), len(quad.phases)
+    level = min(2 * n_polar - 1, (n_phase + 1) // 2 - 1, cap)
+    m = np.arange(2 * n_polar)
+    legendre_weights = 2.0 * n_phase * n_phase * quad.ring_weights
+    moments = np.cos(2.0 * quad.polar) ** m[:, None] @ legendre_weights
+    err = float(np.max(np.abs(moments - (1.0 + (-1.0) ** m) / (m + 1))))  # int_{-1}^1 t^m dt
+    if not err <= SCHUR_QUAD_TOL:
+        raise ValueError(f"quadrature polar moments differ from the Legendre ones by {err!r}")
+    sums = np.exp(1j * np.multiply.outer(np.arange(2 * level + 1), quad.phases)).mean(axis=1)
+    sums[0] -= 1.0
+    err = float(np.max(np.abs(sums)))
+    if not err <= SCHUR_QUAD_TOL:
+        raise ValueError(f"quadrature phase sums differ from the uniform ones by {err!r}")
+    return level
+
+
 def _check_stacks(quad: SU2Quadrature) -> None:
     """Raise ValueError unless the Euler assembly agrees with the entry formula.
 
-    The Gram validation cannot see an assembly fault: a relabelled or re-phased
+    The premise check (`_exact_level`) cannot see an assembly fault: it reads
+    the angles and weights, never an irrep entry, and a relabelled or re-phased
     orthonormal set is still orthonormal.  So the assembly of every level
     0..`kmax_valid` must match `_su2_entry_stack` to STACK_TIE_TOL on one ring
     of nodes per polar angle, the group elements taken from the angles.  On
@@ -465,59 +505,6 @@ def _check_stacks(quad: SU2Quadrature) -> None:
         err = float(np.max(np.abs(ring - _su2_entry_stack(k, a, b, -b.conj(), a.conj()))))
         if not err <= STACK_TIE_TOL:
             raise ValueError(f"level {k} stack differs from the entry formula by {err!r}")
-
-
-def _level_grams(quad: SU2Quadrature, cap: int):
-    """For k = 0..cap in turn, the Gram rows of level k against levels 0..k side
-    by side, over every node.
-
-    Entry ((i, j), (l, s, t)) is sum_g w_g conj(rho_k(g)_{ij}) rho_l(g)_{st}.
-    At node (r, p1, p2), rho_k(g)_{ij} = e^{i a phi1} e^{i b phi2} rho_k(g0(xi_r))_{ij}
-    with a = k-i-j and b = j-i (`SU2Quadrature.irrep_stack`).  Every node of the
-    r-th polar angle weighs w_r = `quad.ring_weights[r]`, so the two phase sums
-    split off:
-
-        G = sum_r P^2 w_r conj(rho_k(g0(xi_r))_{ij}) rho_l(g0(xi_r))_{st}
-                * S(a' - a) * S(b' - b),      S(m) = (1/P) sum_p e^{i m phi_p},
-
-    (a', b') being the exponents of (l, s, t).  This is the node sum regrouped,
-    not an approximation: S is summed from `quad.phases`, so a phase grid too
-    coarse for level k shows as S(m) != 0 at some m != 0, just as a polar rule
-    too coarse for it shows in the R-term sum.
-    """
-    n_polar, n_phase = len(quad.polar), len(quad.phases)
-    ring_weights = quad.ring_weights * (n_phase * n_phase)
-    m = np.arange(-2 * cap, 2 * cap + 1)                    # every a' - a and b' - b
-    s_table = np.exp(1j * np.multiply.outer(m, quad.phases)).mean(axis=1)
-    polar = np.empty((n_polar, 0), dtype=complex)
-    exponents = np.empty((2, 0), dtype=int)
-    for k in range(cap + 1):
-        rows = quad._polar_stack(k).reshape(n_polar, -1)
-        polar = np.concatenate([polar, rows], axis=1)
-        level = np.reshape(_euler_exponents(k), (2, -1))
-        exponents = np.concatenate([exponents, level], axis=1)
-        gram = (rows.conj() * ring_weights[:, None]).T @ polar
-        for axis in (0, 1):
-            gram *= s_table[exponents[axis] - level[axis][:, None] + 2 * cap]
-        yield gram
-
-
-def _measure_valid_kmax(quad: SU2Quadrature, cap: int) -> int:
-    """Largest k <= cap whose coefficient Gram (against all levels <= k) is exact to 1e-8.
-
-    Level k is one product over the R polar angles and two gathers from a
-    phase-sum table (`_level_grams`), equal to the Gram over all R P^2 nodes up
-    to rounding; the rule's one weight per polar angle makes that regrouping
-    exact.  The measurement reads the angles and the ring weights, never an
-    irrep stack; beyond R x (k+1)^2 polar tables its memory is the Gram rows
-    of level k.  It stops at the first failing level.
-    """
-    for k, gram in enumerate(_level_grams(quad, cap)):
-        nk = (k + 1) ** 2
-        gram[:, -nk:] -= np.eye(nk) / (k + 1)  # the expected blocks: I/(k+1), else 0
-        if not float(np.max(np.abs(gram))) <= SCHUR_QUAD_TOL:
-            return k - 1
-    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +587,7 @@ def coefficient_bound_check(
     is at least the i-th row norm of B divided by the dimension.  Margins are
     signed so that nonnegative means the bound holds; quadrature error is
     allowed to push them slightly negative.  Levels above `haar.kmax_valid`
-    are refused: the rule is not measured there.
+    are refused: the rule is not exact there.
 
     The column u_{.,j} is assembled at every node from the Euler factors
     (`SU2Quadrature.column`), in the product order of the stack, and the
@@ -611,7 +598,7 @@ def coefficient_bound_check(
     (k, j) may assemble `haar.column(k, j)` once and pass it as `column`.
     """
     if k > haar.kmax_valid:
-        raise ValueError(f"level {k} exceeds the quadrature's measured validity level "
+        raise ValueError(f"level {k} exceeds the quadrature's derived validity level "
                          f"{haar.kmax_valid}")
     a = np.asarray(matrix, dtype=complex)
     n = k + 1

@@ -641,7 +641,7 @@ def resolve_config(name: str, args: argparse.Namespace, ctx: Context) -> dict:
         valid = ctx.quad.kmax_valid
         if cfg["kmax"] > valid:
             raise ValueError(f"argument --kmax: lemma35 needs <= {valid}, the quadrature's "
-                             f"measured validity level, got {cfg['kmax']}")
+                             f"derived validity level, got {cfg['kmax']}")
     return cfg
 
 

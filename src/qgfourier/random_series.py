@@ -552,14 +552,13 @@ def four_unitary_decomposition(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
         bounded = bool(np.all(np.isfinite(np.linalg.cholesky(gap))))
     except np.linalg.LinAlgError:
         bounded = False
+    del gap
     if not bounded:
         norm = float(np.max(np.linalg.norm(x, 2, axis=(-2, -1))))
         if norm > 1.0 + NORM_SLACK:
             raise ContractionError(f"matrix norm {norm!r} exceeds 1 + {NORM_SLACK}")
-    h1 = (x + _adjoint(x)) / 2.0
-    h2 = (x - _adjoint(x)) / 2j
-    v1, v2 = _hermitian_unitary_pair(h1)
-    w1, w2 = _hermitian_unitary_pair(h2)
+    v1, v2 = _hermitian_unitary_pair((x + _adjoint(x)) / 2.0)
+    w1, w2 = _hermitian_unitary_pair((x - _adjoint(x)) / 2j)
     return v1, v2, 1j * w1, 1j * w2
 
 

@@ -163,8 +163,55 @@ def assert_same_bits(actual, expected):
     assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
 
 
+def polar_level_grams(quad, cap):
+    """For k = 0..cap in turn, the Gram rows of level k against levels 0..k side
+    by side, over every node, regrouped by polar angle.
+
+    Entry ((i, j), (l, s, t)) is sum_g w_g conj(rho_k(g)_{ij}) rho_l(g)_{st}.
+    At node (r, p1, p2), rho_k(g)_{ij} = e^{i a phi1} e^{i b phi2} rho_k(g0(xi_r))_{ij}
+    with a = k-i-j and b = j-i (`SU2Quadrature.irrep_stack`).  Every node of the
+    r-th polar angle weighs w_r = `quad.ring_weights[r]`, so the two phase sums
+    split off:
+
+        G = sum_r P^2 w_r conj(rho_k(g0(xi_r))_{ij}) rho_l(g0(xi_r))_{st}
+                * S(a' - a) * S(b' - b),      S(m) = (1/P) sum_p e^{i m phi_p},
+
+    (a', b') being the exponents of (l, s, t).  This is the node sum regrouped,
+    not an approximation: S is summed from `quad.phases`, so a phase grid too
+    coarse for level k shows as S(m) != 0 at some m != 0, just as a polar rule
+    too coarse for it shows in the R-term sum.
+    """
+    n_polar, n_phase = len(quad.polar), len(quad.phases)
+    ring_weights = quad.ring_weights * (n_phase * n_phase)
+    m = np.arange(-2 * cap, 2 * cap + 1)                    # every a' - a and b' - b
+    s_table = np.exp(1j * np.multiply.outer(m, quad.phases)).mean(axis=1)
+    polar = np.empty((n_polar, 0), dtype=complex)
+    exponents = np.empty((2, 0), dtype=int)
+    for k in range(cap + 1):
+        rows = quad._polar_stack(k).reshape(n_polar, -1)
+        polar = np.concatenate([polar, rows], axis=1)
+        level = np.reshape(classical_eval._euler_exponents(k), (2, -1))
+        exponents = np.concatenate([exponents, level], axis=1)
+        gram = (rows.conj() * ring_weights[:, None]).T @ polar
+        for axis in (0, 1):
+            gram *= s_table[exponents[axis] - level[axis][:, None] + 2 * cap]
+        yield gram
+
+
+def polar_valid_kmax(quad, cap: int) -> int:
+    """Oracle for the derived `kmax_valid`: the largest k <= cap whose coefficient
+    Gram against all levels <= k (`polar_level_grams`) is exact to
+    SCHUR_QUAD_TOL, stopping at the first failing level; -1 if level 0 fails."""
+    for k, gram in enumerate(polar_level_grams(quad, cap)):
+        nk = (k + 1) ** 2
+        gram[:, -nk:] -= np.eye(nk) / (k + 1)  # the expected blocks: I/(k+1), else 0
+        if not float(np.max(np.abs(gram))) <= SCHUR_QUAD_TOL:
+            return k - 1
+    return cap
+
+
 def einsum_level_gram(quad, k) -> np.ndarray:
-    """Oracle for _level_grams: the Gram rows of level k against levels 0..k,
+    """Oracle for polar_level_grams: the Gram rows of level k against levels 0..k,
     as one einsum over all nodes.  It is contracted by BLAS: unoptimised, the
     einsum sums the nodes in sequence and drifts from a long-double Gram by
     up to 6e-14 on these rules, where the BLAS contraction stays below 6e-15."""
@@ -184,14 +231,13 @@ def gemm_pair_gram(yk, w, yp) -> np.ndarray:
     return (yk.conj() * w[:, None]).T @ yp
 
 
-def einsum_valid_kmax(quad, cap, pair_gram=einsum_pair_gram, stacks=None) -> int:
-    """Oracle for _measure_valid_kmax: a node sum over all nodes for each pair
-    of levels, with no polar regrouping, stopping at the first failing level.
-    `stacks`, if given, holds the level stacks 0..cap, made by the caller."""
+def einsum_valid_kmax(quad, cap, pair_gram=einsum_pair_gram) -> int:
+    """Oracle for polar_valid_kmax: a node sum over all nodes for each pair
+    of levels, with no polar regrouping, stopping at the first failing level."""
     valid = -1
     flat = []
     for k in range(cap + 1):
-        stack = quad.irrep_stack(k) if stacks is None else stacks[k]
+        stack = quad.irrep_stack(k)
         yk = stack.reshape(stack.shape[0], -1)
         for kp, yp in enumerate(flat + [yk]):
             gram = pair_gram(yk, quad.weights, yp)
@@ -576,8 +622,8 @@ class TestEulerStacks:
         assert [a.size >= n_nodes for a in arrays] == [a is quad.weights for a in arrays]
 
     def test_rule_is_read_only(self):
-        # the premises checked at build time (the ring tie, the ring weights
-        # the Gram was measured with, kmax_valid) cannot be edited away afterwards
+        # the premises checked at build time (the ring tie, the angles and
+        # weights the exactness level rests on) cannot be edited away afterwards
         quad = make_su2_quadrature(4, 0)
         for array in (quad.ring_weights, quad.weights, quad.polar, quad.phases,
                       quad._polar_stack(3)):
@@ -590,53 +636,76 @@ class TestEulerStacks:
 
     @pytest.mark.parametrize("angles", ["polar", "phases"])
     def test_nan_angle_raises(self, angles, monkeypatch):
-        # planted after the measurement, so only the ring tie can see it
-        measure = classical_eval._measure_valid_kmax
+        # planted after the premise check, so only the ring tie can see it
+        exact_level = classical_eval._exact_level
 
         def planted(quad, cap):
-            level = measure(quad, cap)
+            level = exact_level(quad, cap)
             getattr(quad, angles)[3] = np.nan
             return level
 
-        monkeypatch.setattr(classical_eval, "_measure_valid_kmax", planted)
+        monkeypatch.setattr(classical_eval, "_exact_level", planted)
         with pytest.raises(ValueError, match="differs from the entry formula by nan"):
             make_su2_quadrature(10, 6)
 
     @pytest.mark.parametrize("array, slot", [("polar", 0), ("ring_weights", 1)])
-    def test_non_finite_rule_input_raises_before_the_measurement(self, array, slot, monkeypatch):
-        # a NaN polar angle would pass the measurement (it stops at level 1) and
-        # the ring tie at level 0, which reads no angle; a NaN weight would fail
-        # at level 0 under the wrong message.  Both are refused by name first.
+    def test_non_finite_rule_input_raises_in_the_premise_check(self, array, slot, monkeypatch):
+        # the ring tie at level 0 reads no angle, so a NaN polar angle or ring
+        # weight must be refused before it: every moment but the zeroth reads
+        # each angle, and every moment reads each weight
         leggauss = np.polynomial.legendre.leggauss
+        exact_level = classical_eval._exact_level
+        checked = []
 
         def poisoned(n):
             nodes = list(leggauss(n))
             nodes[slot][3] = np.nan
             return tuple(nodes)
 
-        def unreached(quad, cap):
-            raise AssertionError("the measurement ran")
+        def spy(quad, cap):
+            checked.append(np.isnan(getattr(quad, array)[3]))
+            return exact_level(quad, cap)
+
+        def unreached(quad):
+            raise AssertionError("the ring tie ran")
 
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", poisoned)
-        monkeypatch.setattr(classical_eval, "_measure_valid_kmax", unreached)
-        with pytest.raises(ValueError, match=f"quadrature {array} has a non-finite entry"):
-            make_su2_quadrature(10, 6)
+        monkeypatch.setattr(classical_eval, "_exact_level", spy)
+        monkeypatch.setattr(classical_eval, "_check_stacks", unreached)
+        with pytest.raises(ValueError, match="polar moments differ from the Legendre ones by nan"):
+            make_su2_quadrature(10, 0)
+        assert checked == [True]
 
     @pytest.mark.parametrize("name", ASSEMBLY_MUTANTS)
     def test_assembly_fault_raises_at_build(self, name, monkeypatch):
-        # the Gram validation passes every mutant: only the tie to the formula sees it
-        measure = classical_eval._measure_valid_kmax
+        # the premise check passes every mutant: only the tie to the formula sees it
+        exact_level = classical_eval._exact_level
         levels = []
 
         def spy(quad, cap):
-            levels.append(measure(quad, cap))
+            levels.append(exact_level(quad, cap))
             return levels[-1]
 
-        monkeypatch.setattr(classical_eval, "_measure_valid_kmax", spy)
+        monkeypatch.setattr(classical_eval, "_exact_level", spy)
         monkeypatch.setattr(classical_eval, "_euler_exponents", ASSEMBLY_MUTANTS[name])
         with pytest.raises(ValueError, match="differs from the"):
             make_su2_quadrature()
         assert levels == [6]
+
+    def test_level_22_is_refused_by_the_tie(self, monkeypatch):
+        # the rule is exact to level 27 and its premises hold; the entry
+        # formula's own rounding exceeds STACK_TIE_TOL at level 22
+        exact_level = classical_eval._exact_level
+        levels = []
+
+        def spy(quad, cap):
+            levels.append(exact_level(quad, cap))
+            return levels[-1]
+
+        monkeypatch.setattr(classical_eval, "_exact_level", spy)
+        with pytest.raises(ValueError, match="level 22 stack differs from the entry formula"):
+            make_su2_quadrature(24, 48)
+        assert levels == [27]
 
 
 class TestValidityMeasurement:
@@ -647,26 +716,37 @@ class TestValidityMeasurement:
         # the level decisions against a weighted GEMM per pair of levels, still
         # a sum over every node; the rows against the contracted einsum at 1e-14
         quad = make_su2_quadrature(resolution, 0)
-        assert classical_eval._measure_valid_kmax(quad, cap) == level
+        assert polar_valid_kmax(quad, cap) == level
         assert einsum_valid_kmax(quad, cap, gemm_pair_gram) == level
-        for k, gram in enumerate(classical_eval._level_grams(quad, min(level + 1, cap))):
+        for k, gram in enumerate(polar_level_grams(quad, min(level + 1, cap))):
             assert float(np.max(np.abs(gram - einsum_level_gram(quad, k)))) <= 1e-14
 
-    def test_reads_no_irrep_stack(self, monkeypatch):
-        quad = make_su2_quadrature(10, 0)
+    # each cap lies past the derived level, so the Gram crosses a failing level
+    @pytest.mark.parametrize("resolution, cap",
+                             [(4, 9), (5, 10), (6, 10), (8, 12), (10, 20), (12, 20), (16, 22)])
+    def test_derived_level_is_the_measured_one(self, resolution, cap):
+        quad = make_su2_quadrature(resolution, cap)
+        assert quad.kmax_valid == min(2 * resolution - 1, resolution + 3) < cap
+        assert polar_valid_kmax(quad, cap) == quad.kmax_valid
 
-        def refuse(self, k):
-            raise AssertionError(f"the measurement read the level-{k} stack")
-
-        monkeypatch.setattr(classical_eval.SU2Quadrature, "irrep_stack", refuse)
-        assert classical_eval._measure_valid_kmax(quad, 20) == 13
+    def test_moved_phase_is_refused(self):
+        # one phase moved by 1e-6 leaves S(1) about 3.6e-8 off zero on 28 phases
+        quad = make_su2_quadrature(10, 6)
+        phases = quad.phases.copy()
+        phases[3] += 1e-6
+        moved = classical_eval.SU2Quadrature(polar=quad.polar, ring_weights=quad.ring_weights,
+                                             phases=phases, kmax_valid=-1)
+        assert classical_eval._exact_level(quad, 6) == 6
+        with pytest.raises(ValueError, match="phase sums differ from the uniform ones"):
+            classical_eval._exact_level(moved, 6)
 
     def test_default_rule_is_exact_to_level_13(self):
         assert make_su2_quadrature(10, 20).kmax_valid == 13
 
     def test_perturbed_weight_fails_at_level_zero(self, monkeypatch):
-        # the first ring's weight scaled by 1 + 1e-6: the polar Gram and the
-        # node sum over every node both see the wrong Legendre weight
+        # the first ring's weight scaled by 1 + 1e-6: the zeroth polar moment,
+        # the polar Gram and the node sum over every node all see the wrong
+        # Legendre weight
         leggauss = np.polynomial.legendre.leggauss
 
         def perturbed(n):
@@ -674,29 +754,18 @@ class TestValidityMeasurement:
             v[0] *= 1 + 1e-6
             return t, v
 
-        measure = classical_eval._measure_valid_kmax
+        exact_level = classical_eval._exact_level
         levels = []
 
         def spy(quad, cap):
-            levels.extend([measure(quad, cap), einsum_valid_kmax(quad, cap)])
-            return levels[0]
+            levels.extend([polar_valid_kmax(quad, cap), einsum_valid_kmax(quad, cap)])
+            return exact_level(quad, cap)
 
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", perturbed)
-        monkeypatch.setattr(classical_eval, "_measure_valid_kmax", spy)
-        with pytest.raises(ValueError, match="level 0"):
+        monkeypatch.setattr(classical_eval, "_exact_level", spy)
+        with pytest.raises(ValueError, match="polar moments differ from the Legendre ones"):
             make_su2_quadrature()
         assert levels == [-1, -1]
-
-    def test_peak_memory_not_above_einsum_route(self, su2_quad, traced_peak):
-        # the einsum route's stacks, made before tracing
-        stacks = [su2_quad.irrep_stack(k) for k in range(7)]
-        peaks = []
-        for route in (classical_eval._measure_valid_kmax,
-                      lambda quad, cap: einsum_valid_kmax(quad, cap, stacks=stacks)):
-            level, peak = traced_peak(lambda: route(su2_quad, 6))
-            assert level == 6
-            peaks.append(peak)
-        assert peaks[0] <= peaks[1]
 
 
 SU2_RULES = [(4, 9), (5, 10), (10, 6)]  # (resolution, validate_kmax): kmax_valid 7, 8, 6

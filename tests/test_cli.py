@@ -56,7 +56,7 @@ CONFIG_REFUSALS = [
     # --q deforms only suq2; elsewhere it was ignored and the run passed
     (["plancherel", "--seed", "1", "--dual", "su2", "--q", "0.3"], "argument --q", False),
     (["all", "--seed", "1", "--dual", "s3", "--q", "0.3"], "argument --q", False),
-    # level 7 is past the quadrature's measured validity level; the rule is
+    # level 7 is past the quadrature's derived validity level; the rule is
     # built to tell, and this was refused only after nine subcommands ran
     (["all", "--seed", "1", "--kmax", "7"], "argument --kmax", True),
     # neither runs on a --dual: four-unitary ignored --q, corollary-suq2 ran its own q values

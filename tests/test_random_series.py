@@ -896,6 +896,17 @@ class TestFourUnitary:
                 else:
                     four_unitary_decomposition(stack)
 
+    def test_peak_memory_is_about_nine_stacks(self, traced_peak):
+        # the complex copy of x, the first pair of unitaries, and the second
+        # Hermitian part with its eigenvectors, root and products; the Cholesky
+        # gap and the first Hermitian part are gone by then
+        rng = RngSeed(109).generator()
+        x = rng.standard_normal((70, 16, 16)) + 1j * rng.standard_normal((70, 16, 16))
+        x /= np.linalg.norm(x, 2, axis=(-2, -1))[:, None, None]
+        four_unitary_decomposition(x)  # numpy's lazy set-up outside the trace
+        _, peak = traced_peak(lambda: four_unitary_decomposition(x))
+        assert peak <= 9.5 * x.nbytes
+
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
     def test_eigvalsh_defect_is_the_svd_norm(self, n):
         # V^* V - I is Hermitian, so its largest |eigenvalue| is its 2-norm;
