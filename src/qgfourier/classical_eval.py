@@ -415,9 +415,9 @@ def make_su2_quadrature(resolution: int = 10, validate_kmax: int = 6) -> SU2Quad
         K = min(2R - 1, ceil(P/2) - 1),
 
     and `kmax_valid` is min(K, `validate_kmax`).  Entry (i, j) of
-    rho_k(g0(xi)) is a sum of cos^alpha xi sin^beta xi with alpha + beta = k
-    and beta = i - j + 2l, so beta = i - j (mod 2) (`_su2_entry_stack` at
-    g0(xi)).  A Gram entry conj(rho_k(g)_{ij}) rho_l(g)_{st} carries the
+    rho_k(g0(xi)) is a combination of terms cos^alpha xi sin^beta xi with
+    alpha + beta = k and beta = i - j + 2l, so beta = i - j (mod 2)
+    (`_su2_entry_stack` at g0(xi)).  A Gram entry conj(rho_k(g)_{ij}) rho_l(g)_{st} carries the
     phase exponents a' - a and b' - b, with (a, b) = (k-i-j, j-i) and
     (a', b') = (l-s-t, t-s) (`SU2Quadrature.irrep_stack`).
     * Where both match, k - l = 2(i - s), and the sine powers add to
