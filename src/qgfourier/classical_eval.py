@@ -33,7 +33,7 @@ import numpy as np
 
 from .dual_data import DualDescriptor, IrrepData
 from .fourier_core import FourierCoeffs, ell2_norm
-from .random_series import RngSeed, haar_unitary_stack, sample_max, sample_mean
+from .random_series import RngSeed, _unitarity_defects, haar_unitary_stack, sample_max, sample_mean
 
 GROUP_TOL = 1e-12          # exact-group checks
 SCHUR_QUAD_TOL = 1e-8      # the quadrature premises: polar moments and phase sums
@@ -161,8 +161,7 @@ class FiniteGroupTable(HaarRule):
                 raise GroupTableError(
                     f"irrep {ir.label!r}: matrices shape {mats.shape}"
                 )
-            gram = np.swapaxes(mats.conj(), -2, -1) @ mats
-            defect = float(np.max(np.linalg.norm(gram - np.eye(ir.n), 2, axis=(-2, -1))))
+            defect = float(np.max(_unitarity_defects(mats)))
             if defect > GROUP_TOL:
                 raise GroupTableError(f"irrep {ir.label!r}: unitarity defect {defect!r}")
             prod = np.einsum("aij,bjk->abik", mats, mats)
@@ -707,5 +706,5 @@ def randomized_l1_report(
     ell2 = ell2_norm(f)
     best = sample_max(num_unitaries, MC_CHUNK, seed, _series_l1(
         haar, f, lambda rng, n: (n, haar_unitary_stack(n, MC_CHUNK, rng))))
-    ratio = best / ell2 if ell2 > 0 else 0.0
+    ratio = best / ell2 if ell2 != 0.0 else 0.0  # a NaN ell2 gives a NaN ratio
     return L1Report(sup_l1_over_u=best, ell2=ell2, ratio=ratio)

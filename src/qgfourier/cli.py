@@ -52,6 +52,8 @@ from .l2_operators import (
 from .quantum_examples import growth_report, suq2_chain_table
 from .random_series import (
     RngSeed,
+    _per_label,
+    _unitarity_defects,
     coefficient_traces,
     expected_operator_norm,
     four_unitary_decomposition,
@@ -173,11 +175,6 @@ def _contract(x: np.ndarray, scale) -> np.ndarray:
     return x / norm[..., None, None] * np.asarray(scale)[..., None, None]
 
 
-def _per_label(dual, block) -> FourierCoeffs:
-    """The family with `block(n)` at each label, called in label order."""
-    return FourierCoeffs(dual, {l: block(dual.irrep(l).n) for l in dual.labels()})
-
-
 # ---------------------------------------------------------------------------
 # experiments: each returns its records; a record with "ok" is gated
 # ---------------------------------------------------------------------------
@@ -271,13 +268,11 @@ def run_randomize_l2(cfg, ctx):
 
 def _four_unitary_errors(group) -> tuple[float, float]:
     """Reconstruction error and unitarity defect of one size's (matrix, scale) draws, split
-    as one stack; each defect V^* V - I is Hermitian: its 2-norm is its largest |eigenvalue|."""
+    as one stack."""
     mats, scales = zip(*group)
     x = _contract(np.stack(mats), scales)
     vs = four_unitary_decomposition(x)
-    eye = np.eye(x.shape[-1])
-    defects = [float(np.max(np.abs(np.linalg.eigvalsh(v.swapaxes(-1, -2).conj() @ v - eye))))
-               for v in vs]
+    defects = [float(np.max(_unitarity_defects(v))) for v in vs]
     return float(np.max(np.abs(sum(vs) / 2.0 - x))), _fold(max, *defects)
 
 
@@ -685,13 +680,14 @@ def write_output(doc: dict, path: str, fmt: str):
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return
+    import csv  # only here: `all` writes no csv, so its runs never load the module
+
     records = doc["records"]  # one table: `execute` refuses a csv file for `all`
     columns = list(dict.fromkeys(key for rec in records for key in rec))
-    lines = [",".join(columns)]
-    for rec in records:
-        lines.append(",".join(_csv_cell(rec.get(c, "")) for c in columns))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")  # quotes a cell holding a comma
+        writer.writerow(columns)
+        writer.writerows([_csv_cell(rec.get(c, "")) for c in columns] for rec in records)
 
 
 def _csv_cell(value) -> str:
@@ -739,7 +735,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     def at_least(floor: int):
         # a run that does no work would pass vacuously; two trials are the
         # fewest for which every Monte Carlo driver has a standard error;
-        # level 0 is the smallest truncation a dual has
+        # level 0 is the smallest truncation a dual has; a seed must be non-negative
         def count(text: str) -> int:
             value = int(text)
             if value < floor:
@@ -767,7 +763,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         if "dual" in reads:
             reads.add("q")
         p = subparsers[name] = sub.add_parser(name, help=f"run the {name} experiment" if name != "all" else "run every experiment")
-        p.add_argument("--seed", type=int, default=0, required=any(draws for _, draws, _ in entries),
+        p.add_argument("--seed", type=at_least(0), default=0,
+                       required=any(draws for _, draws, _ in entries),
                        help="RNG seed (required where the run draws random numbers)")
         p.add_argument("--out", type=str, default=None, help="write the full document to this path")
         p.add_argument("--format", choices=("json", "csv"), default="json", help="output format for --out")

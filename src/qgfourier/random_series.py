@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual_data import DualDescriptor
-from .fourier_core import FourierCoeffs, _require_same_dual, ell2_norm
+from .fourier_core import FourierCoeffs, _require_same_dual, convolve, ell2_norm
 
 #: Uniform norm slack used by every contraction / unitarity contract here.
 NORM_SLACK = 1e-9
@@ -419,26 +419,37 @@ def expected_operator_norm(n: int, trials: int, seed: RngSeed) -> NormEstimate:
 MatrixFamily = FourierCoeffs
 
 
+def _unitarity_defects(u: np.ndarray) -> np.ndarray:
+    """||U^* U - I||_2 of each matrix U of a stack (..., n, n): the defect is
+    Hermitian, so its 2-norm is its largest |eigenvalue|."""
+    defect = _adjoint(u) @ u - np.eye(u.shape[-1])
+    return np.max(np.abs(np.linalg.eigvalsh(defect)), axis=-1)
+
+
 def is_unitary(family: FourierCoeffs) -> bool:
     """Every block has ||M^* M - I||_2 <= UNITARY_TOL.  The Frobenius norm of
     the defect bounds its 2-norm from above, so a Frobenius norm within the
-    tolerance accepts; the SVD is taken only when it cannot decide."""
+    tolerance accepts; `_unitarity_defects` is taken only when it cannot decide."""
     for m in family.support.values():
         defect = m.conj().T @ m - np.eye(m.shape[0])
-        if not (np.linalg.norm(defect) <= UNITARY_TOL
-                or np.linalg.norm(defect, 2) <= UNITARY_TOL):
+        if not (np.linalg.norm(defect) <= UNITARY_TOL or _unitarity_defects(m) <= UNITARY_TOL):
             return False
     return True
 
 
+def _per_label(dual: DualDescriptor, block, labels=None) -> FourierCoeffs:
+    """The family with `block(n)` at each of `labels` (default: every label of
+    `dual`), n being the size of that label's irrep; called in label order."""
+    labels = dual.labels() if labels is None else labels
+    return FourierCoeffs(dual, {l: block(dual.irrep(l).n) for l in labels})
+
+
 def identity_family(dual: DualDescriptor) -> FourierCoeffs:
-    return FourierCoeffs(dual, {l: np.eye(dual.irrep(l).n, dtype=complex) for l in dual.labels()})
+    return _per_label(dual, lambda n: np.eye(n, dtype=complex))
 
 
 def haar_family(dual: DualDescriptor, rng: np.random.Generator) -> FourierCoeffs:
-    return FourierCoeffs(dual, {
-        l: haar_unitary_stack(dual.irrep(l).n, 1, rng)[0] for l in dual.labels()
-    })
+    return _per_label(dual, lambda n: haar_unitary_stack(n, 1, rng)[0])
 
 
 def random_coeffs(
@@ -446,12 +457,8 @@ def random_coeffs(
 ) -> FourierCoeffs:
     """Random coefficient family with independent standard Gaussian entries,
     complex unless `real`, drawn block by block in label order."""
-    labels = dual.labels() if labels is None else list(labels)
-    support = {}
-    for label in labels:
-        n = dual.irrep(label).n
-        support[label] = rng.standard_normal((n, n)) if real else _ginibre(rng, (n, n))
-    return FourierCoeffs(dual, support)
+    draw = rng.standard_normal if real else lambda shape: _ginibre(rng, shape)
+    return _per_label(dual, lambda n: draw((n, n)), labels)
 
 
 def coefficient_traces(dual: DualDescriptor, families: int, rng: np.random.Generator) -> np.ndarray:
@@ -490,9 +497,10 @@ def _require_family(f: FourierCoeffs, family: FourierCoeffs) -> None:
 
 
 def randomize(f: FourierCoeffs, family: FourierCoeffs) -> FourierCoeffs:
-    """Coefficient at alpha becomes U_alpha @ X_alpha; support unchanged."""
+    """Coefficient at alpha becomes U_alpha @ X_alpha; support unchanged.  That
+    is `convolve(f, family)`, once `family` has an entry at every label of f."""
     _require_family(f, family)
-    return FourierCoeffs(f.dual, {l: family.support[l] @ m for l, m in f.support.items()})
+    return convolve(f, family)
 
 
 def l2_invariance_check(f: FourierCoeffs, family: FourierCoeffs) -> float:
@@ -575,23 +583,18 @@ def randomize_ball(f: FourierCoeffs, family: FourierCoeffs) -> BallDecomposition
     """Randomize by a norm-<=1 family B and express the result as an average
     of four unitary randomizations: f_B = (sum_j f_{V_j}) / 2.
 
-    Every block of B is split, also at labels outside f's support, so
+    The identity is checked block by block: `max_deviation` is the largest
+    entry of |(sum_j V_j X)/2 - B X| over f's support, a NaN kept.  Every
+    block of B is split, also at labels outside f's support, so
     `four_unitary_decomposition` refuses a family with any non-finite or
     out-of-ball block (ContractionError).
     """
     f_b = randomize(f, family)
-    parts: list[dict] = [{}, {}, {}, {}]
-    for label, b in family.support.items():
-        for slot, v in zip(parts, four_unitary_decomposition(b)):
-            slot[label] = v
-    families = tuple(FourierCoeffs(f.dual, p) for p in parts)
-    acc = {l: np.zeros_like(m) for l, m in f_b.support.items()}
-    for fam in families:
-        piece = randomize(f, fam)
-        for label in acc:
-            acc[label] = acc[label] + piece.support[label]
+    splits = {label: four_unitary_decomposition(b) for label, b in family.support.items()}
+    families = tuple(FourierCoeffs(f.dual, {l: split[j] for l, split in splits.items()})
+                     for j in range(4))
     deviation = 0.0
     for label, m in f_b.support.items():
-        if m.size:  # a NaN deviation is kept
-            deviation = float(np.maximum(deviation, np.max(np.abs(acc[label] / 2.0 - m))))
+        average = sum(v @ f.support[label] for v in splits[label]) / 2.0
+        deviation = float(np.maximum(deviation, np.max(np.abs(average - m))))
     return BallDecomposition(randomized=f_b, families=families, max_deviation=deviation)

@@ -252,6 +252,27 @@ def einsum_valid_kmax(quad, cap, pair_gram=einsum_pair_gram) -> int:
     return valid
 
 
+_ONES = np.ones((2, 1, 1))
+_SIGN = np.array([1.0, -1.0]).reshape(2, 1, 1)
+_Z2_MULT = [[0, 1], [1, 0]]
+
+#: name -> (mult, irreps, the refusal): each table fails one construction check
+MALFORMED_TABLES = {
+    "not-square": (np.zeros((2, 3), dtype=int), (GroupIrrep(0, _ONES),), "mult table shape"),
+    "above-range": ([[0, 1], [1, 2]], (GroupIrrep(0, _ONES),), "out of range"),
+    "below-range": ([[0, 1], [1, -1]], (GroupIrrep(0, _ONES),), "out of range"),
+    "duplicate-labels": (_Z2_MULT, (GroupIrrep(0, _ONES), GroupIrrep(0, _SIGN)),
+                         "duplicate irrep labels"),
+    "first-not-trivial": (_Z2_MULT, (GroupIrrep(1, _SIGN), GroupIrrep(0, _ONES)),
+                          "first irrep must be the trivial one"),
+    "wrong-element-count": (_Z2_MULT, (GroupIrrep(0, _ONES), GroupIrrep(1, np.ones((3, 1, 1)))),
+                            "irrep 1: matrices shape"),
+    # Peter-Weyl, unitarity and the homomorphism check pass; only Schur refuses
+    "trivial-twice": (_Z2_MULT, (GroupIrrep(0, _ONES), GroupIrrep(1, _ONES)),
+                      "Schur orthogonality failed"),
+}
+
+
 class TestFiniteGroups:
     def test_z4_characters(self):
         z4 = cyclic_group(4)
@@ -289,6 +310,20 @@ class TestFiniteGroups:
         irreps = (GroupIrrep(0, np.ones((2, 1, 1))),)
         with pytest.raises(GroupTableError):
             FiniteGroupTable(name="bad", mult=mult, irreps=irreps)
+
+    @pytest.mark.parametrize("name", list(MALFORMED_TABLES))
+    def test_malformed_table_is_refused(self, name):
+        mult, irreps, refusal = MALFORMED_TABLES[name]
+        with pytest.raises(GroupTableError, match=refusal):
+            FiniteGroupTable(name=name, mult=np.array(mult), irreps=irreps)
+
+    def test_unknown_label_is_a_domain_error(self, s3_table):
+        with pytest.raises(ClassicalDomainError, match="no irrep labeled 'bogus'"):
+            s3_table.irrep("bogus")
+
+    def test_extraction_needs_one_value_per_element(self, s3_table):
+        with pytest.raises(ValueError, match="one value per element"):
+            s3_table.fourier_coeffs(np.ones(5))
 
     def test_non_associative_loop_is_refused(self):
         # an identity (0) and two-sided inverses, but (1*1)*2 = 2 != 1*(1*2) = 4:
@@ -842,6 +877,15 @@ class TestCoefficientBounds:
         with pytest.raises(ValueError, match="validity level"):
             coefficient_bound_check(np.eye(k + 1), k, 0, 0, su2_quad, "upper")
 
+    @pytest.mark.parametrize("matrix, i, j, error, refusal", [
+        (np.eye(2), 0, 0, ValueError, "matrix shape"),
+        (np.eye(3), 3, 0, IndexError, "out of range"),
+        (np.eye(3), 0, -1, IndexError, "out of range"),
+    ], ids=["shape", "row", "column"])
+    def test_rejects_a_malformed_case(self, su2_quad, matrix, i, j, error, refusal):
+        with pytest.raises(error, match=refusal):
+            coefficient_bound_check(matrix, 2, i, j, su2_quad, "upper")
+
     def test_rejects_unknown_side(self, su2_quad):
         with pytest.raises(ValueError):
             coefficient_bound_check(np.eye(2), 1, 0, 0, su2_quad, "sideways")
@@ -863,6 +907,10 @@ class TestCharacterL1:
     def test_bad_level_is_a_domain_error(self, su2_quad, level):
         with pytest.raises(ClassicalDomainError):
             character_l1(level, su2_quad)
+
+    def test_weyl_route_refuses_a_negative_level(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            weyl_character_l1(-1)
 
     def test_level_one_regression_value(self):
         # frozen from the one-dimensional oracle: (2/pi) * 4/3
@@ -1045,6 +1093,15 @@ class TestRandomizedL1Report:
         assert abs(r1.ratio - r2.ratio) <= 0.1 * r2.ratio
         assert r2.sup_l1_over_u >= r1.sup_l1_over_u  # nested seeds: sup is monotone
 
+
+    def test_only_an_exact_zero_ell2_gives_ratio_zero(self, s3_table):
+        # a NaN ell2 read as ratio 0.0, which a stability gate 0 <= 0.1 * 0 passes
+        dual = s3_table.dual_descriptor()
+        nan = randomized_l1_report(s3_table, FourierCoeffs(dual, {"std": np.full((2, 2), np.nan)}),
+                                   2, RngSeed(233))
+        assert math.isnan(nan.ell2) and math.isnan(nan.ratio)
+        zero = randomized_l1_report(s3_table, FourierCoeffs(dual, {}), 2, RngSeed(233))
+        assert zero.ell2 == zero.ratio == 0.0
 
     def test_nan_chunk_is_kept(self, s3_table, monkeypatch):
         # one label, so one draw per chunk; the second of three chunks NaN

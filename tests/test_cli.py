@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import itertools
 import json
@@ -37,6 +38,10 @@ ZERO_WORK = [
     (["gaussian-norms", "--seed", "1", "--trials", "1", "--nmax", "2"], 2),
     (["characters", "--kmax", "-1"], 0),
     (["growth", "--kmax", "-1"], 0),
+    # a seed is a SeedSequence's entropy; these ran and failed every run with
+    # "expected non-negative integer"
+    (["plancherel", "--seed", "-1", "--families", "2"], 0),
+    (["all", "--seed", "-1"], 0),
 ]
 
 
@@ -584,6 +589,44 @@ def test_csv_keeps_keys_of_later_records(tmp_path, capsys):
     assert first[-1] == ""
     assert second[-1] == "[1.2; 2.6]"
     assert second[header.index("target")] == ""
+
+
+def test_csv_quotes_a_cell_with_a_comma(tmp_path, capsys):
+    # the dual name suq2(q=0.5,kmax=4) split its row into six cells under a five-cell header
+    out = tmp_path / "p.csv"
+    code = main(["plancherel", "--seed", "1", "--families", "2", "--out", str(out),
+                 "--format", "csv"])
+    capsys.readouterr()
+    assert code == 0
+    with open(out, newline="") as fh:
+        header, row = csv.reader(fh)
+    assert len(header) == len(row) == 5
+    assert row[header.index("dual")] == "suq2(q=0.5,kmax=4)"
+
+
+def test_helgason_instance_fails_on_a_nan_family(monkeypatch, capsys):
+    # a NaN ell2 read as ratio 0.0: the stability gate 0 <= 0.1 * 0 passed, and
+    # the run failed only by a ZeroDivisionError in its relative difference
+    monkeypatch.setattr(cli, "random_coeffs",
+                        lambda dual, rng: nan_like(random_series.random_coeffs(dual, rng)))
+    code, doc = execute(["helgason-instance", "--seed", "1", "--trials", "2"])
+    capsys.readouterr()
+    assert code == 1 and doc["verdict"] == "fail"
+    assert not any("error" in rec for rec in doc["records"])
+    assert math.isnan(doc["records"][1]["ratio"]) and doc["records"][1]["ok"] is False
+
+
+def test_numpy_values_in_records_are_made_json_clean(monkeypatch, capsys):
+    record = {"flag": np.bool_(True), "x": np.float64(0.5), "n": np.int64(3), "z": 1.0 + 2.0j,
+              "arr": np.arange(2), "pair": (np.int64(1), 2.0), "ok": np.bool_(True)}
+    monkeypatch.setitem(cli.EXPERIMENTS, "growth", lambda cfg, ctx: [record])
+    code, doc = execute(["growth"])
+    capsys.readouterr()
+    clean = {"flag": True, "x": 0.5, "n": 3, "z": {"re": 1.0, "im": 2.0}, "arr": [0, 1],
+             "pair": [1, 2.0], "ok": True}
+    assert code == 0 and doc["records"] == [clean]
+    assert json.loads(json.dumps(doc["records"])) == [clean]
+    assert [type(v) for v in doc["records"][0].values()] == [type(v) for v in clean.values()]
 
 
 def test_gaussian_norms_small(capsys):

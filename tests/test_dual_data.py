@@ -190,3 +190,12 @@ def test_dual_validation_errors():
         DualDescriptor("dup", (trivial, other))
     with pytest.raises(DualValidationError):
         DualDescriptor("notrivial", (IrrepData(label="x", q_diag=np.ones(2)),))
+    with pytest.raises(DualValidationError, match="at least the trivial irrep"):
+        DualDescriptor("empty", ())
+
+
+@pytest.mark.parametrize("build", [lambda: make_su2_dual(-1), lambda: make_suq2_dual(0.5, -1),
+                                   lambda: make_onplus_dual(3, -1)], ids=["su2", "suq2", "onplus"])
+def test_negative_kmax_is_refused(build):
+    with pytest.raises(DualValidationError, match="kmax must be >= 0"):
+        build()

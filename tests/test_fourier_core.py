@@ -179,6 +179,14 @@ class TestPlancherelGram:
                 assert ell2_norm(f) == pytest.approx(expected, rel=1e-12)
 
 
+def test_block_outside_the_support_is_zero():
+    f = FourierCoeffs(SUQ2, {1: np.eye(2)})
+    zero = f.block(3)
+    assert zero.dtype == complex and zero.shape == (4, 4) and not zero.any()
+    with pytest.raises(KeyError):
+        f.block(99)  # not a label of the dual
+
+
 def test_coeffs_validation():
     with pytest.raises(ValueError):
         FourierCoeffs(SUQ2, {1: np.eye(3)})  # wrong shape

@@ -250,3 +250,8 @@ class TestGrowthReport:
     def test_bad_q(self):
         with pytest.raises(ValueError):
             growth_report(SUQ2, q=1.5)
+
+    def test_bound_failure_is_raised(self):
+        # d_1 of suq2(0.9) is 0.9 + 1/0.9 = 2.01, below 0.3^-1
+        with pytest.raises(AssertionError, match="growth bound failed at k=1"):
+            growth_report(make_suq2_dual(0.9, 8), q=0.3)

@@ -44,6 +44,7 @@ from qgfourier.random_series import (
     _above_spectrum,
     _gram_schmidt,
     _newton_sweep,
+    _unitarity_defects,
     bidiagonal_norms,
     bidiagonals_per_chunk,
     coefficient_traces,
@@ -67,6 +68,11 @@ class TestSamplers:
     def test_gaussian_matrix_rejects_size_zero(self):
         with pytest.raises(ValueError):
             gaussian_matrix(0, RngSeed(0).generator())
+
+    @pytest.mark.parametrize("sampler", [haar_unitary_stack, gaussian_bidiagonal_squares])
+    def test_size_zero_is_refused(self, sampler):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            sampler(0, 1, RngSeed(0).generator())
 
     def test_gaussian_entry_statistics(self):
         rng = RngSeed(7, 0).generator()
@@ -852,6 +858,11 @@ class TestFourUnitary:
             for v_stack, v_single in zip(stacked, four_unitary_decomposition(x[i])):
                 np.testing.assert_array_equal(v_stack[i], v_single)
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_non_square_input_is_refused(self, shape):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            four_unitary_decomposition(np.zeros(shape))
+
     def test_stack_with_one_expansion_is_refused(self):
         x = np.stack([np.eye(3), 0.5 * np.eye(3), 1.5 * np.eye(3)])
         with pytest.raises(ContractionError):
@@ -910,7 +921,7 @@ class TestFourUnitary:
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
     def test_eigvalsh_defect_is_the_svd_norm(self, n):
         # V^* V - I is Hermitian, so its largest |eigenvalue| is its 2-norm;
-        # `four-unitary` reads the defect that way.  The computed defect D is
+        # `_unitarity_defects` reads the defect that way.  The computed defect D is
         # Hermitian only to rounding, and eigvalsh reads its lower triangle,
         # i.e. the Hermitian H built from it: per matrix the two norms differ
         # by at most ||H - D||_2 plus the rounding of either route, and their
@@ -921,7 +932,7 @@ class TestFourUnitary:
         v = np.concatenate(four_unitary_decomposition(x))
         defect = v.swapaxes(-1, -2).conj() @ v - np.eye(n)
         by_svd = np.linalg.norm(defect, 2, axis=(-2, -1))
-        by_eig = np.max(np.abs(np.linalg.eigvalsh(defect)), axis=-1)
+        by_eig = _unitarity_defects(v)
         lower = np.tril(defect, -1)
         read = lower + lower.swapaxes(-1, -2).conj() + np.real(np.tril(np.triu(defect)))
         asymmetry = np.linalg.norm(read - defect, 2, axis=(-2, -1))
@@ -980,6 +991,26 @@ class TestRandomizeBall:
         res = randomize_ball(f, haar_family(SUQ2, rng))
         assert len(calls) == len(SUQ2.labels()) > 2 and np.isnan(res.max_deviation)
 
+    def test_randomizes_once(self, monkeypatch):
+        # the identity is checked block by block; the four families are only
+        # the certificate, and they average back to f_B
+        calls = []
+
+        def counting(f, family):
+            calls.append(family)
+            return randomize(f, family)
+        monkeypatch.setattr(random_series, "randomize", counting)
+        rng = RngSeed(89).generator()
+        f = random_coeffs(SUQ2, rng, labels=[0, 2, 3])
+        family = haar_family(SUQ2, rng)
+        res = randomize_ball(f, family)
+        assert calls == [family] and res.max_deviation <= 1e-9
+        assert [fam.labels() for fam in res.families] == [SUQ2.labels()] * 4
+        average = [randomize(f, fam) for fam in res.families]
+        for l in f.labels():
+            np.testing.assert_allclose(sum(g.block(l) for g in average) / 2.0,
+                                       res.randomized.block(l), atol=1e-12)
+
     def test_rejects_out_of_ball(self):
         f = random_coeffs(SUQ2, RngSeed(79).generator())
         big = FourierCoeffs(SUQ2, {l: 1.1 * np.eye(SUQ2.irrep(l).n) for l in SUQ2.labels()})
@@ -1022,13 +1053,27 @@ def test_unitary_flag_matches_svd_route(eps):
     assert is_unitary(haar) and svd_is_unitary(haar)
 
 
-def test_unitary_flag_takes_the_svd_when_frobenius_cannot_decide():
+def test_unitary_flag_takes_the_eigenvalue_route_when_frobenius_cannot_decide(monkeypatch):
     n = 4
     m = np.sqrt(1 + 0.9 * UNITARY_TOL) * np.eye(n)
     defect = m.conj().T @ m - np.eye(n)
     assert np.linalg.norm(defect) > UNITARY_TOL >= np.linalg.norm(defect, 2)
+    measured = []
+
+    def spy(u):
+        measured.append(u)
+        return _unitarity_defects(u)
+    monkeypatch.setattr(random_series, "_unitarity_defects", spy)
     dual = make_su2_dual(n - 1)
-    assert is_unitary(FourierCoeffs(dual, {n - 1: m}))
+    assert is_unitary(FourierCoeffs(dual, {n - 1: m})) and len(measured) == 1
+    assert is_unitary(identity_family(dual)) and len(measured) == 1  # Frobenius accepts
+
+
+def test_nan_block_is_not_unitary():
+    # the SVD fallback raised LinAlgError on a NaN defect; the eigenvalue route reads NaN,
+    # which no tolerance accepts
+    dual = make_su2_dual(1)
+    assert not is_unitary(FourierCoeffs(dual, {1: np.full((2, 2), np.nan)}))
 
 
 #: Each Monte Carlo driver with the fewest trials it takes, run on `t` trials
