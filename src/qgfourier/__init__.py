@@ -3,11 +3,9 @@
 __version__ = "0.1.0"
 
 from .dual_data import (
-    BlockGram,
     DualDescriptor,
     DualValidationError,
     IrrepData,
-    block_gram,
     make_onplus_dual,
     make_su2_dual,
     make_suq2_dual,
@@ -46,7 +44,6 @@ from .l2_operators import (
     trace_norm_duality,
 )
 from .classical_eval import (
-    ClassicalDomainError,
     FiniteGroupTable,
     GroupTableError,
     SU2Quadrature,

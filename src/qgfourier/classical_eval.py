@@ -4,11 +4,11 @@ Two concrete Haar realizations, each a :class:`HaarRule`, back the classical
 checks:
 
 * :class:`FiniteGroupTable` -- a finite group given by its multiplication
-  table together with a complete set of unitary irreps; the Haar integral is
-  the exact uniform average.  Construction checks exhaustively that the irreps
-  are unitary homomorphisms, the Peter-Weyl count and the orthogonality of
-  matrix coefficients; the group law and the coefficient-extraction round trip
-  follow from these.
+  table and one stack of unitary irrep matrices per label of its dual; the
+  Haar integral is the exact uniform average.  Construction checks
+  exhaustively that the irreps are unitary homomorphisms, the Peter-Weyl
+  count and the orthogonality of matrix coefficients; the group law and the
+  coefficient-extraction round trip follow from these.
 * :class:`SU2Quadrature` -- a product rule for the 2x2 special unitary group
   (Gauss-Legendre in the polar angle, uniform in the two phases) whose
   validity level ``kmax_valid``, up to which it reproduces the irrep
@@ -41,10 +41,6 @@ STACK_TIE_TOL = 1e-13      # assembled irrep stacks against the entry formula
 MC_CHUNK = 1024
 
 
-class ClassicalDomainError(ValueError):
-    """Raised when an operation needs a classical (Kac, realized) dual."""
-
-
 class GroupTableError(ValueError):
     """Raised when a finite-group table fails a construction-time invariant."""
 
@@ -72,35 +68,20 @@ class HaarRule:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class GroupIrrep:
-    """A unitary irrep by its matrices at every group element; `n` is read off their shape."""
-
-    label: str | int
-    matrices: np.ndarray  # (order, n, n), complex, unitary
-    n: int = field(init=False)
-
-    def __post_init__(self):
-        mats = np.array(self.matrices, dtype=complex)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise GroupTableError(f"irrep {self.label!r}: matrices shape {mats.shape}")
-        if not np.isfinite(mats).all():
-            raise GroupTableError(f"irrep {self.label!r}: non-finite matrix entry")
-        mats.flags.writeable = False
-        object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "n", mats.shape[1])
-
-
-@dataclass(frozen=True, eq=False)
 class FiniteGroupTable(HaarRule):
     """A finite group with unitary irreps and the exact Haar average.
 
-    The order is ``len(mult)``, and each irrep's dimension is read off its
-    matrices.  Construction checks that `mult` is a square table of elements,
-    that the irreps are unitary homomorphisms (the first one trivial) whose
-    squared dimensions sum to the order, and Schur orthogonality under the
-    uniform average.  The rest follows from these.  The coefficient matrix Y
-    (an element per row, a matrix coefficient per column) is square, and
-    Schur says its columns are orthogonal, so its rows are too:
+    `stacks` maps each irrep label, the trivial one first, to the irrep's
+    matrices at every group element, (order, n, n); the build makes them
+    complex arrays, read-only (as it does `mult`; a complex array is kept, not
+    copied), and reads its `dual` off them, a Kac dual of the stacks' sizes
+    that is the table's label index.  The order is ``len(mult)``.
+    Construction checks that `mult` is a square table of elements, that the
+    irreps are unitary homomorphisms (the first one trivial) whose squared
+    dimensions sum to the order, and Schur orthogonality under the uniform
+    average.  The rest follows from these.  The coefficient matrix Y (an
+    element per row, a matrix coefficient per column) is square, and Schur
+    says its columns are orthogonal, so its rows are too:
     sum_pi n_pi |pi(g) - pi(h)|_F^2 = 2 order for g != h, and the direct sum
     of the irreps is injective.  A homomorphism into a group that is injective
     makes `mult` a group law: associative, with an identity and inverses,
@@ -111,13 +92,25 @@ class FiniteGroupTable(HaarRule):
 
     name: str
     mult: np.ndarray
-    irreps: tuple[GroupIrrep, ...]
+    stacks: dict
+    dual: DualDescriptor = field(init=False, repr=False)
     order: int = field(init=False)
-    identity: int = field(init=False)
     inverse: np.ndarray = field(init=False)
     weights: np.ndarray = field(init=False, repr=False)   # the uniform 1/order, read-only
 
     def __post_init__(self):
+        stacks = {}
+        for label, stack in self.stacks.items():
+            mats = np.asarray(stack, dtype=complex)
+            if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+                raise GroupTableError(f"irrep {label!r}: matrices shape {mats.shape}")
+            if not np.isfinite(mats).all():
+                raise GroupTableError(f"irrep {label!r}: non-finite matrix entry")
+            mats.flags.writeable = False
+            stacks[label] = mats
+        object.__setattr__(self, "stacks", stacks)
+        object.__setattr__(self, "dual", DualDescriptor(self.name, tuple(
+            IrrepData(label=label, q_diag=np.ones(m.shape[1])) for label, m in stacks.items())))
         mult = np.asarray(self.mult, dtype=int)
         if mult.ndim != 2 or mult.shape[0] != mult.shape[1]:
             raise GroupTableError(f"mult table shape {mult.shape}, expected (order, order)")
@@ -126,20 +119,12 @@ class FiniteGroupTable(HaarRule):
         mult.flags.writeable = False
         object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "order", len(mult))
-        object.__setattr__(self, "irreps", tuple(self.irreps))
         self._validate_irreps()
         self._validate_schur()
         identity = int(np.argmax(mult[:, 0] == 0))   # x * 0 = 0 only for x = e
         inverse = np.argmax(mult == identity, axis=1)
         inverse.flags.writeable = False
-        object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", inverse)
-        object.__setattr__(
-            self, "_by_label", {ir.label: ir for ir in self.irreps}
-        )
-        object.__setattr__(self, "_dual", DualDescriptor(
-            self.name, tuple(IrrepData(label=ir.label, q_diag=np.ones(ir.n)) for ir in self.irreps)
-        ))
         weights = np.full(self.order, 1.0 / self.order)
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
@@ -147,50 +132,32 @@ class FiniteGroupTable(HaarRule):
     # -- structure ---------------------------------------------------------
 
     def _validate_irreps(self):
-        labels = [ir.label for ir in self.irreps]
-        if len(set(labels)) != len(labels):
-            raise GroupTableError("duplicate irrep labels")
-        if sum(ir.n * ir.n for ir in self.irreps) != self.order:
+        if sum(ir.n * ir.n for ir in self.dual.irreps) != self.order:
             raise GroupTableError("Peter-Weyl count failed: sum n^2 != order")
-        first = self.irreps[0]
-        if first.n != 1 or np.max(np.abs(first.matrices - 1.0)) > GROUP_TOL:
+        if np.max(np.abs(self.stacks[self.dual.irreps[0].label] - 1.0)) > GROUP_TOL:
             raise GroupTableError("the first irrep must be the trivial one")
-        for ir in self.irreps:
-            mats = ir.matrices
+        for label, mats in self.stacks.items():
             if len(mats) != self.order:
-                raise GroupTableError(
-                    f"irrep {ir.label!r}: matrices shape {mats.shape}"
-                )
+                raise GroupTableError(f"irrep {label!r}: matrices shape {mats.shape}")
             defect = float(np.max(_unitarity_defects(mats)))
             if defect > GROUP_TOL:
-                raise GroupTableError(f"irrep {ir.label!r}: unitarity defect {defect!r}")
+                raise GroupTableError(f"irrep {label!r}: unitarity defect {defect!r}")
             prod = np.einsum("aij,bjk->abik", mats, mats)
             if float(np.max(np.abs(prod - mats[self.mult]))) > GROUP_TOL:
-                raise GroupTableError(f"irrep {ir.label!r}: not a homomorphism")
+                raise GroupTableError(f"irrep {label!r}: not a homomorphism")
 
     def _validate_schur(self):
         # flatten all matrix coefficients and check the uniform-average Gram
-        y = np.concatenate([ir.matrices.reshape(self.order, -1) for ir in self.irreps], axis=1)
-        expected = np.concatenate([np.full(ir.n * ir.n, 1.0 / ir.n) for ir in self.irreps])
+        y = np.concatenate([m.reshape(self.order, -1) for m in self.stacks.values()], axis=1)
+        expected = np.concatenate([np.full(ir.n * ir.n, 1.0 / ir.n) for ir in self.dual.irreps])
         gram = (y.T @ y.conj()) / self.order
         if float(np.max(np.abs(gram - np.diag(expected)))) > GROUP_TOL:
             raise GroupTableError("Schur orthogonality failed for the uniform average")
 
     # -- Haar realization ---------------------------------------------------
 
-    def dual_descriptor(self) -> DualDescriptor:
-        return self._dual
-
-    def irrep(self, label) -> GroupIrrep:
-        try:
-            return self._by_label[label]
-        except KeyError:
-            raise ClassicalDomainError(
-                f"group {self.name!r} has no irrep labeled {label!r}"
-            ) from None
-
     def irrep_stack(self, label) -> np.ndarray:
-        return self.irrep(label).matrices
+        return self.stacks[self.dual.irrep(label).label]   # KeyError if the label is unknown
 
     def fourier_coeffs(self, values: np.ndarray) -> FourierCoeffs:
         """Exact coefficient extraction f(pi)_{i,j} = (1/|G|) sum_g v(g) conj(pi(g)_{j,i})."""
@@ -198,10 +165,10 @@ class FiniteGroupTable(HaarRule):
         if values.shape != (self.order,):
             raise ValueError(f"need one value per element, got shape {values.shape}")
         support = {
-            ir.label: np.einsum("g,gji->ij", values, ir.matrices.conj()) / self.order
-            for ir in self.irreps
+            label: np.einsum("g,gji->ij", values, m.conj()) / self.order
+            for label, m in self.stacks.items()
         }
-        return FourierCoeffs(self.dual_descriptor(), support)
+        return FourierCoeffs(self.dual, support)
 
 
 def cyclic_group(n: int) -> FiniteGroupTable:
@@ -212,11 +179,8 @@ def cyclic_group(n: int) -> FiniteGroupTable:
         raise GroupTableError(f"order must be >= 1, got {n}")
     g = np.arange(n)
     mult = (g[:, None] + g[None, :]) % n
-    irreps = tuple(
-        GroupIrrep(label=j, matrices=np.exp(2j * np.pi * (j * g % n) / n).reshape(n, 1, 1))
-        for j in range(n)
-    )
-    return FiniteGroupTable(name=f"z{n}", mult=mult, irreps=irreps)
+    stacks = {j: np.exp(2j * np.pi * (j * g % n) / n).reshape(n, 1, 1) for j in range(n)}
+    return FiniteGroupTable(name=f"z{n}", mult=mult, stacks=stacks)
 
 
 _S3_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
@@ -249,9 +213,8 @@ def symmetric_group_s3() -> FiniteGroupTable:
             perm_mat[p[j], j] = 1.0
         sgn_vals[a] = np.linalg.det(perm_mat)   # exactly +-1: LU pivots a permutation
         std_mats[a] = basis.T @ perm_mat @ basis
-    irreps = (GroupIrrep("triv", np.ones((order, 1, 1))), GroupIrrep("sgn", sgn_vals),
-              GroupIrrep("std", std_mats))
-    return FiniteGroupTable(name="s3", mult=mult, irreps=irreps)
+    stacks = {"triv": np.ones((order, 1, 1)), "sgn": sgn_vals, "std": std_mats}
+    return FiniteGroupTable(name="s3", mult=mult, stacks=stacks)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +282,7 @@ def _euler_assemble(rho0, e1, e2, phases, p1, p2) -> np.ndarray:
 
 def _check_level(k) -> int:
     if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ClassicalDomainError(f"label {k!r} is not a valid irrep level")
+        raise KeyError(f"the SU(2) rule has no irrep labeled {k!r}")
     return int(k)
 
 

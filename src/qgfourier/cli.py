@@ -115,10 +115,10 @@ def build_dual(spec: str, q: float, kmax: int):
     if spec == "suq2":
         return make_suq2_dual(q, kmax)
     if spec == "s3":
-        return symmetric_group_s3().dual_descriptor()
+        return symmetric_group_s3().dual
     m = re.fullmatch(r"z(\d+)", spec)
     if m:
-        return cyclic_group(int(m.group(1))).dual_descriptor()
+        return cyclic_group(int(m.group(1))).dual
     m = re.fullmatch(r"o(\d+)plus", spec)
     if m:
         return make_onplus_dual(int(m.group(1)), kmax)
@@ -218,7 +218,7 @@ def run_pairing(cfg, ctx):
 
 def run_convolve_check(cfg, ctx):
     table = ctx.s3
-    dual = table.dual_descriptor()
+    dual = table.dual
     rng = _seed_for(cfg, "convolve-check").generator()
     tol = 1e-12
     max_match = 0.0
@@ -340,19 +340,19 @@ def _helgason_corpus(cfg, ctx):
     rng = _seed_for(cfg, "helgason-gaussian", 999).generator()
     s3, z8 = ctx.s3, ctx.z8
     cases = []
-    s3_labels = [ir.label for ir in s3.irreps]
+    s3_labels = s3.dual.labels()
     for _ in range(12):
         size = int(rng.integers(1, len(s3_labels) + 1))
         labels = list(rng.choice(len(s3_labels), size=size, replace=False))
         support = [s3_labels[i] for i in labels]
-        f = random_coeffs(s3.dual_descriptor(), rng, labels=support, real=True)
+        f = random_coeffs(s3.dual, rng, labels=support, real=True)
         cases.append(("s3", s3, f))
     for _ in range(8):
         # supports inside one residue class mod 4 keep the phases aligned
         cls = int(rng.integers(0, 4))
         size = int(rng.integers(1, 3))
         support = [cls, cls + 4][:size] if rng.uniform() < 0.5 else [cls + 4, cls][:size]
-        f = random_coeffs(z8.dual_descriptor(), rng, labels=sorted(set(support)), real=True)
+        f = random_coeffs(z8.dual, rng, labels=sorted(set(support)), real=True)
         cases.append(("z8", z8, f))
     return cases
 
@@ -371,14 +371,14 @@ def run_helgason_gaussian(cfg, ctx):
 
 def run_helgason_instance(cfg, ctx):
     s3 = ctx.s3
-    dual = s3.dual_descriptor()
+    dual = s3.dual
     rng = _seed_for(cfg, "helgason-instance", 999).generator()
     f = random_coeffs(dual, rng)
     r1 = randomized_l1_report(s3, f, cfg["trials"], _seed_for(cfg, "helgason-instance", 0))
     r2 = randomized_l1_report(s3, f, 10 * cfg["trials"], _seed_for(cfg, "helgason-instance", 0))
     stable = abs(r1.ratio - r2.ratio) <= 0.1 * r2.ratio
     z2 = cyclic_group(2)
-    sign = FourierCoeffs(z2.dual_descriptor(), {1: np.array([[1.0]])})
+    sign = FourierCoeffs(z2.dual, {1: np.array([[1.0]])})
     rs = randomized_l1_report(z2, sign, cfg["trials"], _seed_for(cfg, "helgason-instance", 1))
     sign_ok = abs(rs.sup_l1_over_u - 1.0) <= 1e-10 and abs(rs.ell2 - 1.0) <= 1e-12
     return [
@@ -552,17 +552,17 @@ def run_cotype2(cfg, ctx):
     floor = 0.2
     target = float(np.sqrt(2.0 / np.pi))
 
-    single = [random_coeffs(s3.dual_descriptor(), rng)]
+    single = [random_coeffs(s3.dual, rng)]
     res = cotype2_ratio(s3, single, cfg["trials"], _seed_for(cfg, "cotype2", 0))
     records.append({"case": "singleton-s3", "ratio": res.ratio, "stderr": res.stderr,
                     "target": target, "ok": abs(res.ratio - target) <= 3.0 * res.stderr})
 
-    chars = [FourierCoeffs(z8.dual_descriptor(), {j: np.array([[1.0]])}) for j in range(8)]
+    chars = [FourierCoeffs(z8.dual, {j: np.array([[1.0]])}) for j in range(8)]
     res = cotype2_ratio(z8, chars, cfg["trials"], _seed_for(cfg, "cotype2", 1))
     records.append({"case": "z8-characters", "ratio": res.ratio, "stderr": res.stderr,
                     "floor": floor, "ok": res.ratio >= floor})
 
-    mixed = [random_coeffs(s3.dual_descriptor(), rng) for _ in range(5)]
+    mixed = [random_coeffs(s3.dual, rng) for _ in range(5)]
     res = cotype2_ratio(s3, mixed, cfg["trials"], _seed_for(cfg, "cotype2", 2))
     records.append({"case": "random-s3-5", "ratio": res.ratio, "stderr": res.stderr,
                     "floor": floor, "ok": res.ratio >= floor})
@@ -694,7 +694,7 @@ def _csv_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (list, dict)):
-        return json.dumps(value).replace(",", ";")
+        return json.dumps(value)
     return str(value)
 
 

@@ -14,6 +14,7 @@ q-deformation, and the free orthogonal family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,10 +39,6 @@ class IrrepData:
     q_diag: np.ndarray
     n: int = field(init=False)
     d: float = field(init=False)
-    # the weights `block_gram` built for this irrep, kept here so that they
-    # live exactly as long as the irrep (and its dual) does; they hold no
-    # reference back, so reference counting frees them
-    _gram: BlockGram | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         q = np.asarray(self.q_diag, dtype=float)
@@ -70,38 +67,25 @@ class IrrepData:
         """tr(Q X^* X) = sum_i q_i ||X[:, i]||^2, with Q applied by broadcasting."""
         return float((x.real**2 + x.imag**2).sum(axis=0) @ self.q_diag)
 
+    @cached_property
+    def gram_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Haar-state Gram weights of the block, from the orthogonality relations
 
-@dataclass(frozen=True, eq=False)
-class BlockGram:
-    """Diagonal Gram weights of one block: basis {u_{i,j}} and basis {(u_{i,j})^*}."""
+            h((u_{s,t})^* u_{i,j}) = delta_{i,s} delta_{j,t} (Q^{-1})_{i,i} / d
+            h(u_{s,t} (u_{i,j})^*) = delta_{i,s} delta_{j,t} (Q)_{j,j} / d
 
-    gram_u: np.ndarray      # weight of u_{i,j} at (i, j): (Q^{-1})_{i,i} / d
-    gram_ustar: np.ndarray  # weight of (u_{i,j})^* at (i, j): (Q)_{j,j} / d
-
-
-def block_gram(irrep: IrrepData) -> BlockGram:
-    """Haar-state Gram weights of one block, from the orthogonality relations
-
-        h((u_{s,t})^* u_{i,j}) = delta_{i,s} delta_{j,t} (Q^{-1})_{i,i} / d
-        h(u_{s,t} (u_{i,j})^*) = delta_{i,s} delta_{j,t} (Q)_{j,j} / d
-
-    (Woronowicz, Comm. Math. Phys. 111, 1987).  The only place in the
-    package that writes these weights.  They are built on the first call for
-    `irrep`, stored on it read-only, and the same object is returned after.
-    """
-    if irrep._gram is not None:
-        return irrep._gram
-    n, d = irrep.n, irrep.d
-    qinv_diag = 1.0 / irrep.q_diag
-    gram_u = np.repeat(qinv_diag[:, None], n, axis=1) / d
-    gram_ustar = np.repeat(irrep.q_diag[None, :], n, axis=0) / d
-    if not (np.all(gram_u > 0) and np.all(gram_ustar > 0)):
-        raise ValueError("gram weights must be strictly positive")
-    gram_u.flags.writeable = False
-    gram_ustar.flags.writeable = False
-    gram = BlockGram(gram_u=gram_u, gram_ustar=gram_ustar)
-    object.__setattr__(irrep, "_gram", gram)
-    return gram
+        (Woronowicz, Comm. Math. Phys. 111, 1987): the weight of u_{i,j},
+        indexed by the row i, and that of (u_{i,j})^*, indexed by the column j.
+        The only place in the package that writes them.  Built on the first
+        read, read-only, and kept with the irrep, so they live as long as it does.
+        """
+        gram_u = (1.0 / self.q_diag) / self.d
+        gram_ustar = self.q_diag / self.d
+        if not (np.all(gram_u > 0) and np.all(gram_ustar > 0)):
+            raise ValueError("gram weights must be strictly positive")
+        gram_u.flags.writeable = False
+        gram_ustar.flags.writeable = False
+        return gram_u, gram_ustar
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual_data import DualDescriptor, block_gram
+from .dual_data import DualDescriptor
 
 
 class DualMismatchError(ValueError):
@@ -130,8 +130,9 @@ def plancherel_gram_norm(f: FourierCoeffs) -> float:
     The element f = sum_alpha d_alpha tr(X_alpha Q_alpha u^alpha) is expanded
     into individual matrix coefficients u_{j,i} with scalar weights
     C[i, j] = d_alpha (X_alpha Q_alpha)_{i,j}.  The u_{j,i} are orthogonal with
-    <u_{j,i}, u_{j,i}> = gram_u[j, i] (`dual_data.block_gram`), so ||f||^2 is
-    the sum of |C[i, j]|^2 gram_u[j, i].
+    <u_{j,i}, u_{j,i}> = (Q^{-1})_{j,j} / d, the row weight of
+    `IrrepData.gram_weights` at j, so ||f||^2 is the sum of
+    |C[i, j]|^2 (Q^{-1})_{j,j} / d: C's last axis runs along that row weight.
 
     This is an independent evaluation route; it must agree with ell2_norm.
     Cross-irrep contributions vanish by orthogonality and are not summed.
@@ -140,5 +141,5 @@ def plancherel_gram_norm(f: FourierCoeffs) -> float:
     for label, x in f.support.items():
         irrep = f.dual.irrep(label)
         coeff = irrep.d * (x * irrep.q_diag)  # coeff[i, j] multiplies u_{j,i}
-        total += np.sum((coeff.real**2 + coeff.imag**2) * block_gram(irrep).gram_u.T)
+        total += np.sum((coeff.real**2 + coeff.imag**2) * irrep.gram_weights[0])
     return float(np.sqrt(total))

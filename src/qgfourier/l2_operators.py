@@ -1,8 +1,8 @@
 """Operators built on the Gram data of matrix coefficients.
 
 The Haar-state orthogonality relations make {u_{i,j}} and {(u_{i,j})^*}
-orthogonal bases of each block of L2, with the diagonal Gram weights of
-`dual_data.block_gram`.  On top of these: the block norm of the
+orthogonal bases of each block of L2, with the diagonal Gram weights
+`IrrepData.gram_weights`.  On top of these: the block norm of the
 coefficient-multiplier operator, a two-route evaluation of a Haar-state
 pairing identity, trace-norm duality against unitaries, and central
 (character-type) coefficient families.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual_data import DualDescriptor, IrrepData, block_gram
+from .dual_data import DualDescriptor, IrrepData
 from .fourier_core import FourierCoeffs, ell2_norm
 from .random_series import (RngSeed, _require_family, haar_unitary_stack, matrices_per_chunk,
                             sample_max)
@@ -52,8 +52,8 @@ def haar_state_pairing_check(f: FourierCoeffs, family: FourierCoeffs) -> Pairing
     """Two-route evaluation of h(x) for x = sum d (XQ)_{i,j} (Q^{-1})_{k,k} B_{p,i}
     u_{j,k} (u_{p,k})^*.
 
-    Route one contracts the terms against the Haar-state Gram weights of
-    `block_gram`; route two is the closed form
+    Route one contracts the terms against the Haar-state Gram weights
+    (`IrrepData.gram_weights`); route two is the closed form
     sum_alpha n_alpha tr(X_alpha Q_alpha B_alpha).  Pure algebra: the
     deviation is floating-point noise only.  A label of f missing from `family`
     raises FamilyError, since both routes would read it as zero and agree.
@@ -66,9 +66,8 @@ def haar_state_pairing_check(f: FourierCoeffs, family: FourierCoeffs) -> Pairing
         q = irrep.q_diag
         bm = family.support[label]
         xq = x * q
-        # h(u_{j,k} (u_{p,k})^*) = delta_{j,p} gram_ustar[p, k]: fold p into j
-        gram_ustar = block_gram(irrep).gram_ustar
-        lhs += irrep.d * np.einsum("ij,ji,jk,k->", xq, bm, gram_ustar, 1.0 / q)
+        # h(u_{j,k} (u_{p,k})^*) = delta_{j,p} Q_{k,k} / d: fold p into j
+        lhs += irrep.d * np.einsum("ij,ji,k,k->", xq, bm, irrep.gram_weights[1], 1.0 / q)
         rhs += irrep.n * np.trace(xq @ bm)
     deviation = abs(lhs - rhs)
     return PairingIdentity(lhs=complex(lhs), rhs=complex(rhs), deviation=float(deviation))

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 from qgfourier import (
-    ClassicalDomainError,
+    DualValidationError,
     FourierCoeffs,
     GroupTableError,
     RngSeed,
@@ -26,7 +26,6 @@ from qgfourier.classical_eval import (
     MC_CHUNK,
     SCHUR_QUAD_TOL,
     FiniteGroupTable,
-    GroupIrrep,
     make_su2_quadrature,
 )
 from qgfourier.cli import execute
@@ -256,20 +255,15 @@ _ONES = np.ones((2, 1, 1))
 _SIGN = np.array([1.0, -1.0]).reshape(2, 1, 1)
 _Z2_MULT = [[0, 1], [1, 0]]
 
-#: name -> (mult, irreps, the refusal): each table fails one construction check
+#: name -> (mult, stacks, the refusal): each table fails one construction check
 MALFORMED_TABLES = {
-    "not-square": (np.zeros((2, 3), dtype=int), (GroupIrrep(0, _ONES),), "mult table shape"),
-    "above-range": ([[0, 1], [1, 2]], (GroupIrrep(0, _ONES),), "out of range"),
-    "below-range": ([[0, 1], [1, -1]], (GroupIrrep(0, _ONES),), "out of range"),
-    "duplicate-labels": (_Z2_MULT, (GroupIrrep(0, _ONES), GroupIrrep(0, _SIGN)),
-                         "duplicate irrep labels"),
-    "first-not-trivial": (_Z2_MULT, (GroupIrrep(1, _SIGN), GroupIrrep(0, _ONES)),
-                          "first irrep must be the trivial one"),
-    "wrong-element-count": (_Z2_MULT, (GroupIrrep(0, _ONES), GroupIrrep(1, np.ones((3, 1, 1)))),
-                            "irrep 1: matrices shape"),
+    "not-square": (np.zeros((2, 3), dtype=int), {0: _ONES}, "mult table shape"),
+    "above-range": ([[0, 1], [1, 2]], {0: _ONES}, "out of range"),
+    "below-range": ([[0, 1], [1, -1]], {0: _ONES}, "out of range"),
+    "first-not-trivial": (_Z2_MULT, {1: _SIGN, 0: _ONES}, "first irrep must be the trivial one"),
+    "wrong-element-count": (_Z2_MULT, {0: _ONES, 1: np.ones((3, 1, 1))}, "irrep 1: matrices shape"),
     # Peter-Weyl, unitarity and the homomorphism check pass; only Schur refuses
-    "trivial-twice": (_Z2_MULT, (GroupIrrep(0, _ONES), GroupIrrep(1, _ONES)),
-                      "Schur orthogonality failed"),
+    "trivial-twice": (_Z2_MULT, {0: _ONES, 1: _ONES}, "Schur orthogonality failed"),
 }
 
 
@@ -278,48 +272,66 @@ class TestFiniteGroups:
         z4 = cyclic_group(4)
         assert z4.order == 4
         root = np.exp(2j * np.pi / 4)
-        for j, ir in enumerate(z4.irreps):
+        for j, stack in z4.stacks.items():
             np.testing.assert_allclose(
-                ir.matrices[:, 0, 0], [root ** (j * g) for g in range(4)], atol=1e-14
+                stack[:, 0, 0], [root ** (j * g) for g in range(4)], atol=1e-14
             )
 
     def test_z344_builds(self):
         # at j g near n^2, exp(2 pi i j g / n) rounds past the homomorphism
         # tolerance from about n = 344 unless j g is reduced mod n first
         z344 = cyclic_group(344)
-        assert z344.order == 344 and len(z344.irreps) == 344
-        np.testing.assert_allclose(z344.irrep(339).matrices[343, 0, 0],
+        assert z344.order == 344 and len(z344.stacks) == 344
+        np.testing.assert_allclose(z344.irrep_stack(339)[343, 0, 0],
                                    np.exp(-2j * np.pi * 339 / 344), rtol=0, atol=1e-14)
 
     def test_trivial_group(self):
         z1 = cyclic_group(1)
-        assert z1.order == 1 and len(z1.irreps) == 1
+        assert z1.order == 1 and len(z1.stacks) == 1
 
     def test_s3_peter_weyl(self, s3_table):
-        assert sum(ir.n**2 for ir in s3_table.irreps) == 6
-        assert [ir.n for ir in s3_table.irreps] == [1, 1, 2]
+        assert sum(ir.n**2 for ir in s3_table.dual.irreps) == 6
+        assert [ir.n for ir in s3_table.dual.irreps] == [1, 1, 2]
+        assert s3_table.dual.labels() == list(s3_table.stacks) == ["triv", "sgn", "std"]
 
     def test_s3_schur_is_validated_at_construction(self, s3_table):
         # construction already runs the exhaustive orthogonality check; spot-check one entry
-        std = s3_table.irrep("std")
-        gram = np.mean(std.matrices[:, 0, 0] * np.conj(std.matrices[:, 0, 0]))
+        std = s3_table.irrep_stack("std")
+        gram = np.mean(std[:, 0, 0] * np.conj(std[:, 0, 0]))
         assert gram == pytest.approx(0.5, abs=1e-12)
 
     def test_rejects_broken_mult_table(self):
         mult = np.array([[0, 1], [1, 1]])  # not a group law
-        irreps = (GroupIrrep(0, np.ones((2, 1, 1))),)
         with pytest.raises(GroupTableError):
-            FiniteGroupTable(name="bad", mult=mult, irreps=irreps)
+            FiniteGroupTable(name="bad", mult=mult, stacks={0: np.ones((2, 1, 1))})
 
     @pytest.mark.parametrize("name", list(MALFORMED_TABLES))
     def test_malformed_table_is_refused(self, name):
-        mult, irreps, refusal = MALFORMED_TABLES[name]
+        mult, stacks, refusal = MALFORMED_TABLES[name]
         with pytest.raises(GroupTableError, match=refusal):
-            FiniteGroupTable(name=name, mult=np.array(mult), irreps=irreps)
+            FiniteGroupTable(name=name, mult=np.array(mult), stacks=stacks)
 
-    def test_unknown_label_is_a_domain_error(self, s3_table):
-        with pytest.raises(ClassicalDomainError, match="no irrep labeled 'bogus'"):
-            s3_table.irrep("bogus")
+    @pytest.mark.parametrize("stacks, refusal", [
+        ({}, "at least the trivial irrep"),
+        ({0: np.ones((2, 2, 2)), 1: _ONES}, "first irrep must be trivial"),
+        ({0: np.ones((2, 0, 0))}, "non-empty vector"),
+    ], ids=["no-stack", "first-not-size-one", "size-zero"])
+    def test_the_dual_refuses_what_it_cannot_index(self, stacks, refusal):
+        # the table's label index is its dual, built from the stacks' sizes first
+        with pytest.raises(DualValidationError, match=refusal):
+            FiniteGroupTable(name="bad", mult=np.array(_Z2_MULT), stacks=stacks)
+
+    def test_dual_is_the_label_index(self, s3_table):
+        assert s3_table.dual.name == "s3"
+        assert all(np.all(ir.q_diag == 1.0) for ir in s3_table.dual.irreps)
+        for label, stack in s3_table.stacks.items():
+            assert s3_table.irrep_stack(label) is stack
+            assert s3_table.dual.irrep(label).n == stack.shape[-1]
+            assert not stack.flags.writeable
+
+    def test_unknown_label_is_a_key_error(self, s3_table):
+        with pytest.raises(KeyError, match="dual 's3' has no irrep labeled 'bogus'"):
+            s3_table.irrep_stack("bogus")
 
     def test_extraction_needs_one_value_per_element(self, s3_table):
         with pytest.raises(ValueError, match="one value per element"):
@@ -332,28 +344,29 @@ class TestFiniteGroups:
                          [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
         assert mult[mult[1, 1], 2] != mult[1, mult[1, 2]]
         with pytest.raises(GroupTableError, match="not a homomorphism"):
-            FiniteGroupTable(name="loop", mult=mult, irreps=cyclic_group(5).irreps)
+            FiniteGroupTable(name="loop", mult=mult, stacks=cyclic_group(5).stacks)
 
     def test_rejects_non_unitary_irrep(self, z8_table):
-        irreps = list(z8_table.irreps)
-        mats = irreps[3].matrices.copy()
-        mats[5] *= 1 + 1e-9
-        irreps[3] = GroupIrrep(3, mats)
+        stacks = dict(z8_table.stacks)
+        stacks[3] = stacks[3].copy()
+        stacks[3][5] *= 1 + 1e-9
         with pytest.raises(GroupTableError, match="unitarity defect"):
-            FiniteGroupTable(name="z8", mult=z8_table.mult, irreps=irreps)
+            FiniteGroupTable(name="z8", mult=z8_table.mult, stacks=stacks)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_irrep_is_refused(self, bad, z8_table):
-        # the tolerance checks read `nan > tol` as False, so the irrep refuses it
-        mats = z8_table.irreps[3].matrices.copy()
-        mats[5] = bad
+        # the tolerance checks read `nan > tol` as False, so the build refuses it
+        stacks = dict(z8_table.stacks)
+        stacks[3] = stacks[3].copy()
+        stacks[3][5] = bad
         with pytest.raises(GroupTableError, match="irrep 3: non-finite"):
-            GroupIrrep(3, mats)
+            FiniteGroupTable(name="z8", mult=z8_table.mult, stacks=stacks)
 
     def test_dimension_is_read_off_the_matrices(self, s3_table):
         assert s3_table.order == len(s3_table.mult) == 6
-        with pytest.raises(GroupTableError, match="matrices shape"):
-            GroupIrrep("bad", np.ones((6, 2, 3)))
+        with pytest.raises(GroupTableError, match="irrep 'bad': matrices shape"):
+            FiniteGroupTable(name="bad", mult=s3_table.mult,
+                             stacks={"triv": np.ones((6, 1, 1)), "bad": np.ones((6, 2, 3))})
 
     def test_build_memory_is_a_few_square_arrays(self, traced_peak):
         # with N = 128 and n = 1, the table keeps its N x N `mult` and N
@@ -364,7 +377,7 @@ class TestFiniteGroups:
         n = 128
         cyclic_group(2)  # numpy's lazy set-up outside the trace
         table, peak = traced_peak(lambda: cyclic_group(n))
-        kept = table.mult.nbytes + sum(ir.matrices.nbytes for ir in table.irreps)
+        kept = table.mult.nbytes + sum(m.nbytes for m in table.stacks.values())
         assert peak <= kept + 5 * n * n * np.dtype(complex).itemsize
 
     @pytest.mark.parametrize("table", ["z8_table", "s3_table"])
@@ -377,17 +390,17 @@ class TestFiniteGroups:
     def test_rejects_wrong_peter_weyl(self):
         z2 = cyclic_group(2)
         with pytest.raises(GroupTableError):
-            FiniteGroupTable(name="half", mult=z2.mult, irreps=(z2.irreps[0],))
+            FiniteGroupTable(name="half", mult=z2.mult, stacks={0: z2.stacks[0]})
 
     def test_sign_character_values(self):
         z2 = cyclic_group(2)
-        f = FourierCoeffs(z2.dual_descriptor(), {1: np.array([[1.0]])})
+        f = FourierCoeffs(z2.dual, {1: np.array([[1.0]])})
         np.testing.assert_allclose(z2.coeff_values(f), [1.0, -1.0], atol=1e-15)
         assert l1_norm_classical(f, z2) == pytest.approx(1.0)
         assert linfty_norm_classical(f, z2) == pytest.approx(1.0)
 
     def test_constant_function(self, s3_table):
-        f = FourierCoeffs(s3_table.dual_descriptor(), {"triv": np.array([[2.0 - 1.0j]])})
+        f = FourierCoeffs(s3_table.dual, {"triv": np.array([[2.0 - 1.0j]])})
         np.testing.assert_allclose(s3_table.coeff_values(f), [2.0 - 1.0j] * 6, atol=1e-15)
         assert l1_norm_classical(f, s3_table) == pytest.approx(abs(2 - 1j))
 
@@ -397,7 +410,7 @@ class TestFiniteGroups:
         # Schur orthogonality makes extraction invert evaluation; no build-time check runs it
         table = build()
         rng = RngSeed(137).generator()
-        f = random_coeffs(table.dual_descriptor(), rng)
+        f = random_coeffs(table.dual, rng)
         back = table.fourier_coeffs(table.coeff_values(f))
         for l in f.labels():
             np.testing.assert_allclose(back.block(l), f.block(l), atol=1e-12)
@@ -405,7 +418,7 @@ class TestFiniteGroups:
     def test_holder_chain(self, s3_table):
         rng = RngSeed(139).generator()
         for _ in range(10):
-            f = random_coeffs(s3_table.dual_descriptor(), rng)
+            f = random_coeffs(s3_table.dual, rng)
             l1 = l1_norm_classical(f, s3_table)
             l2 = ell2_norm(f)  # Plancherel: the L2 norm of the function
             linf = linfty_norm_classical(f, s3_table)
@@ -495,12 +508,12 @@ class TestQuadrature:
         for k in range(5):
             np.testing.assert_allclose(back.block(k), f.block(k), atol=1e-8)
 
-    def test_bad_level_is_a_domain_error(self, su2_quad, s3_table):
+    def test_bad_level_is_a_key_error(self, su2_quad, s3_table):
         for label in (-1, "std"):
-            with pytest.raises(ClassicalDomainError):
+            with pytest.raises(KeyError, match=rf"SU\(2\) rule has no irrep labeled {label!r}"):
                 su2_quad.irrep_stack(label)
-        f = FourierCoeffs(s3_table.dual_descriptor(), {"std": np.eye(2)})
-        with pytest.raises(ClassicalDomainError):
+        f = FourierCoeffs(s3_table.dual, {"std": np.eye(2)})
+        with pytest.raises(KeyError, match="no irrep labeled 'std'"):
             su2_quad.coeff_values(f)
 
     def test_pointwise_evaluation_matches_stack(self, su2_quad):
@@ -616,16 +629,19 @@ class TestEulerStacks:
         stack = weakref.ref(quad.irrep_stack(level))
         assert stack() is None  # the rule keeps no stack it returns
 
-    def test_all_runs_without_an_irrep_stack(self, monkeypatch, capsys):
-        # `all` reads the rule through its Euler factors alone, with the same records
+    @pytest.mark.parametrize("seed, digest", [(7, "36ce25e3634a266b"), (11, "f3cbbcd2f0cc55cd"),
+                                              (1234, "5aa53de9b52b2320")])
+    def test_all_runs_without_an_irrep_stack(self, seed, digest, monkeypatch, capsys):
+        # `all` reads the rule through its Euler factors alone, with the same records;
+        # the three pinned hashes hold every record of `all` to its last bit
         def refuse(self, k):
             raise AssertionError(f"the level-{k} stack was made")
 
         monkeypatch.setattr(classical_eval.SU2Quadrature, "irrep_stack", refuse)
-        code, doc = execute(["all", "--seed", "7"])
+        code, doc = execute(["all", "--seed", str(seed)])
         capsys.readouterr()
         assert code == 0
-        assert doc["content_hash"].startswith("36ce25e3634a266b")
+        assert doc["content_hash"].startswith(digest)
 
     def test_build_memory_is_the_arrays_it_keeps(self, traced_peak):
         # the rule keeps its four arrays and the polar stacks.  The largest
@@ -904,8 +920,8 @@ class TestCharacterL1:
             assert character_l1(k, quad) == float(np.sum(quad.weights * np.abs(tr)))
 
     @pytest.mark.parametrize("level", [-1, 2.5, 20.5, "1"])
-    def test_bad_level_is_a_domain_error(self, su2_quad, level):
-        with pytest.raises(ClassicalDomainError):
+    def test_bad_level_is_a_key_error(self, su2_quad, level):
+        with pytest.raises(KeyError, match="SU\\(2\\) rule has no irrep labeled"):
             character_l1(level, su2_quad)
 
     def test_weyl_route_refuses_a_negative_level(self):
@@ -940,38 +956,38 @@ class TestCharacterL1:
 class TestGaussianSeriesL1:
     def test_singleton_half_normal(self):
         z1 = cyclic_group(1)
-        f = FourierCoeffs(z1.dual_descriptor(), {0: np.array([[1.7]])})
+        f = FourierCoeffs(z1.dual, {0: np.array([[1.7]])})
         res = gaussian_series_l1_mean(f, 20_000, RngSeed(173), z1)
         assert res.predicted == pytest.approx(np.sqrt(2 / np.pi) * 1.7, rel=1e-12)
         assert abs(res.mean - res.predicted) <= 3 * res.stderr
 
     def test_real_family_on_s3(self, s3_table):
-        f = random_coeffs(s3_table.dual_descriptor(), RngSeed(179).generator(), real=True)
+        f = random_coeffs(s3_table.dual, RngSeed(179).generator(), real=True)
         res = gaussian_series_l1_mean(f, 10_000, RngSeed(181), s3_table)
         assert abs(res.mean - res.predicted) <= 3 * res.stderr
 
     def test_zero_family(self, s3_table):
-        f = FourierCoeffs(s3_table.dual_descriptor(), {})
+        f = FourierCoeffs(s3_table.dual, {})
         res = gaussian_series_l1_mean(f, 10, RngSeed(191), s3_table)
         assert res.mean == 0.0 and res.predicted == 0.0
 
     def test_complex_corpus_respects_lower_bound(self, z8_table):
         # for general complex coefficients only the one-sided bound holds:
         # mean >= sqrt(2/pi) * coefficient energy root (up to MC error)
-        f = random_coeffs(z8_table.dual_descriptor(), RngSeed(193).generator(), labels=[1, 3, 5])
+        f = random_coeffs(z8_table.dual, RngSeed(193).generator(), labels=[1, 3, 5])
         res = gaussian_series_l1_mean(f, 10_000, RngSeed(197), z8_table)
         assert res.mean + 3 * res.stderr >= res.predicted
 
 
 class TestCotype:
     def test_singleton_ratio(self, s3_table):
-        xs = [random_coeffs(s3_table.dual_descriptor(), RngSeed(199).generator())]
+        xs = [random_coeffs(s3_table.dual, RngSeed(199).generator())]
         res = cotype2_ratio(s3_table, xs, 20_000, RngSeed(211))
         assert abs(res.ratio - np.sqrt(2 / np.pi)) <= 3 * res.stderr
 
     def test_z8_characters(self, z8_table):
         xs = [
-            FourierCoeffs(z8_table.dual_descriptor(), {j: np.array([[1.0]])})
+            FourierCoeffs(z8_table.dual, {j: np.array([[1.0]])})
             for j in range(8)
         ]
         res = cotype2_ratio(z8_table, xs, 5000, RngSeed(223))
@@ -980,7 +996,7 @@ class TestCotype:
     def test_rejects_empty_and_zero(self, s3_table):
         with pytest.raises(ValueError):
             cotype2_ratio(s3_table, [], 100, RngSeed(227))
-        zero = FourierCoeffs(s3_table.dual_descriptor(), {})
+        zero = FourierCoeffs(s3_table.dual, {})
         with pytest.raises(ValueError):
             cotype2_ratio(s3_table, [zero, zero], 100, RngSeed(229))
 
@@ -1030,7 +1046,7 @@ def test_series_l1_agrees_with_einsum(rule, trials, draw, request):
 
         dual = make_su2_dual(3)
     else:
-        dual = haar.dual_descriptor()
+        dual = haar.dual
     f = random_coeffs(dual, RngSeed(269).generator())
     got = series_l1_chunks(classical_eval._series_l1, haar, f, trials, RngSeed(271),
                            SERIES_DRAWS[draw])
@@ -1061,7 +1077,7 @@ def test_series_l1_equals_stacked_products(rule, trials, draw, request):
 
         dual = make_su2_dual(5)
     else:
-        dual = haar.dual_descriptor()
+        dual = haar.dual
     f = random_coeffs(dual, RngSeed(277).generator())
     got = series_l1_chunks(classical_eval._series_l1, haar, f, trials, RngSeed(281),
                            SERIES_DRAWS[draw])
@@ -1073,7 +1089,7 @@ def test_series_l1_equals_stacked_products(rule, trials, draw, request):
 
 class TestRandomizedL1Report:
     def test_trivial_coefficient(self, s3_table):
-        f = FourierCoeffs(s3_table.dual_descriptor(), {"triv": np.array([[2.0]])})
+        f = FourierCoeffs(s3_table.dual, {"triv": np.array([[2.0]])})
         res = randomized_l1_report(s3_table, f, 200, RngSeed(233))
         assert res.sup_l1_over_u == pytest.approx(2.0, abs=1e-12)
         assert res.ell2 == pytest.approx(2.0)
@@ -1081,13 +1097,13 @@ class TestRandomizedL1Report:
 
     def test_sign_character_is_phase_invariant(self):
         z2 = cyclic_group(2)
-        f = FourierCoeffs(z2.dual_descriptor(), {1: np.array([[1.0]])})
+        f = FourierCoeffs(z2.dual, {1: np.array([[1.0]])})
         res = randomized_l1_report(z2, f, 500, RngSeed(239))
         assert res.sup_l1_over_u == pytest.approx(1.0, abs=1e-12)
         assert res.ell2 == pytest.approx(1.0)
 
     def test_stability_under_more_unitaries(self, s3_table):
-        f = random_coeffs(s3_table.dual_descriptor(), RngSeed(241).generator())
+        f = random_coeffs(s3_table.dual, RngSeed(241).generator())
         r1 = randomized_l1_report(s3_table, f, 1000, RngSeed(251))
         r2 = randomized_l1_report(s3_table, f, 10_000, RngSeed(251))
         assert abs(r1.ratio - r2.ratio) <= 0.1 * r2.ratio
@@ -1096,7 +1112,7 @@ class TestRandomizedL1Report:
 
     def test_only_an_exact_zero_ell2_gives_ratio_zero(self, s3_table):
         # a NaN ell2 read as ratio 0.0, which a stability gate 0 <= 0.1 * 0 passes
-        dual = s3_table.dual_descriptor()
+        dual = s3_table.dual
         nan = randomized_l1_report(s3_table, FourierCoeffs(dual, {"std": np.full((2, 2), np.nan)}),
                                    2, RngSeed(233))
         assert math.isnan(nan.ell2) and math.isnan(nan.ratio)
@@ -1112,7 +1128,7 @@ class TestRandomizedL1Report:
             w = haar_unitary_stack(n, count, rng)
             return w * np.nan if len(calls) == 2 else w
         monkeypatch.setattr(classical_eval, "haar_unitary_stack", poisoned)
-        f = FourierCoeffs(s3_table.dual_descriptor(), {"std": np.eye(2)})
+        f = FourierCoeffs(s3_table.dual, {"std": np.eye(2)})
         res = randomized_l1_report(s3_table, f, 3 * MC_CHUNK, RngSeed(233))
         assert len(calls) == 3 and np.isnan(res.sup_l1_over_u)
 

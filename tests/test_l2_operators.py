@@ -10,13 +10,13 @@ from qgfourier import (
     FourierCoeffs,
     IrrepData,
     RngSeed,
-    block_gram,
     central_coeffs,
     central_sum_check,
     haar_state_pairing_check,
     make_su2_dual,
     make_suq2_dual,
     make_trivial_dual,
+    symmetric_group_s3,
     multiplier_block_norm,
     plancherel_gram_norm,
     random_coeffs,
@@ -33,7 +33,7 @@ def gram_route_block_norm(b, irrep) -> float:
     """Oracle for multiplier_block_norm: the largest singular value of the
     n^2 x n^2 matrix D2^{1/2} M D1^{-1/2} built from the Gram weights."""
     n = irrep.n
-    gram = block_gram(irrep)
+    gram_u, gram_ustar = irrep.gram_weights
     qinv_diag = 1.0 / irrep.q_diag
     m = np.zeros((n * n, n * n), dtype=complex)
     for j in range(n):
@@ -41,57 +41,100 @@ def gram_route_block_norm(b, irrep) -> float:
             for p in range(n):
                 # image of u_{j,i} has coefficient (Q^{-1})_{j,j} B_{p,i} on (u_{p,j})^*
                 m[p * n + j, j * n + i] = qinv_diag[j] * b[p, i]
-    d1 = np.array([gram.gram_u[j, i] for j in range(n) for i in range(n)])
-    d2 = np.array([gram.gram_ustar[p, j] for p in range(n) for j in range(n)])
+    d1 = np.array([gram_u[j] for j in range(n) for i in range(n)])
+    d2 = np.array([gram_ustar[j] for p in range(n) for j in range(n)])
     scaled = np.sqrt(d2)[:, None] * m / np.sqrt(d1)[None, :]
     return float(np.linalg.svd(scaled, compute_uv=False)[0])
 
 
-class TestBlockGram:
+def repeated_gram(irrep) -> tuple[np.ndarray, np.ndarray]:
+    """Reference weights as (n, n) matrices: that of u_{i,j} and that of
+    (u_{i,j})^* at (i, j), each repeated from one vector."""
+    n, d = irrep.n, irrep.d
+    gram_u = np.repeat((1.0 / irrep.q_diag)[:, None], n, axis=1) / d
+    gram_ustar = np.repeat(irrep.q_diag[None, :], n, axis=0) / d
+    return gram_u, gram_ustar
+
+
+def matrix_gram_routes(f, family) -> tuple[float, complex]:
+    """Both oracle routes contracted against the (n, n) weight matrices."""
+    total, lhs = 0.0, 0j
+    for label, x in f.support.items():
+        irrep = f.dual.irrep(label)
+        gram_u, gram_ustar = repeated_gram(irrep)
+        coeff = irrep.d * (x * irrep.q_diag)
+        total += np.sum((coeff.real**2 + coeff.imag**2) * gram_u.T)
+        xq = x * irrep.q_diag
+        lhs += irrep.d * np.einsum("ij,ji,jk,k->", xq, family.support[label], gram_ustar,
+                                   1.0 / irrep.q_diag)
+    return float(np.sqrt(total)), complex(lhs)
+
+
+class TestGramWeights:
     def test_trivial(self):
-        assert block_gram(TRIVIAL.irreps[0]).gram_u[0, 0] == 1.0
+        assert TRIVIAL.irreps[0].gram_weights[0][0] == 1.0
 
     def test_kac_weight(self):
-        assert block_gram(KAC.irrep(1)).gram_u[0, 1] == pytest.approx(0.5)
+        assert KAC.irrep(1).gram_weights[0][0] == pytest.approx(0.5)
 
     def test_deformed_weight(self):
         # weight (Q^{-1})_{i,i} / d at i = 1: (1/2.0) / 2.5
-        assert block_gram(SUQ2.irrep(1)).gram_u[1, 0] == pytest.approx((1 / 2.0) / 2.5)
+        assert SUQ2.irrep(1).gram_weights[0][1] == pytest.approx((1 / 2.0) / 2.5)
 
     def test_kac_uniform(self):
-        g = block_gram(KAC.irrep(2))
-        np.testing.assert_allclose(g.gram_u, 1.0 / 3.0)
-        np.testing.assert_allclose(g.gram_ustar, 1.0 / 3.0)
+        gram_u, gram_ustar = KAC.irrep(2).gram_weights
+        np.testing.assert_allclose(gram_u, 1.0 / 3.0)
+        np.testing.assert_allclose(gram_ustar, 1.0 / 3.0)
 
     def test_deformed_weights(self):
         ir = SUQ2.irrep(1)
-        g = block_gram(ir)
-        np.testing.assert_allclose(g.gram_u[:, 0], (1.0 / ir.q_diag) / ir.d)
-        np.testing.assert_allclose(g.gram_ustar[0, :], ir.q_diag / ir.d)
+        gram_u, gram_ustar = ir.gram_weights
+        np.testing.assert_array_equal(gram_u, (1.0 / ir.q_diag) / ir.d)
+        np.testing.assert_array_equal(gram_ustar, ir.q_diag / ir.d)
+        assert gram_u.shape == gram_ustar.shape == (ir.n,)
+
+    def test_an_underflowing_weight_is_refused(self):
+        # sum(q) = sum(1/q) = 1e200, so (Q^{-1})_{0,0} / d = 1e-400 rounds to 0
+        ir = IrrepData(label=0, q_diag=np.array([1e200, 1e-200]))
+        with pytest.raises(ValueError, match="strictly positive"):
+            ir.gram_weights
 
     def test_built_once_per_irrep_and_read_only(self):
         dual = make_suq2_dual(0.3, 3)
-        g = block_gram(dual.irrep(2))
-        assert block_gram(dual.irrep(2)) is g
-        assert block_gram(dual.irrep(1)) is not g
+        g = dual.irrep(2).gram_weights
+        assert dual.irrep(2).gram_weights is g
+        assert dual.irrep(1).gram_weights is not g
         # an equal irrep of another dual gets its own weights
-        assert block_gram(make_suq2_dual(0.3, 3).irrep(2)) is not g
-        for weights in (g.gram_u, g.gram_ustar):
+        assert make_suq2_dual(0.3, 3).irrep(2).gram_weights is not g
+        for weights in g:
             with pytest.raises(ValueError, match="read-only"):
-                weights[0, 0] = 1.0
+                weights[0] = 1.0
 
     def test_weights_die_with_their_dual(self):
         # with the cycle collector off, only reference counting frees them, so
         # a reference from the weights back to their irrep would keep both
         dual = make_suq2_dual(0.3, 3)
         irrep = weakref.ref(dual.irrep(3))
-        weights = weakref.ref(block_gram(dual.irrep(3)).gram_u)
+        weights = weakref.ref(dual.irrep(3).gram_weights[0])
         gc.disable()
         try:
             del dual
             assert irrep() is None and weights() is None
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("dual", [make_suq2_dual(q, 16) for q in (0.3, 0.5, 0.9)]
+                             + [symmetric_group_s3().dual], ids=lambda dual: dual.name)
+    def test_routes_equal_the_matrix_weights_bit_for_bit(self, dual):
+        # each weight vector runs along one axis of the block; broadcast along
+        # the other, it weights a suq2 block with the wrong q_i and moves the sums
+        rng = RngSeed(157).generator()
+        for _ in range(5):
+            f = random_coeffs(dual, rng)
+            family = random_coeffs(dual, rng)
+            norm, lhs = matrix_gram_routes(f, family)
+            assert plancherel_gram_norm(f) == norm
+            assert haar_state_pairing_check(f, family).lhs == lhs
 
 
 class TestMultiplierBlockNorm:

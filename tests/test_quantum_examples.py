@@ -37,7 +37,7 @@ class TestNonkacQuantity:
         # squared ell2 norm exactly when every supported block has n = 1
         from qgfourier import cyclic_group
 
-        dual = cyclic_group(8).dual_descriptor()
+        dual = cyclic_group(8).dual
         rng = RngSeed(257).generator()
         for _ in range(10):
             f = random_coeffs(dual, rng)

@@ -139,8 +139,8 @@ SAMPLER_DUALS = {
     "suq2": make_suq2_dual(0.5, 60),
     "su2": make_su2_dual(6),
     "o3plus": make_onplus_dual(3, 3),
-    "s3": symmetric_group_s3().dual_descriptor(),
-    "z8": cyclic_group(8).dual_descriptor(),
+    "s3": symmetric_group_s3().dual,
+    "z8": cyclic_group(8).dual,
 }
 LABEL_SETS = {
     "full": lambda labels: None,
@@ -1090,7 +1090,7 @@ ZERO_WORK = {
 @pytest.mark.parametrize("driver", ZERO_WORK)
 def test_too_few_trials_are_refused_before_any_draw(driver, s3_table, monkeypatch):
     least, run = ZERO_WORK[driver]
-    f = random_coeffs(s3_table.dual_descriptor(), RngSeed(3).generator())
+    f = random_coeffs(s3_table.dual, RngSeed(3).generator())
     monkeypatch.setattr(RngSeed, "chunk_generator", raiser("RngSeed.chunk_generator"))
     for trials in range(least):
         with pytest.raises(ValueError, match=f"trials must be >= {least}, got {trials}"):
