@@ -16,8 +16,9 @@ checks:
   two premises of that derivation on the rule's own angles and weights.  Its
   irrep stacks come from the Euler-angle structure of the grid: the entry
   formula runs at the polar angles only, and the phase factors are gathered
-  from one table.  The stacks are tied to the entry formula when the rule is
-  built.
+  from one table.  The frozen rule makes its polar stacks and ties their
+  assembly to the entry formula in one pass per level when it is built, and
+  refuses every level past ``kmax_valid``.
 
 On top of these: values of coefficient families at the nodes, the
 Gaussian-randomized L1 mean, the coefficient row-norm bounds, character
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual_data import DualDescriptor, IrrepData
+from .dual_data import DualDescriptor, DualValidationError, IrrepData, _read_only
 from .fourier_core import FourierCoeffs, ell2_norm
 from .random_series import RngSeed, _unitarity_defects, haar_unitary_stack, sample_max, sample_mean
 
@@ -41,8 +42,9 @@ STACK_TIE_TOL = 1e-13      # assembled irrep stacks against the entry formula
 MC_CHUNK = 1024
 
 
-class GroupTableError(ValueError):
-    """Raised when a finite-group table fails a construction-time invariant."""
+class GroupTableError(DualValidationError):
+    """Raised when a finite-group table fails a construction-time invariant,
+    those of the dual it builds included."""
 
 
 class HaarRule:
@@ -75,7 +77,8 @@ class FiniteGroupTable(HaarRule):
     matrices at every group element, (order, n, n); the build makes them
     complex arrays, read-only (as it does `mult`; a complex array is kept, not
     copied), and reads its `dual` off them, a Kac dual of the stacks' sizes
-    that is the table's label index.  The order is ``len(mult)``.
+    that is the table's label index (what the dual refuses, the table raises
+    as GroupTableError).  The order is ``len(mult)``.
     Construction checks that `mult` is a square table of elements, that the
     irreps are unitary homomorphisms (the first one trivial) whose squared
     dimensions sum to the order, and Schur orthogonality under the uniform
@@ -106,28 +109,25 @@ class FiniteGroupTable(HaarRule):
                 raise GroupTableError(f"irrep {label!r}: matrices shape {mats.shape}")
             if not np.isfinite(mats).all():
                 raise GroupTableError(f"irrep {label!r}: non-finite matrix entry")
-            mats.flags.writeable = False
-            stacks[label] = mats
+            stacks[label] = _read_only(mats)
         object.__setattr__(self, "stacks", stacks)
-        object.__setattr__(self, "dual", DualDescriptor(self.name, tuple(
-            IrrepData(label=label, q_diag=np.ones(m.shape[1])) for label, m in stacks.items())))
+        try:
+            object.__setattr__(self, "dual", DualDescriptor(self.name, tuple(
+                IrrepData(label=label, q_diag=np.ones(m.shape[1])) for label, m in stacks.items())))
+        except DualValidationError as exc:
+            raise GroupTableError(str(exc)) from exc
         mult = np.asarray(self.mult, dtype=int)
         if mult.ndim != 2 or mult.shape[0] != mult.shape[1]:
             raise GroupTableError(f"mult table shape {mult.shape}, expected (order, order)")
         if mult.min() < 0 or mult.max() >= len(mult):
             raise GroupTableError("mult table entries out of range")
-        mult.flags.writeable = False
-        object.__setattr__(self, "mult", mult)
+        object.__setattr__(self, "mult", _read_only(mult))
         object.__setattr__(self, "order", len(mult))
         self._validate_irreps()
         self._validate_schur()
         identity = int(np.argmax(mult[:, 0] == 0))   # x * 0 = 0 only for x = e
-        inverse = np.argmax(mult == identity, axis=1)
-        inverse.flags.writeable = False
-        object.__setattr__(self, "inverse", inverse)
-        weights = np.full(self.order, 1.0 / self.order)
-        weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "inverse", _read_only(np.argmax(mult == identity, axis=1)))
+        object.__setattr__(self, "weights", _read_only(np.full(self.order, 1.0 / self.order)))
 
     # -- structure ---------------------------------------------------------
 
@@ -280,13 +280,7 @@ def _euler_assemble(rho0, e1, e2, phases, p1, p2) -> np.ndarray:
     return rho0 * (table[e1 - lo, p1] * table[e2 - lo, p2])
 
 
-def _check_level(k) -> int:
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise KeyError(f"the SU(2) rule has no irrep labeled {k!r}")
-    return int(k)
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SU2Quadrature(HaarRule):
     """Product Haar rule with a derived validity level, stored as its Euler factors.
 
@@ -294,38 +288,57 @@ class SU2Quadrature(HaarRule):
     phases phi2 (node index (r * P + p1) * P + p2 for P phases), the node being
     [[cos xi e^{i phi1}, sin xi e^{i phi2}], [-sin xi e^{-i phi2}, cos xi e^{-i phi1}]].
     The rule keeps the angles and one weight per polar angle, never the nodes:
-    each of the P^2 nodes at the r-th polar angle weighs `ring_weights[r]`, and
-    `weights`, the node weights in node order, is derived from those once.
-    All four arrays are read-only once built; so are the (R, k+1, k+1) polar
-    stacks.  Full irrep stacks are made on demand by `irrep_stack`, never by
-    the build.
+    each of the P^2 nodes at the r-th polar angle weighs `ring_weights[r]`.
+
+    The build derives the rest and checks it, so what was checked holds for
+    the rule's life: `kmax_valid`, the validity level, once the premises of
+    its derivation hold on the arrays (`_exact_level`, capped at
+    `validate_kmax`); `polar_stacks`, rho_k(g0(xi)) at the R polar angles,
+    (R, k+1, k+1) for k = 0..`kmax_valid`, each made in the same entry-formula
+    pass that ties the assembly of its level to the formula
+    (`_tied_polar_stacks`); and `weights`, the node weights in node order.
+    Every array is read-only and no field can be set.  Full irrep stacks are
+    made on demand by `irrep_stack`, never by the build.  Every route reads a
+    level through `_level`: an unknown label raises KeyError, and a level
+    past `kmax_valid`, where the rule is not exact, raises ValueError.
     """
 
     polar: np.ndarray            # (R,) the angles xi
     ring_weights: np.ndarray     # (R,) the weight of each node at one polar angle
     phases: np.ndarray           # (P,) the angles phi1 and phi2 both run over
-    kmax_valid: int
+    validate_kmax: int           # the cap on `kmax_valid`
+    kmax_valid: int = field(init=False)
+    polar_stacks: tuple = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)   # (R P^2,) in node order
-    _polar_stacks: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.weights = np.repeat(self.ring_weights, len(self.phases) ** 2)
+        if self.validate_kmax < 0:
+            raise ValueError(f"validate_kmax must be >= 0, got {self.validate_kmax}")
+        polar, ring_weights, phases = (_read_only(np.asarray(a, dtype=float))
+                                       for a in (self.polar, self.ring_weights, self.phases))
+        level = _exact_level(polar, ring_weights, phases, self.validate_kmax)
+        fields = dict(polar=polar, ring_weights=ring_weights, phases=phases, kmax_valid=level,
+                      polar_stacks=tuple(_tied_polar_stacks(polar, phases, level)),
+                      weights=_read_only(np.repeat(ring_weights, len(phases) ** 2)))
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
-    def _polar_stack(self, k: int) -> np.ndarray:
-        """rho_k(g0(xi)) at the R polar angles, shape (R, k+1, k+1) (see `irrep_stack`)."""
-        if k not in self._polar_stacks:
-            c, s = np.cos(self.polar), np.sin(self.polar)
-            stack = _su2_entry_stack(k, c, s, -s, c)
-            stack.flags.writeable = False
-            self._polar_stacks[k] = stack
-        return self._polar_stacks[k]
+    def _level(self, k) -> int:
+        """`k` as a level the rule is exact at, or KeyError (no level) or ValueError."""
+        if not isinstance(k, (int, np.integer)) or k < 0:
+            raise KeyError(f"the SU(2) rule has no irrep labeled {k!r}")
+        if k > self.kmax_valid:
+            raise ValueError(f"level {k} exceeds the quadrature's derived validity level "
+                             f"{self.kmax_valid}")
+        return int(k)
 
     def _assemble(self, k: int, entries=np.s_[...], p2=None) -> np.ndarray:
         """The entries of rho_k that `entries` picks from a (k+1, k+1) table (all
         of them, a column, the diagonal) on the product grid, for the phases at
         the indices `p2` (default: all of `phases`): shape picked + (R, P, P').
         The picked axes lead, so each product runs over the nodes innermost."""
-        rho0 = np.ascontiguousarray(self._polar_stack(k).transpose(1, 2, 0)[entries])
+        k = self._level(k)
+        rho0 = np.ascontiguousarray(self.polar_stacks[k].transpose(1, 2, 0)[entries])
         e1, e2 = (e[entries][..., None, None, None] for e in _euler_exponents(k))
         p = np.arange(len(self.phases))
         return _euler_assemble(rho0[..., None, None], e1, e2, self.phases, p[:, None],
@@ -347,18 +360,16 @@ class SU2Quadrature(HaarRule):
             rho_k(g)_{ij} = e^{i(k-2i)alpha} rho_k(g0(xi))_{ij} e^{i(k-2j)beta}
                           = e^{i(k-i-j)phi1} e^{i(j-i)phi2} rho_k(g0(xi))_{ij}.
 
-        The entry formula runs at the R polar angles only; two (P, k+1, k+1) phase
-        tables, broadcast over the grid, give the stack in node order (Vilenkin,
-        Special Functions and the Theory of Group Representations, 1968, ch. III).
-        Each call makes a fresh stack and the rule keeps none: `coeff_values`,
-        the Monte Carlo series and the tests read it, while the build and the
-        two checks of `all` (`coefficient_bound_check`, `character_l1`)
-        evaluate the factors directly and never make one.
+        The entry formula runs at the R polar angles only (`polar_stacks`); the
+        phase factors, broadcast over the grid, give the stack, moved into node
+        order (Vilenkin, Special Functions and the Theory of Group
+        Representations, 1968, ch. III).  Each call makes a fresh stack and the
+        rule keeps none: `coeff_values`, the Monte Carlo series and the tests
+        read it, while the build and the two checks of `all`
+        (`coefficient_bound_check`, `character_l1`) evaluate the factors
+        directly and never make one.
         """
-        k = _check_level(k)
-        p = np.arange(len(self.phases))
-        stack = _euler_assemble(self._polar_stack(k)[:, None, None], *_euler_exponents(k),
-                                self.phases, p[:, None, None, None], p[:, None, None])
+        stack = np.ascontiguousarray(np.moveaxis(self._assemble(k), (0, 1), (3, 4)))
         return stack.reshape(-1, k + 1, k + 1)     # (R, P, P, n, n) in node order
 
 
@@ -393,30 +404,20 @@ def make_su2_quadrature(resolution: int = 10, validate_kmax: int = 6) -> SU2Quad
       0 < |m| < P, that is when K <= ceil(P/2) - 1; Haar measure gives 0 too.
     K is sharp where it was measured: at every R = 4..18 the coefficient Gram
     first misses Schur orthogonality by more than SCHUR_QUAD_TOL at level K + 1.
-    The build checks both premises on the arrays the rule stores
-    (`_exact_level`), ties the assembly of levels 0..`kmax_valid` to the
-    entry formula (`_check_stacks`) and makes `polar`, `ring_weights`,
-    `phases` and `weights` read-only, so what was checked here holds for the
-    rule's life.  It keeps the polar stacks the tie made, and no full irrep
-    stack.  A non-finite or perturbed angle or ring weight, or an assembly
-    off the formula, raises ValueError.
+    The rule checks itself when it is made (`SU2Quadrature`): a non-finite or
+    perturbed angle or ring weight, or an assembly off the formula, raises
+    ValueError.
     """
     if resolution < 4:
         raise ValueError(f"resolution must be >= 4, got {resolution}")
-    if validate_kmax < 0:
-        raise ValueError(f"validate_kmax must be >= 0, got {validate_kmax}")
     t, v = np.polynomial.legendre.leggauss(resolution)
     n_phase = 2 * resolution + 8
-    quad = SU2Quadrature(polar=0.5 * np.arccos(t), ring_weights=v / (2.0 * n_phase * n_phase),
-                         phases=2.0 * np.pi * np.arange(n_phase) / n_phase, kmax_valid=-1)
-    quad.kmax_valid = _exact_level(quad, validate_kmax)
-    _check_stacks(quad)
-    for array in (quad.polar, quad.ring_weights, quad.phases, quad.weights):
-        array.flags.writeable = False
-    return quad
+    return SU2Quadrature(polar=0.5 * np.arccos(t), ring_weights=v / (2.0 * n_phase * n_phase),
+                         phases=2.0 * np.pi * np.arange(n_phase) / n_phase,
+                         validate_kmax=validate_kmax)
 
 
-def _exact_level(quad: SU2Quadrature, cap: int) -> int:
+def _exact_level(polar, ring_weights, phases, cap: int) -> int:
     """min(2R - 1, ceil(P/2) - 1, cap), the level `make_su2_quadrature` derives,
     after checking the two premises of its derivation on the rule's arrays.
 
@@ -427,15 +428,14 @@ def _exact_level(quad: SU2Quadrature, cap: int) -> int:
     raises ValueError; a NaN fails the comparison, so a non-finite angle or
     weight is refused too.  Cost O(R^2 + P K).
     """
-    n_polar, n_phase = len(quad.polar), len(quad.phases)
+    n_polar, n_phase = len(polar), len(phases)
     level = min(2 * n_polar - 1, (n_phase + 1) // 2 - 1, cap)
     m = np.arange(2 * n_polar)
-    legendre_weights = 2.0 * n_phase * n_phase * quad.ring_weights
-    moments = np.cos(2.0 * quad.polar) ** m[:, None] @ legendre_weights
+    moments = np.cos(2.0 * polar) ** m[:, None] @ (2.0 * n_phase * n_phase * ring_weights)
     err = float(np.max(np.abs(moments - (1.0 + (-1.0) ** m) / (m + 1))))  # int_{-1}^1 t^m dt
     if not err <= SCHUR_QUAD_TOL:
         raise ValueError(f"quadrature polar moments differ from the Legendre ones by {err!r}")
-    sums = np.exp(1j * np.multiply.outer(np.arange(2 * level + 1), quad.phases)).mean(axis=1)
+    sums = np.exp(1j * np.multiply.outer(np.arange(2 * level + 1), phases)).mean(axis=1)
     sums[0] -= 1.0
     err = float(np.max(np.abs(sums)))
     if not err <= SCHUR_QUAD_TOL:
@@ -443,30 +443,38 @@ def _exact_level(quad: SU2Quadrature, cap: int) -> int:
     return level
 
 
-def _check_stacks(quad: SU2Quadrature) -> None:
-    """Raise ValueError unless the Euler assembly agrees with the entry formula.
+def _tied_polar_stacks(polar, phases, level: int):
+    """The read-only polar stacks of levels 0..`level` in turn, each tied to the
+    entry formula; ValueError if the Euler assembly of a level is off it.
 
     The premise check (`_exact_level`) cannot see an assembly fault: it reads
     the angles and weights, never an irrep entry, and a relabelled or re-phased
-    orthonormal set is still orthonormal.  So the assembly of every level
-    0..`kmax_valid` must match `_su2_entry_stack` to STACK_TIE_TOL on one ring
-    of nodes per polar angle, the group elements taken from the angles.  On
-    the ring at the r-th polar angle, phi1 runs over every phase and phi2 runs
-    r + 1 steps ahead of it, so the two phase axes cannot trade places unseen.
-    The tie runs `_euler_assemble`, the product every stack and factor route
-    runs.
+    orthonormal set is still orthonormal.  So at each level `_su2_entry_stack`
+    runs once, at the R polar angles followed by one ring of P nodes per polar
+    angle, the group elements taken from the angles.  Its first R rows are the
+    polar stack; the assembly of that stack on the rings (`_euler_assemble`,
+    the product every stack and factor route runs) must match the rest to
+    STACK_TIE_TOL.  On the ring at the r-th polar angle, phi1 runs over every
+    phase and phi2 runs r + 1 steps ahead of it, so the two phase axes cannot
+    trade places unseen.
     """
-    n_polar, n_phase = len(quad.polar), len(quad.phases)
+    n_polar, n_phase = len(polar), len(phases)
     r, p1 = np.indices((n_polar, n_phase))
     p2 = (p1 + r + 1) % n_phase                                          # (R, P)
-    a = np.cos(quad.polar)[:, None] * np.exp(1j * quad.phases[p1])
-    b = np.sin(quad.polar)[:, None] * np.exp(1j * quad.phases[p2])
-    for k in range(quad.kmax_valid + 1):    # phi1's factor is the same on every ring
-        ring = _euler_assemble(quad._polar_stack(k)[:, None], *_euler_exponents(k),
-                               quad.phases, p1[0, :, None, None], p2[..., None, None])
-        err = float(np.max(np.abs(ring - _su2_entry_stack(k, a, b, -b.conj(), a.conj()))))
+    c, s = np.cos(polar), np.sin(polar)
+    a = (c[:, None] * np.exp(1j * phases[p1])).reshape(-1)
+    b = (s[:, None] * np.exp(1j * phases[p2])).reshape(-1)
+    g = [np.concatenate(pair) for pair in ((c, a), (s, b), (-s, -b.conj()), (c, a.conj()))]
+    for k in range(level + 1):    # phi1's factor is the same on every ring
+        formula = _su2_entry_stack(k, *g)
+        stack = _read_only(formula[:n_polar].copy())
+        ring = _euler_assemble(stack[:, None], *_euler_exponents(k), phases,
+                               p1[0, :, None, None], p2[..., None, None])
+        err = float(np.max(np.abs(ring - formula[n_polar:].reshape(ring.shape))))
+        del formula, ring    # freed before the next level's formula runs
         if not err <= STACK_TIE_TOL:
             raise ValueError(f"level {k} stack differs from the entry formula by {err!r}")
+        yield stack
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +556,9 @@ def coefficient_bound_check(
     i-th row norm of A.  side="lower": the L1 norm of sum_m B_{i,m} u_{m,j}
     is at least the i-th row norm of B divided by the dimension.  Margins are
     signed so that nonnegative means the bound holds; quadrature error is
-    allowed to push them slightly negative.  Levels above `haar.kmax_valid`
-    are refused: the rule is not exact there.
+    allowed to push them slightly negative.  The level is read through the
+    rule's check, so one past `haar.kmax_valid`, where the rule is not exact,
+    is refused, a passed `column` too.
 
     The column u_{.,j} is assembled at every node from the Euler factors
     (`SU2Quadrature.column`), in the product order of the stack, and the
@@ -559,11 +568,8 @@ def coefficient_bound_check(
     the products and move last bits.  A caller checking several cases of one
     (k, j) may assemble `haar.column(k, j)` once and pass it as `column`.
     """
-    if k > haar.kmax_valid:
-        raise ValueError(f"level {k} exceeds the quadrature's derived validity level "
-                         f"{haar.kmax_valid}")
+    n = haar._level(k) + 1
     a = np.asarray(matrix, dtype=complex)
-    n = k + 1
     if a.shape != (n, n):
         raise ValueError(f"matrix shape {a.shape}, expected ({n}, {n})")
     if not (0 <= i < n and 0 <= j < n):
@@ -618,13 +624,12 @@ def character_l1(k: int, haar: SU2Quadrature) -> float:
     bit), broadcast over phi2 and summed against `weights` in node order, as
     the trace of the full stack would be.
     """
-    k = _check_level(k)
-    if k <= haar.kmax_valid:
-        diagonal = haar._assemble(k, np.diag_indices(k + 1), p2=np.arange(1))
-        tr = np.einsum("i...->...", diagonal)                                # (R, P, 1)
-        tr = np.broadcast_to(np.abs(tr), tr.shape[:2] + (len(haar.phases),))
-        return float(np.sum(haar.weights * tr.reshape(-1)))
-    return weyl_character_l1(k)
+    if isinstance(k, (int, np.integer)) and k > haar.kmax_valid:
+        return weyl_character_l1(k)
+    diagonal = haar._assemble(k, np.diag_indices(haar._level(k) + 1), p2=np.arange(1))
+    tr = np.einsum("i...->...", diagonal)                                # (R, P, 1)
+    tr = np.broadcast_to(np.abs(tr), tr.shape[:2] + (len(haar.phases),))
+    return float(np.sum(haar.weights * tr.reshape(-1)))
 
 
 @dataclass(frozen=True)
@@ -640,13 +645,19 @@ def cotype2_ratio(
     if not xs:
         raise ValueError("need at least one coefficient family")
     values = np.stack([haar.coeff_values(x) for x in xs])  # (J, nodes)
-    weights = haar.weights
-    l1s = np.abs(values) @ weights
+    l1s = np.abs(values) @ haar.weights
     denom = float(np.sqrt(np.sum(l1s * l1s)))
     if denom == 0.0:
         raise ValueError("all families are zero; the ratio is undefined")
-    mean, stderr = sample_mean(trials, MC_CHUNK, seed, lambda rng, take: np.abs(
-        rng.standard_normal((MC_CHUNK, len(xs)))[:take] @ values) @ weights)
+
+    def l1(rng: np.random.Generator, take: int) -> np.ndarray:
+        # the real draw times the real and the imaginary parts as two real
+        # products; cast to complex, half of its multiplies would be by zero
+        g = rng.standard_normal((MC_CHUNK, len(xs)))[:take]
+        sums = np.empty((take, values.shape[1]), dtype=complex)
+        sums.real, sums.imag = g @ values.real, g @ values.imag
+        return np.abs(sums) @ haar.weights
+    mean, stderr = sample_mean(trials, MC_CHUNK, seed, l1)
     return CotypeRatio(ratio=mean / denom, stderr=stderr / denom)
 
 

@@ -376,7 +376,8 @@ def run_helgason_instance(cfg, ctx):
     f = random_coeffs(dual, rng)
     r1 = randomized_l1_report(s3, f, cfg["trials"], _seed_for(cfg, "helgason-instance", 0))
     r2 = randomized_l1_report(s3, f, 10 * cfg["trials"], _seed_for(cfg, "helgason-instance", 0))
-    stable = abs(r1.ratio - r2.ratio) <= 0.1 * r2.ratio
+    # an exactly zero ell2 reads ratio 0, which `0 <= 0.1 * 0` would pass
+    stable = r2.ratio > 0 and abs(r1.ratio - r2.ratio) <= 0.1 * r2.ratio
     z2 = cyclic_group(2)
     sign = FourierCoeffs(z2.dual, {1: np.array([[1.0]])})
     rs = randomized_l1_report(z2, sign, cfg["trials"], _seed_for(cfg, "helgason-instance", 1))
@@ -385,7 +386,8 @@ def run_helgason_instance(cfg, ctx):
         {"group": "s3", "unitaries": cfg["trials"], "sup_l1": r1.sup_l1_over_u,
          "ell2": r1.ell2, "ratio": r1.ratio, "ok": True},
         {"group": "s3", "unitaries": 10 * cfg["trials"], "sup_l1": r2.sup_l1_over_u,
-         "ell2": r2.ell2, "ratio": r2.ratio, "stability_rel_diff": abs(r1.ratio - r2.ratio) / r2.ratio,
+         "ell2": r2.ell2, "ratio": r2.ratio,
+         "stability_rel_diff": abs(r1.ratio - r2.ratio) / r2.ratio if r2.ratio else math.nan,
          "ok": stable},
         {"group": "z2-sign", "unitaries": cfg["trials"], "sup_l1": rs.sup_l1_over_u,
          "ell2": rs.ell2, "ratio": rs.ratio, "ok": sign_ok},

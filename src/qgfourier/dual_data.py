@@ -27,6 +27,12 @@ KAC_TOL = 1e-12
 WEIGHT_SQ_LIMIT = 1e300
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """`array`, its writeable flag cleared."""
+    array.flags.writeable = False
+    return array
+
+
 class DualValidationError(ValueError):
     """Raised when irrep or dual data violates a structural invariant."""
 
@@ -41,8 +47,7 @@ class IrrepData:
     d: float = field(init=False)
 
     def __post_init__(self):
-        q = np.asarray(self.q_diag, dtype=float)
-        q.flags.writeable = False
+        q = _read_only(np.asarray(self.q_diag, dtype=float))
         object.__setattr__(self, "q_diag", q)
         if q.ndim != 1 or q.size < 1:
             raise DualValidationError(f"irrep {self.label!r}: q_diag has shape {q.shape}, "
@@ -83,9 +88,7 @@ class IrrepData:
         gram_ustar = self.q_diag / self.d
         if not (np.all(gram_u > 0) and np.all(gram_ustar > 0)):
             raise ValueError("gram weights must be strictly positive")
-        gram_u.flags.writeable = False
-        gram_ustar.flags.writeable = False
-        return gram_u, gram_ustar
+        return _read_only(gram_u), _read_only(gram_ustar)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dual_data import DualDescriptor
+from .dual_data import DualDescriptor, _read_only
 
 
 class DualMismatchError(ValueError):
@@ -35,8 +35,7 @@ def _checked_blocks(dual: DualDescriptor, blocks: dict, what: str) -> dict:
             raise ValueError(
                 f"{what} at {label!r} has shape {m.shape}, expected ({irrep.n}, {irrep.n})"
             )
-        m.flags.writeable = False
-        clean[label] = m
+        clean[label] = _read_only(m)
     return clean
 
 

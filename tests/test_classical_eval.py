@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import weakref
 
@@ -148,10 +149,26 @@ def exp_assemble(rho0, e1, e2, phi1, phi2) -> np.ndarray:
     return rho0 * (np.exp(1j * (e1 * phi1)) * np.exp(1j * (e2 * phi2)))
 
 
+def stack_past_level(quad, k, polar=False) -> np.ndarray:
+    """rho_k at every node of `quad` in node order, or with `polar` at its polar
+    angles alone, (R, k+1, k+1), at any level: the entry formula at `quad.polar`
+    assembled by `_euler_assemble`, as `SU2Quadrature.irrep_stack` assembles it,
+    but with no refusal past `kmax_valid`.  The oracles read it to see the first
+    level the rule is not exact at fail."""
+    c, s = np.cos(quad.polar), np.sin(quad.polar)
+    rho0 = classical_eval._su2_entry_stack(k, c, s, -s, c)
+    if polar:
+        return rho0
+    p = np.arange(len(quad.phases))
+    stack = classical_eval._euler_assemble(rho0[:, None, None], *classical_eval._euler_exponents(k),
+                                           quad.phases, p[:, None, None, None], p[:, None, None])
+    return stack.reshape(-1, k + 1, k + 1)
+
+
 def exp_assemble_entries(quad, k, entries, phi2) -> np.ndarray:
     """Reference for `SU2Quadrature._assemble` on `exp_assemble`, for the phase
     values `phi2`."""
-    rho0 = np.ascontiguousarray(quad._polar_stack(k).transpose(1, 2, 0)[entries])
+    rho0 = np.ascontiguousarray(quad.polar_stacks[k].transpose(1, 2, 0)[entries])
     e1, e2 = (e[entries][..., None, None, None] for e in classical_eval._euler_exponents(k))
     return exp_assemble(rho0[..., None, None], e1, e2, quad.phases[:, None], phi2)
 
@@ -187,7 +204,7 @@ def polar_level_grams(quad, cap):
     polar = np.empty((n_polar, 0), dtype=complex)
     exponents = np.empty((2, 0), dtype=int)
     for k in range(cap + 1):
-        rows = quad._polar_stack(k).reshape(n_polar, -1)
+        rows = stack_past_level(quad, k, polar=True).reshape(n_polar, -1)
         polar = np.concatenate([polar, rows], axis=1)
         level = np.reshape(classical_eval._euler_exponents(k), (2, -1))
         exponents = np.concatenate([exponents, level], axis=1)
@@ -214,7 +231,7 @@ def einsum_level_gram(quad, k) -> np.ndarray:
     as one einsum over all nodes.  It is contracted by BLAS: unoptimised, the
     einsum sums the nodes in sequence and drifts from a long-double Gram by
     up to 6e-14 on these rules, where the BLAS contraction stays below 6e-15."""
-    ys = [quad.irrep_stack(l).reshape(len(quad.weights), -1) for l in range(k + 1)]
+    ys = [stack_past_level(quad, l).reshape(len(quad.weights), -1) for l in range(k + 1)]
     return np.einsum("gi,g,gj->ij", ys[-1].conj(), quad.weights,
                      np.concatenate(ys, axis=1), optimize=True)
 
@@ -236,7 +253,7 @@ def einsum_valid_kmax(quad, cap, pair_gram=einsum_pair_gram) -> int:
     valid = -1
     flat = []
     for k in range(cap + 1):
-        stack = quad.irrep_stack(k)
+        stack = stack_past_level(quad, k)
         yk = stack.reshape(stack.shape[0], -1)
         for kp, yp in enumerate(flat + [yk]):
             gram = pair_gram(yk, quad.weights, yp)
@@ -264,6 +281,10 @@ MALFORMED_TABLES = {
     "wrong-element-count": (_Z2_MULT, {0: _ONES, 1: np.ones((3, 1, 1))}, "irrep 1: matrices shape"),
     # Peter-Weyl, unitarity and the homomorphism check pass; only Schur refuses
     "trivial-twice": (_Z2_MULT, {0: _ONES, 1: _ONES}, "Schur orthogonality failed"),
+    # refused by the dual the table builds, as a GroupTableError
+    "no-stack": (_Z2_MULT, {}, "at least the trivial irrep"),
+    "first-not-size-one": (_Z2_MULT, {0: np.ones((2, 2, 2)), 1: _ONES}, "first irrep must be trivial"),
+    "size-zero": (_Z2_MULT, {0: np.ones((2, 0, 0))}, "non-empty vector"),
 }
 
 
@@ -320,6 +341,12 @@ class TestFiniteGroups:
         # the table's label index is its dual, built from the stacks' sizes first
         with pytest.raises(DualValidationError, match=refusal):
             FiniteGroupTable(name="bad", mult=np.array(_Z2_MULT), stacks=stacks)
+
+    def test_a_dual_refusal_is_chained(self):
+        with pytest.raises(GroupTableError) as refused:
+            FiniteGroupTable(name="bad", mult=np.array(_Z2_MULT), stacks={})
+        cause = refused.value.__cause__
+        assert type(cause) is DualValidationError and str(cause) == str(refused.value)
 
     def test_dual_is_the_label_index(self, s3_table):
         assert s3_table.dual.name == "s3"
@@ -516,6 +543,30 @@ class TestQuadrature:
         with pytest.raises(KeyError, match="no irrep labeled 'std'"):
             su2_quad.coeff_values(f)
 
+    @pytest.mark.parametrize("route", ["irrep_stack", "column", "coeff_values",
+                                       "coefficient_bound_check", "shared_column",
+                                       "gaussian_series_l1_mean", "randomized_l1_report"])
+    def test_every_route_refuses_the_level_past_validity(self, su2_quad, route):
+        from qgfourier import make_su2_dual
+
+        k = su2_quad.kmax_valid + 1
+        f = random_coeffs(make_su2_dual(k), RngSeed(167).generator())
+        past = np.zeros((k + 1, len(su2_quad.weights)), dtype=complex)  # a column of the right shape
+        call = {
+            "irrep_stack": lambda: su2_quad.irrep_stack(k),
+            "column": lambda: su2_quad.column(k, 0),
+            "coeff_values": lambda: su2_quad.coeff_values(f),
+            "coefficient_bound_check": lambda: coefficient_bound_check(
+                np.eye(k + 1), k, 0, 0, su2_quad, "upper"),
+            "shared_column": lambda: coefficient_bound_check(
+                np.eye(k + 1), k, 0, 0, su2_quad, "lower", past),
+            "gaussian_series_l1_mean": lambda: gaussian_series_l1_mean(f, 4, RngSeed(1), su2_quad),
+            "randomized_l1_report": lambda: randomized_l1_report(su2_quad, f, 4, RngSeed(1)),
+        }[route]
+        with pytest.raises(ValueError, match=rf"^level {k} exceeds the quadrature's derived "
+                                             rf"validity level {k - 1}$"):
+            call()
+
     def test_pointwise_evaluation_matches_stack(self, su2_quad):
         from qgfourier import make_su2_dual
 
@@ -556,12 +607,23 @@ ASSEMBLY_MUTANTS = {
 class TestEulerStacks:
     @pytest.mark.parametrize("resolution", [4, 5, 10])
     def test_stacks_match_entry_formula_at_every_node(self, resolution):
+        # the assembly the rule runs, at levels past its validity too
         quad = make_su2_quadrature(resolution, 0)
         g = euler_nodes(quad)
         for k in range(15):
             formula = classical_eval._su2_entry_stack(
                 k, g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1])
-            assert float(np.max(np.abs(quad.irrep_stack(k) - formula))) <= 1e-13
+            assert float(np.max(np.abs(stack_past_level(quad, k) - formula))) <= 1e-13
+
+    @pytest.mark.parametrize("resolution, cap", [(10, 6), (4, 9), (5, 10), (8, 12), (10, 20),
+                                                 (12, 20), (16, 21)])
+    def test_polar_stacks_are_the_entry_formula_bit_for_bit(self, resolution, cap):
+        # made in the tie's one pass per level, on the polar angles followed by
+        # the rings, they are the formula at the polar angles alone
+        quad = make_su2_quadrature(resolution, cap)
+        assert len(quad.polar_stacks) == quad.kmax_valid + 1
+        for k, stack in enumerate(quad.polar_stacks):
+            assert_same_bits(stack, stack_past_level(quad, k, polar=True))
 
     def test_entry_formula_is_the_term_loop_bit_for_bit(self):
         # one batch of terms per row, in the term loop's product and sum order,
@@ -585,15 +647,18 @@ class TestEulerStacks:
     def test_assembly_is_the_exp_route_bit_for_bit(self, resolution):
         # phase factors gathered from one table of exponentials are the
         # per-entry exponentials: the stack, a column, the diagonal at the
-        # first phi2 and the ring of the build's tie
-        quad = make_su2_quadrature(resolution, 0)
+        # first phi2 and the ring of the build's tie; and the stack is the
+        # oracles' `stack_past_level` at every valid level
+        quad = make_su2_quadrature(resolution, 7)
+        assert quad.kmax_valid == 7
         phases = quad.phases
         n_polar, n_phase = len(quad.polar), len(phases)
         r, p1 = np.indices((n_polar, n_phase))
         p2 = (p1 + r + 1) % n_phase
         for k in range(8):
             e1, e2 = classical_eval._euler_exponents(k)
-            rho0 = quad._polar_stack(k)
+            rho0 = quad.polar_stacks[k]
+            assert_same_bits(quad.irrep_stack(k), stack_past_level(quad, k))
             assert_same_bits(quad.irrep_stack(k), exp_assemble(
                 rho0[:, None, None], e1, e2, phases[:, None, None, None], phases[:, None, None],
             ).reshape(-1, k + 1, k + 1))
@@ -612,8 +677,8 @@ class TestEulerStacks:
     @pytest.mark.parametrize("resolution, cap, level", [(10, 6, 6), (10, 0, 0), (4, 9, 7)])
     def test_build_keeps_no_stack_and_ties_every_valid_level(self, resolution, cap, level,
                                                               monkeypatch):
-        # the ring tie is the entry formula at R x P nodes; the polar stacks
-        # call it at the R polar angles alone
+        # one entry-formula pass per level, at the R polar angles and the R x P
+        # ring nodes together: the polar stacks are its first R rows
         formula = classical_eval._su2_entry_stack
         calls = []
 
@@ -623,9 +688,9 @@ class TestEulerStacks:
 
         monkeypatch.setattr(classical_eval, "_su2_entry_stack", spy)
         quad = make_su2_quadrature(resolution, cap)
-        ring = (len(quad.polar), len(quad.phases))
+        n_polar, n_phase = len(quad.polar), len(quad.phases)
         assert quad.kmax_valid == level
-        assert [k for k, shape in calls if shape == ring] == list(range(level + 1))
+        assert calls == [(k, (n_polar + n_polar * n_phase,)) for k in range(level + 1)]
         stack = weakref.ref(quad.irrep_stack(level))
         assert stack() is None  # the rule keeps no stack it returns
 
@@ -646,18 +711,17 @@ class TestEulerStacks:
     def test_build_memory_is_the_arrays_it_keeps(self, traced_peak):
         # the rule keeps its four arrays and the polar stacks.  The largest
         # transients are the ring tie's at level K = kmax_valid, in units of
-        # one (R, P, K+1, K+1) complex ring.  While the entry formula runs at
-        # level K, the tie holds the assembled ring (1) and the formula its
-        # output, a contiguous copy of it and its power tables (about 3.1 at
-        # K = 6).  The assembly before it gathers both phase factors from one
-        # small table and stays under 3.5 with level K-1's ring still live;
-        # after it, the ring, the formula, their difference and its modulus
-        # come to 3.5.  The build peaks at 4.25 rings; the stacks of levels
-        # 0..6 alone would be 7 times the ring.
+        # one (R, P, K+1, K+1) complex ring.  The entry formula runs at the
+        # R polar angles and the R P ring nodes, 1 + 1/P rings: while it runs
+        # at level K it holds its output, a contiguous copy of it and its
+        # power tables; level K-1's output and ring are freed before it.
+        # After it, its output, the assembled ring, their difference and its
+        # modulus are live.  The build peaks at 4.0 rings; the stacks of
+        # levels 0..6 made at every node would be 7 times the ring.
         make_su2_quadrature(10, 6)  # numpy's lazy set-up outside the trace
         quad, peak = traced_peak(lambda: make_su2_quadrature(10, 6))
         kept = sum(a.nbytes for a in (quad.polar, quad.ring_weights, quad.phases, quad.weights))
-        kept += sum(stack.nbytes for stack in quad._polar_stacks.values())
+        kept += sum(stack.nbytes for stack in quad.polar_stacks)
         n = quad.kmax_valid + 1
         ring = len(quad.polar) * len(quad.phases) * n * n * np.dtype(complex).itemsize
         assert peak <= kept + 5 * ring
@@ -669,17 +733,23 @@ class TestEulerStacks:
         assert not hasattr(quad, "nodes")
         n_nodes = len(quad.polar) * len(quad.phases) ** 2
         arrays = [v for v in vars(quad).values() if isinstance(v, np.ndarray)]
-        arrays += list(quad._polar_stacks.values())
+        arrays += list(quad.polar_stacks)
         assert [a.size >= n_nodes for a in arrays] == [a is quad.weights for a in arrays]
 
     def test_rule_is_read_only(self):
         # the premises checked at build time (the ring tie, the angles and
         # weights the exactness level rests on) cannot be edited away afterwards
-        quad = make_su2_quadrature(4, 0)
+        quad = make_su2_quadrature(4, 3)
         for array in (quad.ring_weights, quad.weights, quad.polar, quad.phases,
-                      quad._polar_stack(3)):
+                      *quad.polar_stacks):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+        for name in ("polar", "ring_weights", "phases", "validate_kmax", "kmax_valid",
+                     "polar_stacks", "weights"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(quad, name, getattr(quad, name))
+        assert [f.name for f in dataclasses.fields(quad) if f.init] == [
+            "polar", "ring_weights", "phases", "validate_kmax"]
 
     def test_level_one_is_the_nodes(self, su2_quad):
         # level 1 at every node, against the nodes made from the angles
@@ -687,17 +757,15 @@ class TestEulerStacks:
 
     @pytest.mark.parametrize("angles", ["polar", "phases"])
     def test_nan_angle_raises(self, angles, monkeypatch):
-        # planted after the premise check, so only the ring tie can see it
-        exact_level = classical_eval._exact_level
-
-        def planted(quad, cap):
-            level = exact_level(quad, cap)
-            getattr(quad, angles)[3] = np.nan
-            return level
-
-        monkeypatch.setattr(classical_eval, "_exact_level", planted)
+        # with the premise check passed over, only the ring tie can see it
+        quad = make_su2_quadrature(10, 6)
+        arrays = {"polar": quad.polar, "ring_weights": quad.ring_weights, "phases": quad.phases}
+        arrays[angles] = arrays[angles].copy()
+        arrays[angles][3] = np.nan
+        monkeypatch.setattr(classical_eval, "_exact_level",
+                            lambda polar, ring_weights, phases, cap: cap)
         with pytest.raises(ValueError, match="differs from the entry formula by nan"):
-            make_su2_quadrature(10, 6)
+            classical_eval.SU2Quadrature(**arrays, validate_kmax=6)
 
     @pytest.mark.parametrize("array, slot", [("polar", 0), ("ring_weights", 1)])
     def test_non_finite_rule_input_raises_in_the_premise_check(self, array, slot, monkeypatch):
@@ -713,16 +781,16 @@ class TestEulerStacks:
             nodes[slot][3] = np.nan
             return tuple(nodes)
 
-        def spy(quad, cap):
-            checked.append(np.isnan(getattr(quad, array)[3]))
-            return exact_level(quad, cap)
+        def spy(polar, ring_weights, phases, cap):
+            checked.append(np.isnan({"polar": polar, "ring_weights": ring_weights}[array][3]))
+            return exact_level(polar, ring_weights, phases, cap)
 
-        def unreached(quad):
+        def unreached(polar, phases, level):
             raise AssertionError("the ring tie ran")
 
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", poisoned)
         monkeypatch.setattr(classical_eval, "_exact_level", spy)
-        monkeypatch.setattr(classical_eval, "_check_stacks", unreached)
+        monkeypatch.setattr(classical_eval, "_tied_polar_stacks", unreached)
         with pytest.raises(ValueError, match="polar moments differ from the Legendre ones by nan"):
             make_su2_quadrature(10, 0)
         assert checked == [True]
@@ -733,8 +801,8 @@ class TestEulerStacks:
         exact_level = classical_eval._exact_level
         levels = []
 
-        def spy(quad, cap):
-            levels.append(exact_level(quad, cap))
+        def spy(*arrays_and_cap):
+            levels.append(exact_level(*arrays_and_cap))
             return levels[-1]
 
         monkeypatch.setattr(classical_eval, "_exact_level", spy)
@@ -749,8 +817,8 @@ class TestEulerStacks:
         exact_level = classical_eval._exact_level
         levels = []
 
-        def spy(quad, cap):
-            levels.append(exact_level(quad, cap))
+        def spy(*arrays_and_cap):
+            levels.append(exact_level(*arrays_and_cap))
             return levels[-1]
 
         monkeypatch.setattr(classical_eval, "_exact_level", spy)
@@ -785,11 +853,9 @@ class TestValidityMeasurement:
         quad = make_su2_quadrature(10, 6)
         phases = quad.phases.copy()
         phases[3] += 1e-6
-        moved = classical_eval.SU2Quadrature(polar=quad.polar, ring_weights=quad.ring_weights,
-                                             phases=phases, kmax_valid=-1)
-        assert classical_eval._exact_level(quad, 6) == 6
+        assert classical_eval._exact_level(quad.polar, quad.ring_weights, quad.phases, 6) == 6
         with pytest.raises(ValueError, match="phase sums differ from the uniform ones"):
-            classical_eval._exact_level(moved, 6)
+            classical_eval.SU2Quadrature(quad.polar, quad.ring_weights, phases, validate_kmax=6)
 
     def test_default_rule_is_exact_to_level_13(self):
         assert make_su2_quadrature(10, 20).kmax_valid == 13
@@ -805,18 +871,15 @@ class TestValidityMeasurement:
             v[0] *= 1 + 1e-6
             return t, v
 
-        exact_level = classical_eval._exact_level
-        levels = []
-
-        def spy(quad, cap):
-            levels.extend([polar_valid_kmax(quad, cap), einsum_valid_kmax(quad, cap)])
-            return exact_level(quad, cap)
-
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", perturbed)
-        monkeypatch.setattr(classical_eval, "_exact_level", spy)
         with pytest.raises(ValueError, match="polar moments differ from the Legendre ones"):
             make_su2_quadrature()
-        assert levels == [-1, -1]
+        # built with the premise check passed over (the tie reads no weight),
+        # the rule fails both node-sum oracles at level 0
+        monkeypatch.setattr(classical_eval, "_exact_level",
+                            lambda polar, ring_weights, phases, cap: cap)
+        quad = make_su2_quadrature()
+        assert polar_valid_kmax(quad, 6) == einsum_valid_kmax(quad, 6) == -1
 
 
 SU2_RULES = [(4, 9), (5, 10), (10, 6)]  # (resolution, validate_kmax): kmax_valid 7, 8, 6
@@ -992,6 +1055,32 @@ class TestCotype:
         ]
         res = cotype2_ratio(z8_table, xs, 5000, RngSeed(223))
         assert res.ratio >= 0.2
+
+    @pytest.mark.parametrize("case", ["singleton-s3", "z8-characters", "random-s3-5"])
+    def test_chunks_are_the_complex_product_bit_for_bit(self, case, s3_table, z8_table,
+                                                        monkeypatch):
+        # the real draw times the real and imaginary parts as two real
+        # products gives the complex product of the draw cast to complex
+        draws = []
+        monkeypatch.setattr(classical_eval, "sample_mean",
+                            lambda trials, chunk, seed, draw: draws.append(draw) or (1.0, 0.0))
+        rng = RngSeed(229).generator()
+        haar, xs = {
+            "singleton-s3": (s3_table, [random_coeffs(s3_table.dual, rng)]),
+            "z8-characters": (z8_table, [FourierCoeffs(z8_table.dual, {j: np.array([[1.0]])})
+                                         for j in range(8)]),
+            "random-s3-5": (s3_table, [random_coeffs(s3_table.dual, rng) for _ in range(5)]),
+        }[case]
+        values = np.stack([haar.coeff_values(x) for x in xs])
+
+        def complex_product(rng, take):
+            return np.abs(rng.standard_normal((MC_CHUNK, len(xs)))[:take] @ values) @ haar.weights
+
+        cotype2_ratio(haar, xs, 3000, RngSeed(233))
+        got = _chunks(3000, MC_CHUNK, RngSeed(233), draws[0], 2)
+        ref = _chunks(3000, MC_CHUNK, RngSeed(233), complex_product, 2)
+        for l1, r in zip(got, ref, strict=True):
+            assert_same_bits(l1, r)
 
     def test_rejects_empty_and_zero(self, s3_table):
         with pytest.raises(ValueError):

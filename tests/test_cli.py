@@ -617,6 +617,19 @@ def test_helgason_instance_fails_on_a_nan_family(monkeypatch, capsys):
     assert math.isnan(doc["records"][1]["ratio"]) and doc["records"][1]["ok"] is False
 
 
+def test_helgason_instance_fails_closed_on_a_zero_ell2(monkeypatch, capsys):
+    # the empty family has ell2 0 and ratio 0: the gate 0 <= 0.1 * 0 would pass,
+    # and the relative difference divided by zero
+    monkeypatch.setattr(cli, "random_coeffs", lambda dual, rng: FourierCoeffs(dual, {}))
+    code, doc = execute(["helgason-instance", "--seed", "1", "--trials", "2"])
+    capsys.readouterr()
+    assert code == 1 and doc["verdict"] == "fail"
+    assert not any("error" in rec for rec in doc["records"])
+    stability = doc["records"][1]
+    assert stability["ratio"] == 0.0 and stability["ok"] is False
+    assert math.isnan(stability["stability_rel_diff"])
+
+
 def test_numpy_values_in_records_are_made_json_clean(monkeypatch, capsys):
     record = {"flag": np.bool_(True), "x": np.float64(0.5), "n": np.int64(3), "z": 1.0 + 2.0j,
               "arr": np.arange(2), "pair": (np.int64(1), 2.0), "ok": np.bool_(True)}
